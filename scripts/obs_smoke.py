@@ -44,6 +44,7 @@ REQUIRED_SPAN_KEYS = {"name", "id", "parent", "ts_us", "dur_us", "pid", "tid", "
 REQUIRED_STAGES = {
     "stage.source", "stage.field", "stage.tree",
     "stage.display", "stage.layout", "stage.heightfield",
+    "stage.mesh", "stage.render", "stage.encode",
 }
 REQUIRED_FAMILIES = {
     "repro_cache_hits_total",

@@ -39,6 +39,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -96,6 +97,35 @@ def _vertex_measure_arg(value: str) -> str:
             f"from {', '.join(known)})"
         )
     return value
+
+
+def _number_arg(kind, low, strict=False):
+    """argparse type: a finite ``kind`` (int or float) that is at least
+    ``low``, or above it when ``strict``."""
+
+    def parse(value: str):
+        try:
+            number = kind(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {value!r}"
+            )
+        if not math.isfinite(number):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
+        if not (number > low if strict else number >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+# Render flags: image size in pixels, heightfield resolution (the
+# minimum ``rasterize`` accepts), and the camera zoom factor.
+_pixels_arg = _number_arg(int, 1)
+_resolution_arg = _number_arg(int, 4)
+_zoom_arg = _number_arg(float, 0, strict=True)
 
 
 def _source(args):
@@ -852,10 +882,10 @@ def build_parser() -> argparse.ArgumentParser:
     terrain.add_argument("-o", "--output", default="terrain.png")
     terrain.add_argument("--azimuth", type=float, default=35.0)
     terrain.add_argument("--elevation", type=float, default=38.0)
-    terrain.add_argument("--zoom", type=float, default=1.0)
-    terrain.add_argument("--resolution", type=int, default=160)
-    terrain.add_argument("--width", type=int, default=640)
-    terrain.add_argument("--height", type=int, default=480)
+    terrain.add_argument("--zoom", type=_zoom_arg, default=1.0)
+    terrain.add_argument("--resolution", type=_resolution_arg, default=160)
+    terrain.add_argument("--width", type=_pixels_arg, default=640)
+    terrain.add_argument("--height", type=_pixels_arg, default=480)
     terrain.set_defaults(func=_cmd_terrain)
 
     peaks = sub.add_parser("peaks", help="list highest disconnected peaks")
@@ -984,9 +1014,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--rebuild-threshold", type=float, default=0.5,
         help="dirty-vertex fraction beyond which a full rebuild is used",
     )
-    stream.add_argument("--resolution", type=int, default=120)
-    stream.add_argument("--width", type=int, default=480)
-    stream.add_argument("--height", type=int, default=360)
+    stream.add_argument("--resolution", type=_resolution_arg, default=120)
+    stream.add_argument("--width", type=_pixels_arg, default=480)
+    stream.add_argument("--height", type=_pixels_arg, default=360)
     stream.set_defaults(func=_cmd_stream)
 
     evolve = sub.add_parser(

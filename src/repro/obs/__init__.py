@@ -24,7 +24,8 @@ The observability layer the rest of the system reports through:
     loses on this host.
 
 Instrumented layers: :class:`~repro.engine.pipeline.Pipeline` stages,
-:class:`~repro.engine.cache.ArtifactCache` tiers,
+the :func:`~repro.terrain.render.render_terrain` sink (mesh, render and
+encode spans), :class:`~repro.engine.cache.ArtifactCache` tiers,
 :class:`~repro.dist.executor.ShardedExecutor` shard jobs (worker spans
 serialized back and re-parented), every :mod:`repro.serve` request,
 and :mod:`repro.stream` replay batches.  Enable tracing with the

@@ -21,7 +21,7 @@ import numpy as np
 from .camera import Camera
 from .colormap import rgb_to_hex
 from .mesh import TerrainMesh
-from .render import render_mesh, save_png
+from .render import _shade_faces, render_mesh, save_png
 from .svg import SVGCanvas
 
 __all__ = ["export_obj", "export_svg3d", "orbit_frames"]
@@ -75,15 +75,7 @@ def export_svg3d(
     """
     camera = camera or Camera()
     xy, depth = camera.project(mesh.vertices, width, height)
-    tri = mesh.vertices[mesh.faces]
-    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(norms > 1e-12, norms, 1.0)
-    normals[normals[:, 2] < 0] *= -1
-    light = np.array([0.35, -0.5, 0.85])
-    light /= np.linalg.norm(light)
-    shade = ambient + (1 - ambient) * np.clip(normals @ light, 0, 1)
-    colors = np.clip(mesh.face_colors * shade[:, None], 0, 1)
+    colors = _shade_faces(mesh, ambient)
 
     face_depth = depth[mesh.faces].mean(axis=1)
     order = np.argsort(-face_depth)  # farthest first

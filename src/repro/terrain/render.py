@@ -2,7 +2,7 @@
 
 A from-scratch replacement for the paper's OpenGL viewer, so the whole
 terrain pipeline runs headless: project triangles through an orbit
-:class:`~repro.terrain.camera.Camera`, fill them with scanline
+:class:`~repro.terrain.camera.Camera`, fill them with batched
 barycentric rasterization into a numpy z-buffer, shade with a single
 directional light, and write PNG (stdlib zlib) or binary PPM.
 
@@ -20,6 +20,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from ..core.super_tree import SuperTree
+from ..obs import trace as obs_trace
 from .camera import Camera
 from .colormap import intensity_ramp
 from .heightfield import Heightfield, rasterize
@@ -37,6 +38,23 @@ __all__ = [
 _LIGHT = np.array([0.35, -0.5, 0.85])
 _LIGHT_DIR = _LIGHT / np.linalg.norm(_LIGHT)
 
+#: Most (face, pixel) candidate pairs rasterized at once: bounds the
+#: renderer's working memory whatever the mesh or image size.
+_PAIR_BUDGET = 1 << 14
+
+
+def _shade_faces(mesh: TerrainMesh, ambient: float) -> np.ndarray:
+    """Lambert-shaded (m, 3) face colours under the fixed light."""
+    tri = mesh.vertices[mesh.faces]
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    norms = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = normals / np.where(norms > 1e-12, norms, 1.0)
+    # Faces are viewed from above; flip normals pointing down.
+    normals[normals[:, 2] < 0] *= -1
+    diffuse = np.clip(normals @ _LIGHT_DIR, 0.0, 1.0)
+    shade = ambient + (1.0 - ambient) * diffuse
+    return np.clip(mesh.face_colors * shade[:, None], 0.0, 1.0)
+
 
 def render_mesh(
     mesh: TerrainMesh,
@@ -46,59 +64,95 @@ def render_mesh(
     background=(1.0, 1.0, 1.0),
     ambient: float = 0.45,
 ) -> np.ndarray:
-    """Rasterize a terrain mesh to an (H, W, 3) uint8 image."""
+    """Rasterize a terrain mesh to an (H, W, 3) uint8 image.
+
+    All faces are rasterized in one batch.  Each face's clipped pixel
+    bounding box is expanded into (face, pixel) candidate pairs, in
+    face order and at most ``_PAIR_BUDGET`` at a time; the barycentric
+    inside test and the depth run on a whole chunk of pairs at once,
+    operation for operation as a per-face loop computes them.  Each
+    pixel takes its nearest face, and on an exact depth tie the
+    earliest face, as a face-by-face z-buffer with a strict ``<`` does;
+    so the image does not depend on the chunk size.
+    """
+    if width < 1 or height < 1:
+        raise ValueError(
+            f"image size must be at least 1x1, got {width}x{height}"
+        )
     camera = camera or Camera()
     xy, depth = camera.project(mesh.vertices, width, height)
 
-    # Lambert shading per face.
-    tri = mesh.vertices[mesh.faces]
-    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(norms > 1e-12, norms, 1.0)
-    # Faces are viewed from above; flip normals pointing down.
-    normals[normals[:, 2] < 0] *= -1
-    diffuse = np.clip(normals @ _LIGHT_DIR, 0.0, 1.0)
-    shade = ambient + (1.0 - ambient) * diffuse
-    colors = np.clip(mesh.face_colors * shade[:, None], 0.0, 1.0)
-
-    frame = np.empty((height, width, 3), dtype=np.float64)
-    frame[:] = np.asarray(background)
-    zbuf = np.full((height, width), np.inf)
+    n_faces = len(mesh.faces)
+    # Colour table: one row per face, then the background.
+    table = np.empty((n_faces + 1, 3))
+    table[:n_faces] = _shade_faces(mesh, ambient)
+    table[n_faces] = background
+    table = (table * 255).astype(np.uint8)
 
     pts = xy[mesh.faces]  # (m, 3, 2)
     zs = depth[mesh.faces]  # (m, 3)
-    # Painter-friendly order is unnecessary with a z-buffer; iterate as is.
-    for f in range(len(mesh.faces)):
-        z0, z1, z2 = zs[f]
-        if z0 <= 0 or z1 <= 0 or z2 <= 0:
-            continue
-        (x0, y0), (x1, y1), (x2, y2) = pts[f]
-        min_x = max(int(min(x0, x1, x2)), 0)
-        max_x = min(int(max(x0, x1, x2)) + 1, width)
-        min_y = max(int(min(y0, y1, y2)), 0)
-        max_y = min(int(max(y0, y1, y2)) + 1, height)
-        if min_x >= max_x or min_y >= max_y:
-            continue
-        area = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if abs(area) < 1e-12:
-            continue
-        px = (np.arange(min_x, max_x) + 0.5)[None, :]
-        py = (np.arange(min_y, max_y) + 0.5)[:, None]
-        w0 = ((x1 - x0) * (py - y0) - (px - x0) * (y1 - y0)) / area
-        w1 = ((px - x0) * (y2 - y0) - (x2 - x0) * (py - y0)) / area
+    xs, ys = pts[..., 0], pts[..., 1]
+    # Pixel bounding boxes, truncated as int() does and clipped before
+    # the integer cast so that far-off vertices cannot overflow it.
+    min_x = np.clip(np.trunc(xs.min(axis=1)), 0, width).astype(np.int64)
+    max_x = np.clip(np.trunc(xs.max(axis=1)) + 1, 0, width).astype(np.int64)
+    min_y = np.clip(np.trunc(ys.min(axis=1)), 0, height).astype(np.int64)
+    max_y = np.clip(np.trunc(ys.max(axis=1)) + 1, 0, height).astype(np.int64)
+    x0, y0 = xs[:, 0], ys[:, 0]
+    dx1, dy1 = xs[:, 1] - x0, ys[:, 1] - y0
+    dx2, dy2 = xs[:, 2] - x0, ys[:, 2] - y0
+    area = dx1 * dy2 - dx2 * dy1
+    keep = np.flatnonzero(
+        (zs > 0).all(axis=1)
+        & (min_x < max_x)
+        & (min_y < max_y)
+        & (np.abs(area) >= 1e-12)
+    )
+    x0, y0, dx1, dy1, dx2, dy2, area = (
+        a[keep] for a in (x0, y0, dx1, dy1, dx2, dy2, area)
+    )
+    z0, z1, z2 = zs[keep].T
+    left, top = min_x[keep], min_y[keep]
+    box_w = max_x[keep] - left
+    pairs = box_w * (max_y[keep] - top)
+    ends = np.cumsum(pairs)
+    starts = ends - pairs
+
+    zbuf = np.full(height * width, np.inf)
+    owner = np.full(height * width, n_faces)
+    total = int(ends[-1]) if len(ends) else 0
+    for lo in range(0, total, _PAIR_BUDGET):
+        hi = min(lo + _PAIR_BUDGET, total)
+        # The faces whose pairs overlap [lo, hi), each cut to its share.
+        first = np.searchsorted(ends, lo, side="right")
+        stop = np.searchsorted(ends, hi - 1, side="right") + 1
+        share = (np.minimum(ends[first:stop], hi)
+                 - np.maximum(starts[first:stop], lo))
+        f = np.repeat(np.arange(first, stop), share)
+        row, col = np.divmod(np.arange(lo, hi) - starts[f], box_w[f])
+        px = left[f] + col
+        py = top[f] + row
+        rel_x = (px + 0.5) - x0[f]
+        rel_y = (py + 0.5) - y0[f]
+        face_area = area[f]
+        w0 = (dx1[f] * rel_y - rel_x * dy1[f]) / face_area
+        w1 = (rel_x * dy2[f] - dx2[f] * rel_y) / face_area
         # Barycentrics: b1 = w1 (vertex 1), b2 = w0 (vertex 2).
         b0 = 1.0 - w0 - w1
-        inside = (b0 >= 0) & (w0 >= 0) & (w1 >= 0)
-        if not inside.any():
-            continue
-        z = b0 * z0 + w1 * z1 + w0 * z2
-        block_z = zbuf[min_y:max_y, min_x:max_x]
-        visible = inside & (z < block_z)
-        if not visible.any():
-            continue
-        block_z[visible] = z[visible]
-        frame[min_y:max_y, min_x:max_x][visible] = colors[f]
-    return (frame * 255).astype(np.uint8)
+        hit = np.flatnonzero((b0 >= 0) & (w0 >= 0) & (w1 >= 0))
+        f = f[hit]
+        z = b0[hit] * z0[f] + w1[hit] * z1[f] + w0[hit] * z2[f]
+        pixel = py[hit] * width + px[hit]
+        # A pair takes its pixel when it is the chunk's nearest and
+        # strictly nearer than every earlier chunk; among equally near
+        # pairs the earliest face wins.
+        before = zbuf[pixel]
+        np.minimum.at(zbuf, pixel, z)
+        won = (z == zbuf[pixel]) & (z < before)
+        pixel = pixel[won]
+        owner[pixel] = n_faces
+        np.minimum.at(owner, pixel, keep[f[won]])
+    return table[owner.reshape(height, width)]
 
 
 def node_colors_from_item_values(
@@ -169,14 +223,19 @@ def render_terrain(
         node_colors = node_colors_from_item_values(tree, color_values)
     else:
         node_colors = intensity_ramp(tree.scalars)
-    mesh = build_mesh(hf, node_colors, z_scale=z_scale)
-    image = render_mesh(mesh, camera=camera, width=width, height=height)
+    with obs_trace.span("stage.mesh"):
+        mesh = build_mesh(hf, node_colors, z_scale=z_scale)
+    with obs_trace.span(
+        "stage.render", faces=mesh.n_faces, width=width, height=height
+    ):
+        image = render_mesh(mesh, camera=camera, width=width, height=height)
     if path is not None:
         path = Path(path)
-        if path.suffix.lower() == ".ppm":
-            save_ppm(image, path)
-        else:
-            save_png(image, path)
+        with obs_trace.span("stage.encode"):
+            if path.suffix.lower() == ".ppm":
+                save_ppm(image, path)
+            else:
+                save_png(image, path)
     return image
 
 

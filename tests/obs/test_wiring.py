@@ -94,6 +94,34 @@ class TestPipelineSpans:
         assert np.array_equal(hf_off.height, hf_on.height)
         assert np.array_equal(hf_off.node, hf_on.node)
 
+    def test_render_sink_spans_nest_under_the_caller(
+        self, ring, edge_list_file, tmp_path
+    ):
+        def render(path):
+            return Pipeline(
+                EdgeListSource(edge_list_file), "kcore", cache=ArtifactCache()
+            ).render(path=path, resolution=32, width=64, height=48)
+
+        trace.set_enabled(False)
+        plain = render(tmp_path / "plain.png")
+        trace.set_enabled(True)
+        with trace.span("caller") as caller:
+            traced = render(tmp_path / "traced.png")
+        sink = {
+            r["name"]: r for r in ring.snapshot()
+            if r["name"] in ("stage.mesh", "stage.render", "stage.encode")
+        }
+        assert set(sink) == {"stage.mesh", "stage.render", "stage.encode"}
+        assert all(r["parent"] == caller.span_id for r in sink.values())
+        # A 32x32 heightfield has 31x31 quads of two faces each.
+        assert sink["stage.render"]["attrs"] == {
+            "faces": 2 * 31 * 31, "width": 64, "height": 48,
+        }
+        assert np.array_equal(plain, traced)
+        assert (tmp_path / "plain.png").read_bytes() == (
+            tmp_path / "traced.png"
+        ).read_bytes()
+
     def test_cache_stats_dict_unchanged_by_tracing(self, ring, edge_list_file):
         cache = ArtifactCache()
         pipeline = Pipeline(EdgeListSource(edge_list_file), "kcore", cache=cache)

@@ -1,5 +1,7 @@
 """Unit tests for mesh export and turntable rendering."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestSvg3D:
         a = export_svg3d(mesh, camera=Camera(azimuth=10), width=80, height=60)
         b = export_svg3d(mesh, camera=Camera(azimuth=200), width=80, height=60)
         assert a != b
+
+    @pytest.mark.parametrize("camera, ambient, digest", [
+        (Camera(), 0.45,
+         "7da70a92428ca211de7e54c9c526a29671f0d0779e9026beb8f4a1c9395152aa"),
+        (Camera(azimuth=200, elevation=60), 0.2,
+         "b299c392d8d09d92ba44ad488dd573410ea5e31332140bfacd6a53081da5fead"),
+    ])
+    def test_output_matches_recorded_digest(self, mesh, camera, ambient,
+                                            digest):
+        # Pins the SVG bytes: export_svg3d shares render_mesh's face
+        # shading, so a change there must not reach the SVG unnoticed.
+        svg = export_svg3d(mesh, camera=camera, width=160, height=120,
+                           ambient=ambient)
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 class TestOrbit:

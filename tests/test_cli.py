@@ -156,6 +156,37 @@ class TestTerrainCommand:
         with pytest.raises(SystemExit):
             main(["terrain"])
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--height", "0", "must be >= 1, got '0'"),
+        ("--width", "0", "must be >= 1, got '0'"),
+        ("--width", "-5", "must be >= 1, got '-5'"),
+        ("--width", "2.5", "invalid int value: '2.5'"),
+        ("--resolution", "1", "must be >= 4, got '1'"),
+        ("--zoom", "0", "must be > 0, got '0'"),
+        ("--zoom", "-2", "must be > 0, got '-2'"),
+        ("--zoom", "nan", "must be finite, got 'nan'"),
+    ])
+    def test_bad_render_flag_is_one_line_usage_error(
+        self, edge_list_file, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["terrain", "--edge-list", edge_list_file, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"repro terrain: error: argument {flag}: {message}"
+        )
+
+    def test_smallest_render_flags_accepted(self, edge_list_file, tmp_path):
+        out = tmp_path / "tiny.png"
+        assert main([
+            "terrain", "--edge-list", edge_list_file, "-o", str(out),
+            "--resolution", "4", "--width", "1", "--height", "1",
+            "--zoom", "0.5",
+        ]) == 0
+        assert out.exists()
+
 
 class TestPeaksCommand:
     def test_lists_clique_core(self, edge_list_file, capsys):
@@ -278,6 +309,26 @@ class TestStreamCommand:
                 "stream", "--edge-list", edge_list_file,
                 "--log", "does-not-exist.jsonl",
             ])
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--width", "0", "must be >= 1, got '0'"),
+        ("--height", "-1", "must be >= 1, got '-1'"),
+        ("--resolution", "3", "must be >= 4, got '3'"),
+    ])
+    def test_bad_render_flag_is_one_line_usage_error(
+        self, edge_list_file, edit_log, capsys, flag, value, message
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "stream", "--edge-list", edge_list_file,
+                "--log", edit_log, flag, value,
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"repro stream: error: argument {flag}: {message}"
+        )
 
     def test_malformed_log(self, edge_list_file, tmp_path):
         bad = tmp_path / "bad.jsonl"
