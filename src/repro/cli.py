@@ -59,6 +59,7 @@ from .engine import (
     StreamingPipeline,
     registry,
 )
+from .graph.io import EdgeListError
 from .stream import read_edit_log
 from .terrain import Camera
 
@@ -1269,6 +1270,9 @@ def main(argv=None) -> int:
     try:
         with obs_trace.span(f"cli.{args.command}"):
             return args.func(args)
+    except EdgeListError as exc:
+        # str(exc) is "file:line: reason: 'line'" — one line.
+        raise SystemExit(f"bad edge list {exc}") from None
     finally:
         if exporter is not None:
             obs_trace.set_enabled(False)

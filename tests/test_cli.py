@@ -156,6 +156,24 @@ class TestTerrainCommand:
         with pytest.raises(SystemExit):
             main(["terrain"])
 
+    @pytest.mark.parametrize("bad, reason", [
+        ("x 2", "non-integer endpoint"),
+        ("3", "expected 'u v', got 1 fields"),
+        ("-1 2", "negative endpoint"),
+    ])
+    def test_malformed_edge_list_is_a_one_line_error(
+        self, tmp_path, bad, reason
+    ):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n{bad}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["terrain", "--edge-list", str(path),
+                  "-o", str(tmp_path / "t.png")])
+        message = str(exc.value.code)
+        assert f"{path}:2: {reason}" in message
+        assert "\n" not in message
+        assert not (tmp_path / "t.png").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--height", "0", "must be >= 1, got '0'"),
         ("--width", "0", "must be >= 1, got '0'"),
@@ -468,6 +486,13 @@ class TestEvolveCommand:
         bad.write_text("0 1 1.0\n0 nope 2.0\n")
         with pytest.raises(SystemExit, match="bad temporal log"):
             main(["evolve", "--log", str(bad), "--resolution", "0"])
+
+    def test_non_finite_weight_is_named(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("0 1 1.0 1.0\n0 1 1.0 inf\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--log", str(bad), "--resolution", "0"])
+        assert f"{bad}:2: non-finite weight" in str(exc.value.code)
 
 
 class TestServeEvolveFlags:
