@@ -1,130 +1,43 @@
-"""Sharded tree-construction scaling + out-of-core memory bound.
+"""Out-of-core scatter: the memory bound and the identical rebuild.
 
-The dist backend's two promises, measured:
+``repro dist-build --scatter-dir`` streams an on-disk edge list into
+per-shard fragments; scattering must respect the configured buffer
+budget — peak buffered bytes never exceed ``max_buffer_bytes`` by more
+than one parse chunk.  The shards are then read back, the ``degree``
+field is summed from per-shard contributions, and the tree built from
+the shards is cross-checked against a fresh single-process
+``build_vertex_tree`` — identity is asserted on every run, tiny or not.
 
-1. **Scaling** — the tree stage fans per-shard merge-forest reductions
-   over a process pool; on a host with >= 4 usable cores the 4-worker
-   build must beat the single-process build by >= 1.8x on a >= 1e5-edge
-   graph (we use a 4e5-edge G(n, m)).  On fewer cores the curve is
-   reported but the floor is not asserted, same policy as the other
-   benches' REPRO_BENCH_TINY gating.
-
-   The benchmark graph is deliberately *dense* (avg degree ~100): the
-   parallel fraction is the per-shard reduction over all m edges while
-   the serial tail is the replay of the concatenated merge forests,
-   which is O(n + cut).  At m >> n that tail is a few percent and the
-   fan-out wins; at m ~ 2n the forests are nearly the whole edge set
-   and Amdahl caps the speedup near 1x — a true property of
-   filter-style distributed connectivity, not an implementation bug
-   (sparse graphs scale by being *bigger than memory*, the out-of-core
-   axis below, not by being CPU-bound).
-2. **Out-of-core** — scattering the edge list from disk respects the
-   configured buffer budget: peak buffered bytes never exceed
-   ``max_buffer_bytes`` by more than one parse chunk.
-
-Every configuration cross-checks the merged tree against a fresh
-single-process ``build_vertex_tree`` — identity is asserted on every
-run, tiny or not.
-
-``REPRO_DIST_BENCH_WORKERS`` caps the widest pool (CI's dist-smoke job
-sets 2 so the tiny run still exercises a real ProcessPoolExecutor).
+The graph is deliberately *dense* (a 4e5-edge G(n, m), average degree
+~100), so the scatter streams many chunks through a budget far smaller
+than the edge array.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.core import ScalarGraph, build_vertex_tree
-from repro.dist import ShardedExecutor, partition_edges, scatter_edge_list
+from repro.dist import build_tree, merged_field, scatter_edge_list
 from repro.graph import generators
 from repro.graph.io import write_edge_list
 
 _TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
 _N, _M = (400, 4_000) if _TINY else (8_000, 400_000)
 _SEED = 29
-_ROUNDS = 2 if _TINY else 3
-_MAX_WORKERS = int(os.environ.get("REPRO_DIST_BENCH_WORKERS", "4") or "4")
-_WORKER_CURVE = [w for w in (0, 1, 2, 4) if w <= _MAX_WORKERS]
 _CHUNK_EDGES = 4096 if _TINY else 65536
-
-
-def _cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _field() -> ScalarGraph:
     graph = generators.erdos_renyi(_N, _M, seed=_SEED)
     assert _TINY or graph.n_edges >= 100_000, \
-        "scaling benchmark needs a >=1e5-edge graph"
+        "out-of-core benchmark needs a >=1e5-edge graph"
     return ScalarGraph(
         graph, graph.degree().astype(np.float64)
     )
-
-
-def _best_of(fn, rounds: int = _ROUNDS) -> float:
-    times = []
-    for __ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
-
-
-def test_dist_scaling_speedup(report, report_json):
-    field = _field()
-    graph, scalars = field.graph, field.scalars
-    ref = build_vertex_tree(field)
-    t_single = _best_of(lambda: build_vertex_tree(field))
-
-    shards = partition_edges(graph, max(2, max(_WORKER_CURVE) or 2), "hash")
-    lines = [
-        f"sharded tree build on erdos_renyi({_N}, {_M}): "
-        f"{graph.n_vertices} vertices, {graph.n_edges} edges, "
-        f"{len(shards)} hash shards, {_cores()} usable cores",
-        f"single-process build: {1000 * t_single:.1f} ms",
-        f"{'workers':>9}{'dist(ms)':>10}{'speedup':>9}",
-    ]
-    speedups = {}
-    for workers in _WORKER_CURVE:
-        executor = ShardedExecutor(workers=workers)
-        try:
-            tree = executor.build_tree(scalars, shards)  # warm the pool
-            assert np.array_equal(tree.parent, ref.parent), \
-                f"sharded tree differs at workers={workers}"
-            assert np.array_equal(tree.scalars, ref.scalars)
-            t_dist = _best_of(
-                lambda: executor.build_tree(scalars, shards)
-            )
-        finally:
-            executor.shutdown()
-        speedups[workers] = t_single / t_dist
-        label = "thr" if workers == 0 else str(workers)
-        lines.append(
-            f"{label:>9}{1000 * t_dist:>10.1f}{speedups[workers]:>8.2f}x"
-        )
-    report("dist_scaling", "\n".join(lines))
-    report_json("dist_scaling", {
-        "n_vertices": graph.n_vertices,
-        "n_edges": graph.n_edges,
-        "n_shards": len(shards),
-        "cores": _cores(),
-        "tiny": _TINY,
-        "single_ms": round(1000 * t_single, 2),
-        "speedups": {str(w): round(s, 3) for w, s in speedups.items()},
-    })
-
-    if not _TINY and _cores() >= 4 and 4 in speedups:
-        assert speedups[4] >= 1.8, (
-            f"4-worker sharded build only {speedups[4]:.2f}x faster "
-            "than single-process (need >=1.8x)"
-        )
 
 
 def test_oocore_memory_bound(report, tmp_path: Path):
@@ -147,13 +60,9 @@ def test_oocore_memory_bound(report, tmp_path: Path):
     )
 
     shards = result.load()
-    executor = ShardedExecutor(workers=0)
-    try:
-        merged = executor.merged_field("degree", shards)
-        assert np.array_equal(merged, scalars)
-        tree = executor.build_tree(merged, shards)
-    finally:
-        executor.shutdown()
+    merged = merged_field("degree", shards)
+    assert np.array_equal(merged, scalars)
+    tree, __ = build_tree(merged, shards)
     ref = build_vertex_tree(field)
     assert np.array_equal(tree.parent, ref.parent)
 

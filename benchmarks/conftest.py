@@ -45,8 +45,8 @@ def report_json():
     """Writer: report_json(name, payload) → benchmarks/out/name.json.
 
     Machine-readable sidecar to ``report`` — ``scripts/bench_all.py``
-    consolidates every ``accel_*.json`` and ``dist_*.json`` into the
-    PR-level ``BENCH_PR5.json`` speedup ledger.
+    consolidates every ``accel_*.json`` into the PR-level speedup
+    ledger.
     """
     OUT_DIR.mkdir(exist_ok=True)
 

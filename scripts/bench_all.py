@@ -11,16 +11,15 @@ are captured without any bench opting in.  Results land in
 ``BENCH_PR10.json``:
 
 * ``benches`` — per-file wall time and exit status;
-* ``speedups`` — the naive/vector/native kernel speedup columns and the
-  sharded-vs-single dist scaling curves (merged from
-  ``benchmarks/out/accel_*.json`` and ``benchmarks/out/dist_*.json``);
-  the native columns carry the PR 7 floors (≥10× over naive, ≥4× over
-  vector for tree build at 1e5 edges), asserted inside
-  ``bench_table2_construction.py`` when a toolchain exists;
+* ``speedups`` — the naive/vector/native kernel speedup columns (merged
+  from ``benchmarks/out/accel_*.json``); the native columns carry the
+  tree-build floors (≥10× over naive, ≥4× over vector at 1e5 edges),
+  asserted inside ``bench_table2_construction.py`` when a toolchain
+  exists;
 * ``span_rollups`` — per-span-name p50/p95/max/total ms over all spans
   traced across the run (see :func:`repro.obs.trace.rollup`);
 * ``env`` — the knobs that shaped the run, including the host
-  fingerprint (see :func:`repro.obs.costs.host_fingerprint`) so
+  fingerprint (see :func:`host_fingerprint`) so
   ``scripts/bench_diff.py`` can refuse cross-host comparisons.
 
 Future PRs diff this file against their own run with
@@ -38,16 +37,65 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
+from typing import Dict, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 OUT_DIR = BENCH_DIR / "out"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))  # for repro.obs.trace.rollup
+
+_fingerprint_cache: Optional[Dict[str, object]] = None
+_fingerprint_lock = threading.Lock()
+
+
+def _compiler_banner() -> str:
+    cc = os.environ.get("CC", "cc")
+    try:
+        out = subprocess.run(
+            [cc, "--version"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            timeout=5,
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        return "none"
+    first = out.decode(errors="replace").splitlines()
+    return first[0].strip() if first else "none"
+
+
+def host_fingerprint() -> Dict[str, object]:
+    """A stable identity for *this* host's performance envelope.
+
+    Used to stamp bench ledgers so comparisons across different
+    machines are refused instead of producing phantom regressions.
+    Cached after the first call (the compiler probe costs a
+    subprocess).
+    """
+    global _fingerprint_cache
+    with _fingerprint_lock:
+        if _fingerprint_cache is None:
+            try:
+                from repro import accel
+
+                backend = accel.get_backend()
+            except Exception:
+                backend = "unknown"
+            _fingerprint_cache = {
+                "cpus": os.cpu_count() or 1,
+                "platform": platform.platform(),
+                "machine": platform.machine(),
+                "python": sys.version.split()[0],
+                "compiler": _compiler_banner(),
+                "accel": backend,
+            }
+        return dict(_fingerprint_cache)
 
 
 def run_bench(path: Path, pytest_args: list, trace_path: Path) -> dict:
@@ -92,17 +140,15 @@ def _native_available() -> bool:
 def collect_speedups(not_before: float) -> dict:
     """Speedup sidecars written by *this* run (mtime filter keeps stale
     numbers from earlier runs — different env, different filters — out
-    of the ledger).  Two families: ``accel_*`` (vector-vs-naive kernel
-    speedups) and ``dist_*`` (sharded-vs-single scaling curves)."""
+    of the ledger): the ``accel_*`` kernel speedups."""
     speedups = {}
-    for pattern in ("accel_*.json", "dist_*.json"):
-        for path in sorted(OUT_DIR.glob(pattern)):
-            if path.stat().st_mtime < not_before:
-                continue
-            try:
-                speedups[path.stem] = json.loads(path.read_text())
-            except ValueError:
-                speedups[path.stem] = {"error": "unparseable sidecar"}
+    for path in sorted(OUT_DIR.glob("accel_*.json")):
+        if path.stat().st_mtime < not_before:
+            continue
+        try:
+            speedups[path.stem] = json.loads(path.read_text())
+        except ValueError:
+            speedups[path.stem] = {"error": "unparseable sidecar"}
     return speedups
 
 
@@ -150,7 +196,6 @@ def main(argv=None) -> int:
         if result["exit_code"] != 0:
             failed.append(path.name)
 
-    from repro.obs import costs as obs_costs
     from repro.obs import trace as obs_trace
 
     records = []
@@ -169,7 +214,7 @@ def main(argv=None) -> int:
             "accel": os.environ.get("REPRO_ACCEL", "auto") or "auto",
             "native_available": _native_available(),
             "python": sys.version.split()[0],
-            "host": obs_costs.host_fingerprint(),
+            "host": host_fingerprint(),
         },
         "total_seconds": round(sum(b["seconds"] for b in benches.values()), 3),
     }

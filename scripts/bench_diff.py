@@ -14,7 +14,7 @@ regression exceeds the tolerance:
   and never fails the gate.
 
 Wall times are only comparable on the same machine, so ledgers carry a
-host fingerprint (``env.host`` — see ``repro.obs.costs``).  When the
+host fingerprint (``env.host`` — see ``scripts/bench_all.py``).  When the
 fingerprints differ (or either ledger predates them) the diff refuses
 with exit code 3 unless ``--allow-cross-host`` is passed.
 

@@ -17,7 +17,8 @@ Design points:
   (C source, compiler version banner, platform), so compilation happens
   once per machine and source or toolchain changes recompile cleanly.
   The compile writes to a unique temp name and ``os.replace``\\ s it in,
-  so concurrent first calls (dist process workers) race benignly.
+  so concurrent first calls (serve's process-pool workers) race
+  benignly.
 * **Zero copy.**  The wrappers hand the kernels the existing flat int64
   numpy arrays via ``ndarray.ctypes`` — no marshalling; scratch arrays
   are allocated as numpy buffers on the Python side so the C code never

@@ -122,9 +122,10 @@ def _number_arg(kind, low, strict=False):
     return parse
 
 
-# Render flags: image size in pixels, heightfield resolution (the
-# minimum ``rasterize`` accepts), and the camera zoom factor.
-_pixels_arg = _number_arg(int, 1)
+# Sizes (image pixels; dist-build's shards, chunk edges and buffer
+# MiB), heightfield resolution (the minimum ``rasterize`` accepts), and
+# the camera zoom factor.
+_positive_int_arg = _number_arg(int, 1)
 _resolution_arg = _number_arg(int, 4)
 _zoom_arg = _number_arg(float, 0, strict=True)
 
@@ -143,54 +144,36 @@ def _cache(args) -> ArtifactCache:
     return ArtifactCache.from_env()
 
 
-def _dist_arg(value: str):
-    """argparse type for ``--dist``: 'auto', 'off', or a worker count."""
-    if value in ("auto", "off"):
-        return value
-    try:
-        workers = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {value!r} (choose 'auto', 'off', or a "
-            "worker count)"
-        )
-    if workers < 0:
-        raise argparse.ArgumentTypeError("worker count must be >= 0")
-    return workers
-
-
 def _pipeline(args) -> Pipeline:
     return Pipeline(
-        _source(args), args.measure, bins=args.bins, cache=_cache(args),
-        dist=getattr(args, "dist", None),
+        _source(args), args.measure, bins=args.bins, cache=_cache(args)
     )
 
 
 def _add_common(
     parser: argparse.ArgumentParser, measure_type=_measure_arg
 ) -> None:
-    kind = "vertex" if measure_type is _vertex_measure_arg else None
     parser.add_argument("--dataset", help="registered dataset name")
     parser.add_argument("--edge-list", help="path to a SNAP-style edge list")
+    parser.add_argument(
+        "--bins", type=int, default=None,
+        help="simplify the tree to ~N scalar levels before drawing",
+    )
+    _add_build(parser, measure_type)
+
+
+def _add_build(parser: argparse.ArgumentParser, measure_type) -> None:
+    """``--measure``, ``--cache-dir`` and the accel/obs/resil flags."""
+    kind = "vertex" if measure_type is _vertex_measure_arg else None
     parser.add_argument(
         "--measure", default="kcore", type=measure_type,
         help="scalar measure; one of: "
              + ", ".join(registry.measure_names(kind=kind)),
     )
     parser.add_argument(
-        "--bins", type=int, default=None,
-        help="simplify the tree to ~N scalar levels before drawing",
-    )
-    parser.add_argument(
         "--cache-dir", default=None,
         help="persist pipeline artifacts here (default: $REPRO_CACHE_DIR "
              "if set, else in-memory only)",
-    )
-    parser.add_argument(
-        "--dist", type=_dist_arg, default="off", metavar="{auto,off,N}",
-        help="sharded execution backend: 'auto' shards when the graph "
-             "and host justify it, N runs N process workers; results "
-             "are identical to single-process (default: off)",
     )
     _add_accel(parser)
     _add_obs(parser)
@@ -236,54 +219,40 @@ def _add_accel(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_terrain(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        camera = Camera(
-            azimuth=args.azimuth, elevation=args.elevation,
-        ).zoomed(args.zoom)
-        pipeline.render(
-            path=args.output,
-            camera=camera,
-            resolution=args.resolution,
-            width=args.width, height=args.height,
-        )
-        print(f"terrain of {args.measure} -> {args.output} "
-              f"({pipeline.display_tree.n_nodes} super nodes)")
-    finally:
-        pipeline.close_dist()
+    camera = Camera(
+        azimuth=args.azimuth, elevation=args.elevation,
+    ).zoomed(args.zoom)
+    pipeline.render(
+        path=args.output,
+        camera=camera,
+        resolution=args.resolution,
+        width=args.width, height=args.height,
+    )
+    print(f"terrain of {args.measure} -> {args.output} "
+          f"({pipeline.display_tree.n_nodes} super nodes)")
     return 0
 
 
 def _cmd_peaks(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        unit = "edges" if pipeline.display_tree.kind == "edge" else "vertices"
-        for i, peak in enumerate(pipeline.peaks(count=args.count)):
-            print(f"#{i + 1}: level {peak.alpha:g}, {peak.size} {unit}, "
-                  f"summit {peak.summit:g}")
-    finally:
-        pipeline.close_dist()
+    unit = "edges" if pipeline.display_tree.kind == "edge" else "vertices"
+    for i, peak in enumerate(pipeline.peaks(count=args.count)):
+        print(f"#{i + 1}: level {peak.alpha:g}, {peak.size} {unit}, "
+              f"summit {peak.summit:g}")
     return 0
 
 
 def _cmd_treemap(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        pipeline.treemap(path=args.output, size=args.width)
-        print(f"treemap of {args.measure} -> {args.output}")
-    finally:
-        pipeline.close_dist()
+    pipeline.treemap(path=args.output, size=args.width)
+    print(f"treemap of {args.measure} -> {args.output}")
     return 0
 
 
 def _cmd_profile(args) -> int:
     pipeline = _pipeline(args)
-    try:
-        pipeline.profile(
-            path=args.output, width=args.width, height=args.height
-        )
-        print(f"profile of {args.measure} -> {args.output}")
-    finally:
-        pipeline.close_dist()
+    pipeline.profile(path=args.output, width=args.width, height=args.height)
+    print(f"profile of {args.measure} -> {args.output}")
     return 0
 
 
@@ -330,115 +299,54 @@ def _cmd_prof(args) -> int:
 
 
 def _cmd_dist_build(args) -> int:
-    """Build a scalar tree through the sharded backend and report the
-    shard/merge summary — the scaling counterpart of ``terrain``.
-
-    Two modes share the executor:
-
-    * default — partition the in-memory graph (any vertex measure);
-    * ``--scatter-dir`` — stream ``--edge-list`` through the
-      out-of-core scatter first and build from the on-disk shards (for
-      shard-mergeable measures like ``degree`` the global CSR is never
-      materialized).
+    """Build a scalar tree out of core and report the shard/merge
+    summary: stream ``--edge-list`` into sha256-verified shards under
+    ``--scatter-dir``, reduce them one after another, and merge.  For
+    shard-mergeable measures like ``degree`` the global CSR is never
+    materialized (unless ``--verify`` asks for the reference build).
     """
     import json as json_mod
     import time as time_mod
 
     from .core.serialize import save_tree
-    from .engine.pipeline import STAGE_BUILD_SECONDS
-    from .dist import (
-        DistPlan,
-        ShardedExecutor,
-        choose_partitioner,
-        resilient_scatter,
-        usable_cpus,
-    )
+    from .dist import build_tree, merged_field, resilient_scatter
     from .engine.cache import fingerprint_array
+    from .engine.pipeline import STAGE_BUILD_SECONDS
     from .graph.io import read_edge_list
 
     # --measure is parse-time validated to a vertex measure.
-    # dist-build always shards (that is the command); --dist only sizes
-    # the pool.  0 = in-process threads, 'auto'/'off' = size to the host.
-    if isinstance(args.dist, int):
-        workers = args.dist
-    else:
-        workers = min(4, usable_cpus()) if usable_cpus() >= 2 else 0
+    if not Path(args.edge_list).exists():
+        raise SystemExit(f"edge list not found: {args.edge_list}")
     cache = _cache(args)
 
     t0 = time_mod.perf_counter()
-    if args.scatter_dir:
-        if not args.edge_list:
-            raise SystemExit("--scatter-dir needs --edge-list (the "
-                             "on-disk edge list to stream)")
-        if not Path(args.edge_list).exists():
-            raise SystemExit(f"edge list not found: {args.edge_list}")
-        if args.partitioner == "auto":
-            # The cost model scores in-memory partitions; a streaming
-            # scatter picks the one scheme that needs no pre-pass.
-            method = "hash"
-            print("--partitioner auto: scatter mode uses 'hash' "
-                  "(stateless, single-pass); pass an explicit "
-                  "partitioner to override")
-        else:
-            method = args.partitioner
-        n_shards = args.shards or max(2, workers)
-        # Resilient scatter: fragments are sha256-verified on reload,
-        # bad ones quarantined and the scatter re-run (bounded retries).
-        scatter, shards = resilient_scatter(
-            args.edge_list, n_shards, args.scatter_dir,
-            method=method,
-            chunk_edges=args.chunk_edges,
-            max_buffer_bytes=args.max_buffer_mb * (1 << 20),
-        )
-        print(
-            f"scattered {scatter.stats['n_edges']} edges into "
-            f"{n_shards} {method} shards (peak buffer "
-            f"{scatter.stats['peak_buffered_bytes']} B, limit "
-            f"{scatter.stats['buffer_limit_bytes']} B)"
-        )
-        executor = ShardedExecutor(workers=workers)
-        try:
-            scalars = executor.merged_field(args.measure, shards)
-            graph = None
-            if scalars is None:
-                graph = read_edge_list(args.edge_list)
-                scalars = registry.compute(args.measure, graph)
-            tree = executor.build_tree(
-                scalars, shards, cache=cache,
-                scalars_fingerprint=fingerprint_array(scalars),
-            )
-            summary = executor.stats["last_build"]
-            if args.verify:
-                if graph is None:
-                    graph = read_edge_list(args.edge_list)
-                _verify_dist(tree, graph, scalars)
-        finally:
-            executor.shutdown()
-    else:
-        pipeline = Pipeline(_source(args), args.measure, cache=cache)
-        try:
-            n_shards = args.shards or max(2, workers)
-            method = (
-                choose_partitioner(pipeline.graph, n_shards)
-                if args.partitioner == "auto"
-                else args.partitioner
-            )
-            pipeline.dist = DistPlan(
-                partitioner=method, n_shards=n_shards, workers=workers,
-                reason=f"dist-build --dist {args.dist}",
-            )
-            tree = pipeline.tree
-            stats = pipeline.dist_stats() or {}
-            summary = (stats.get("executor") or {}).get("last_build")
-            if summary is None:
-                summary = dict(
-                    stats.get("plan", {}),
-                    note="tree served from cache (no shard work ran)",
-                )
-            if args.verify:
-                _verify_dist(tree, pipeline.graph, pipeline.field.scalars)
-        finally:
-            pipeline.close_dist()
+    # Resilient scatter: fragments are sha256-verified on reload, bad
+    # ones quarantined and the scatter re-run (bounded retries).
+    scatter, shards = resilient_scatter(
+        args.edge_list, args.shards, args.scatter_dir,
+        method=args.partitioner,
+        chunk_edges=args.chunk_edges,
+        max_buffer_bytes=args.max_buffer_mb * (1 << 20),
+    )
+    print(
+        f"scattered {scatter.stats['n_edges']} edges into "
+        f"{args.shards} {args.partitioner} shards (peak buffer "
+        f"{scatter.stats['peak_buffered_bytes']} B, limit "
+        f"{scatter.stats['buffer_limit_bytes']} B)"
+    )
+    scalars = merged_field(args.measure, shards)
+    graph = None
+    if scalars is None:
+        graph = read_edge_list(args.edge_list)
+        scalars = registry.compute(args.measure, graph)
+    tree, summary = build_tree(
+        scalars, shards, cache=cache,
+        scalars_fingerprint=fingerprint_array(scalars),
+    )
+    if args.verify:
+        if graph is None:
+            graph = read_edge_list(args.edge_list)
+        _verify_dist(tree, graph, scalars)
     seconds = time_mod.perf_counter() - t0
     # Same number the print below reports, mirrored into the global
     # registry so --metrics and /metrics tell the same story.
@@ -471,21 +379,16 @@ def _verify_dist(tree, graph, scalars) -> None:
 
 
 def _cmd_correlate(args) -> int:
-    pipeline = Pipeline(
-        _source(args), args.field_i, cache=_cache(args), dist=args.dist,
-    )
-    try:
-        field_i = pipeline.measure_field(args.field_i)
-        field_j = pipeline.measure_field(args.field_j)
-        gci = global_correlation_index(pipeline.graph, field_i, field_j)
-        print(f"GCI({args.field_i}, {args.field_j}) = {gci:.4f}")
-        scores = outlier_score(pipeline.graph, field_i, field_j)
-        top = np.argsort(-scores)[: args.count]
-        print("top outlier vertices (most locally anti-correlated):")
-        for v in top:
-            print(f"  vertex {int(v)}: outlier_score {scores[v]:.3f}")
-    finally:
-        pipeline.close_dist()
+    pipeline = Pipeline(_source(args), args.field_i, cache=_cache(args))
+    field_i = pipeline.measure_field(args.field_i)
+    field_j = pipeline.measure_field(args.field_j)
+    gci = global_correlation_index(pipeline.graph, field_i, field_j)
+    print(f"GCI({args.field_i}, {args.field_j}) = {gci:.4f}")
+    scores = outlier_score(pipeline.graph, field_i, field_j)
+    top = np.argsort(-scores)[: args.count]
+    print("top outlier vertices (most locally anti-correlated):")
+    for v in top:
+        print(f"  vertex {int(v)}: outlier_score {scores[v]:.3f}")
     return 0
 
 
@@ -493,11 +396,6 @@ def _cmd_stream(args) -> int:
     # Cheap flag/log validation first — measure + tree construction on
     # a large dataset can take minutes.  (--measure itself is already
     # validated at parse time against the registry's vertex measures.)
-    if getattr(args, "dist", "off") not in ("off", 0):
-        raise SystemExit(
-            "--dist is not supported for streaming replay (the tree "
-            "stage is maintained incrementally, not rebuilt per batch)"
-        )
     if args.window is not None and args.window <= 0:
         raise SystemExit("--window must be a positive horizon")
     if args.frame_every < 1:
@@ -722,7 +620,6 @@ def _cmd_serve(args) -> int:
         tile_size=args.tile_size,
         levels=args.levels,
         bins=args.bins,
-        dist=None if args.dist in ("off", 0) else args.dist,
         max_disk_bytes=(
             None if args.cache_disk_mb is None
             else args.cache_disk_mb * (1 << 20)
@@ -885,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     terrain.add_argument("--elevation", type=float, default=38.0)
     terrain.add_argument("--zoom", type=_zoom_arg, default=1.0)
     terrain.add_argument("--resolution", type=_resolution_arg, default=160)
-    terrain.add_argument("--width", type=_pixels_arg, default=640)
-    terrain.add_argument("--height", type=_pixels_arg, default=480)
+    terrain.add_argument("--width", type=_positive_int_arg, default=640)
+    terrain.add_argument("--height", type=_positive_int_arg, default=480)
     terrain.set_defaults(func=_cmd_terrain)
 
     peaks = sub.add_parser("peaks", help="list highest disconnected peaks")
@@ -935,40 +832,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     dist_build = sub.add_parser(
         "dist-build",
-        help="build a scalar tree via the sharded backend, print the "
-             "shard/merge summary",
+        help="build a scalar tree out of core from on-disk shards, print "
+             "the shard/merge summary",
         description=(
-            "Shard the edge set, reduce each shard's merge forest in a "
-            "worker, and merge into a tree identical to the "
-            "single-process build.  With --scatter-dir the edge list "
-            "is streamed from disk into per-shard fragments first "
-            "(bounded memory; shard-mergeable measures like 'degree' "
-            "never materialize the global graph)."
+            "Stream the edge list from disk into per-shard fragments "
+            "(bounded buffers, sha256-verified on reload), reduce each "
+            "shard's merge forest in turn, and merge into a tree "
+            "identical to the single-process build.  Shard-mergeable "
+            "measures like 'degree' never materialize the global graph."
         ),
     )
-    _add_common(dist_build, measure_type=_vertex_measure_arg)
     dist_build.add_argument(
-        "--partitioner", default="auto",
-        choices=("auto", "hash", "range", "degree"),
-        help="edge partitioner; 'auto' lets the cost model score all "
-             "three in-memory, and falls back to 'hash' in "
-             "--scatter-dir mode (default: %(default)s)",
+        "--edge-list", required=True,
+        help="path to a SNAP-style edge list to scatter into shards",
     )
     dist_build.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count override (default: from the dist plan)",
+        "--scatter-dir", required=True, metavar="DIR",
+        help="write the per-shard fragments and manifests under DIR",
+    )
+    _add_build(dist_build, _vertex_measure_arg)
+    dist_build.add_argument(
+        "--partitioner", default="hash", choices=("hash", "range", "degree"),
+        help="edge partitioner (default: %(default)s)",
     )
     dist_build.add_argument(
-        "--scatter-dir", default=None, metavar="DIR",
-        help="out-of-core mode: stream --edge-list into per-shard "
-             "fragments under DIR and build from them",
+        "--shards", type=_positive_int_arg, default=2,
+        help="shard count (default: %(default)s)",
     )
     dist_build.add_argument(
-        "--chunk-edges", type=int, default=65536,
-        help="streaming chunk size for --scatter-dir (default: %(default)s)",
+        "--chunk-edges", type=_positive_int_arg, default=65536,
+        help="streaming chunk size in edges (default: %(default)s)",
     )
     dist_build.add_argument(
-        "--max-buffer-mb", type=int, default=8,
+        "--max-buffer-mb", type=_positive_int_arg, default=8,
         help="scatter buffer budget in MiB (default: %(default)s)",
     )
     dist_build.add_argument(
@@ -1016,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="dirty-vertex fraction beyond which a full rebuild is used",
     )
     stream.add_argument("--resolution", type=_resolution_arg, default=120)
-    stream.add_argument("--width", type=_pixels_arg, default=480)
-    stream.add_argument("--height", type=_pixels_arg, default=360)
+    stream.add_argument("--width", type=_positive_int_arg, default=480)
+    stream.add_argument("--height", type=_positive_int_arg, default=360)
     stream.set_defaults(func=_cmd_stream)
 
     evolve = sub.add_parser(
@@ -1205,11 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="register a temporal evolution run at /evolve/* (windows, "
              "peak trajectories, diff tiles) and /stream/NAME over a "
              "timestamped 'src dst ts [w]' edge log (repeatable)",
-    )
-    serve.add_argument(
-        "--dist", type=_dist_arg, default="off", metavar="{auto,off,N}",
-        help="run pipelines on the sharded backend (thread-mode builds "
-             "only; shard summary appears under /stats)",
     )
     serve.add_argument(
         "--cache-disk-mb", type=int, default=None, metavar="MB",

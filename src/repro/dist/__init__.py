@@ -1,32 +1,29 @@
-"""repro.dist — sharded, out-of-core pipeline execution.
+"""repro.dist — out-of-core scalar-tree construction from on-disk shards.
 
-The horizontal-scale layer: graphs whose edge sets exceed one worker's
-memory (or one core's patience) are split into self-describing
-:class:`~repro.dist.partition.Shard`\\ s, each shard's scalar forest is
-reduced in a worker, and the forests are merged into a global tree that
-is **node-for-node identical** to the single-process build.
+The one build a single in-memory pass cannot do: an edge list on disk is
+streamed into self-describing :class:`~repro.dist.partition.Shard`\\ s
+under a bounded buffer budget, each shard's edges are reduced to a merge
+forest, and the forests are merged into a global tree that is
+**node-for-node identical** to the single-process build
+(``repro dist-build --scatter-dir``).
 
 ``repro.dist.partition``
     Deterministic edge partitioners (``hash``/``range``/``degree``),
     boundary-vertex bookkeeping, and the shard manifest format.
 ``repro.dist.oocore``
     Streaming scatter of an on-disk edge list into per-shard fragments
-    with bounded peak memory.
+    with bounded peak memory, and their sha256-verified reload.
 ``repro.dist.executor``
-    :class:`ShardedExecutor` — fan-out over a
-    :class:`~repro.serve.workers.StageRunner`, exact merge via the
-    filter-and-replay argument, final assembly through the tree's
-    splice hook.
-``repro.dist.plan``
-    The ``--dist {auto,off,N}`` cost model (shard count, cut size,
-    measure cost → partitioner + worker count).
+    :func:`build_tree` — per-shard merge-forest reduction, one shard
+    after another in the calling thread, then the exact merge via the
+    filter-and-replay argument and final assembly through the tree's
+    splice hook; :func:`merged_field` for shard-mergeable measures.
 
-The engine integrates all of this as an execution *backend*: like
-:mod:`repro.accel`, the dist choice never enters a cache key because
-the outputs are identical.
+Only the scatter pass is memory-bounded: :func:`load_shards` returns
+every shard's edges at once.
 """
 
-from .executor import ShardedExecutor, reduce_shard
+from .executor import build_tree, merged_field, reduce_shard
 from .oocore import (
     ScatterResult,
     ShardIntegrityError,
@@ -41,7 +38,6 @@ from .partition import (
     cut_vertices,
     partition_edges,
 )
-from .plan import DistPlan, choose_partitioner, plan, usable_cpus
 
 __all__ = [
     "PARTITIONERS",
@@ -54,10 +50,7 @@ __all__ = [
     "scatter_edge_list",
     "resilient_scatter",
     "load_shards",
-    "ShardedExecutor",
+    "build_tree",
+    "merged_field",
     "reduce_shard",
-    "DistPlan",
-    "plan",
-    "choose_partitioner",
-    "usable_cpus",
 ]

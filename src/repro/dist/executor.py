@@ -1,8 +1,8 @@
-"""Sharded scalar-tree construction: fan out, reduce, merge, splice.
+"""Sharded scalar-tree construction: reduce, merge, splice.
 
 Algorithm 1 is, operationally, a union-find scan over edges ordered by
 the later-processed endpoint's rank (:mod:`repro.accel.tree`).  Two
-facts make it shard-parallel **without approximation**:
+facts make it shard-decomposable **without approximation**:
 
 1. *within one item's merge group the result is order-invariant* (the
    accel module's equivalence argument), so edges may be regrouped
@@ -27,38 +27,34 @@ largest shard's local forest (recoverable from its merge forest alone)
 is taken as the base and only the parents the cross-shard interleaving
 actually moved are patched in.
 
-Workers run through :class:`repro.serve.workers.StageRunner.map_sync` —
-threads for in-process runs, a ``ProcessPoolExecutor`` when real
-parallelism is wanted — and per-shard merge forests are content-hash
-cached (:class:`~repro.engine.cache.ArtifactCache`), so a warm re-run
-only re-reduces shards whose edges or field actually changed.
+:func:`build_tree` reduces the shards one after another in the calling
+thread.  Per-shard merge forests are content-hash cached
+(:class:`~repro.engine.cache.ArtifactCache`), so a warm re-run only
+re-reduces shards whose edges or field actually changed.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..accel.tree import merge_scan_keep, rank_order, vertex_tree_parents
 from ..core.scalar_tree import ScalarTree
-from ..obs import costs as obs_costs
+from ..engine.cache import fingerprint_array, stage_key
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .partition import Shard, cut_vertices
 
 __all__ = [
     "DIST_FIELD_MERGERS",
+    "build_tree",
+    "merged_field",
     "reduce_shard",
     "shard_degree",
-    "ShardedExecutor",
 ]
 
-# Process-wide dist metrics (repro.obs).  The executor's per-instance
-# ``stats`` dict keeps its shape (serve /stats and the CLI print it);
-# every increment is mirrored here so /metrics sees one global truth.
 _M_BUILDS = obs_metrics.REGISTRY.counter(
     "repro_dist_builds_total", "Sharded tree builds."
 )
@@ -70,7 +66,7 @@ _M_REDUCE_HITS = obs_metrics.REGISTRY.counter(
     "Per-shard merge forests served from the artifact cache.",
 )
 _M_REDUCE_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_dist_reduce_seconds", "Wall time of one shard-reduce fan-out."
+    "repro_dist_reduce_seconds", "Wall time of one build's shard reductions."
 )
 _M_MERGE_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_dist_merge_seconds", "Global merge + splice time per build."
@@ -101,9 +97,6 @@ def _valid_forest(forest, n_vertices: int) -> bool:
     return True
 
 
-# ----------------------------------------------------------------------
-# Module-level worker jobs (picklable for process pools)
-# ----------------------------------------------------------------------
 def reduce_shard(
     n_vertices: int, edges: np.ndarray, rank: np.ndarray
 ) -> np.ndarray:
@@ -128,24 +121,11 @@ def reduce_shard(
     # The merge scan of repro.accel.tree, tracking which steps merged
     # instead of materialising parents (same union-find: path halving +
     # union by size, group-root caching).  merge_scan_keep dispatches
-    # to the compiled native kernel when the backend allows — process
-    # workers re-resolve from their own environment.
+    # to the compiled native kernel when the backend allows.
     kept = merge_scan_keep(n_vertices, cur[eorder], prev[eorder])
     if not len(kept):
         return np.empty((0, 2), dtype=np.int64)
     return np.ascontiguousarray(pairs[eorder[kept]])
-
-
-def _reduce_shard_traced(
-    n_vertices: int, edges: np.ndarray, rank: np.ndarray, shard_index: int
-) -> np.ndarray:
-    """Thread-mode traced reduce: the caller's context (and so the
-    parent span id) is copied into the worker thread by
-    :meth:`StageRunner.map_sync`, so this span nests under the build's."""
-    with obs_trace.span(
-        "dist.reduce_shard", shard=shard_index, edges=int(len(edges))
-    ):
-        return reduce_shard(n_vertices, edges, rank)
 
 
 def shard_degree(n_vertices: int, edges: np.ndarray) -> np.ndarray:
@@ -171,272 +151,79 @@ def shard_degree(n_vertices: int, edges: np.ndarray) -> np.ndarray:
 DIST_FIELD_MERGERS: Dict[str, object] = {"degree": shard_degree}
 
 
-# ----------------------------------------------------------------------
-# The executor
-# ----------------------------------------------------------------------
-class ShardedExecutor:
-    """Fans shard jobs over a :class:`StageRunner`; merges exactly.
+def _shard_forest(
+    index: int, shard: Shard, rank: np.ndarray, cache, scalars_fp
+) -> np.ndarray:
+    """One shard's merge forest: from the cache when a valid entry
+    exists, else reduced here (and cached)."""
+    n = shard.n_vertices
+    with obs_trace.span(
+        "dist.reduce_shard", shard=index, edges=int(shard.n_edges)
+    ) as sp:
+        key = None
+        if cache is not None:
+            key = stage_key(
+                "dist-reduce",
+                {"method": shard.method, "n_shards": shard.n_shards},
+                shard.fingerprint(),
+                scalars_fp,
+            )
+            hit = cache.get(key)
+            if hit is not None:
+                if _valid_forest(hit, n):
+                    _M_REDUCE_HITS.inc()
+                    sp.set(cached=True)
+                    return hit
+                # A poisoned reduction (corrupt disk envelope that
+                # still parsed, wrong shape, out-of-range ids) is
+                # re-derived from the shard's own edges; the put below
+                # overwrites the bad entry.
+                _M_POISONED.inc()
+        _M_REDUCE_JOBS.inc()
+        forest = reduce_shard(n, shard.edges, rank)
+        if key is not None:
+            cache.put(key, forest)
+        return forest
 
-    Parameters
-    ----------
-    workers:
-        ``0`` runs shard jobs on a small in-process thread pool (the
-        test/teaching mode); ``N > 0`` uses a ``ProcessPoolExecutor``
-        of ``N`` workers for real parallelism.
-    runner:
-        An existing :class:`~repro.serve.workers.StageRunner` to borrow
-        (the server shares its own); when given, ``workers`` is ignored
-        and :meth:`shutdown` leaves the runner alive.
-    ledger:
-        A :class:`~repro.obs.costs.CostLedger` receiving the measured
-        shard costs (``dist.tree`` wall time, per-shard ``dist.reduce``
-        seconds, ``dist.serialize`` bytes/seconds); defaults to the
-        process-wide ledger.  These are the numbers
-        :func:`repro.dist.plan.plan` weighs against the single-process
-        ``stage.tree`` time before agreeing to shard again.
+
+def build_tree(
+    scalars: np.ndarray,
+    shards: Sequence[Shard],
+    *,
+    cache=None,
+    scalars_fingerprint: Optional[str] = None,
+) -> Tuple[ScalarTree, Dict[str, object]]:
+    """The global vertex scalar tree of ``scalars`` over the union of
+    the shards' edges — node-for-node identical to
+    :func:`~repro.core.scalar_tree.build_vertex_tree` on the whole
+    graph — and a summary of the build (shard sizes, cut vertices,
+    merge-forest edges, spliced parents).
+
+    ``cache`` (an :class:`~repro.engine.cache.ArtifactCache`) enables
+    per-shard merge-forest reuse, keyed by each shard's fingerprint and
+    ``scalars_fingerprint`` (computed from ``scalars`` when omitted).
     """
-
-    def __init__(
-        self,
-        workers: int = 0,
-        *,
-        runner=None,
-        deadline_s: Optional[float] = None,
-        ledger=None,
-    ) -> None:
-        from ..serve.workers import StageRunner
-
-        if runner is not None:
-            self.runner = runner
-            self._owns_runner = False
-        else:
-            self.runner = StageRunner(workers=workers)
-            self._owns_runner = True
-        self.ledger = ledger if ledger is not None else obs_costs.default_ledger()
-        #: Per-fan-out wall-clock budget (None = unbounded).  The runner
-        #: charges retries and backoff against the same budget, so a
-        #: fault storm surfaces as DeadlineExceeded instead of a hang.
-        self.deadline_s = deadline_s
-        self.stats: Dict[str, object] = {
-            "builds": 0,
-            "reduce_jobs": 0,
-            "reduce_cache_hits": 0,
-            "reduced_edges": 0,
-            "spliced_parents": 0,
-            "merge_seconds": 0.0,
-            "field_merges": 0,
-            "poisoned_forests": 0,
-            "serialized_bytes": 0,
-            "serialize_seconds": 0.0,
-        }
-
-    @property
-    def workers(self) -> int:
-        return self.runner.workers
-
-    # ------------------------------------------------------------------
-    def _reduce_all(
-        self,
-        shards: Sequence[Shard],
-        rank: np.ndarray,
-        cache,
-        scalars_fp: Optional[str],
-    ) -> List[np.ndarray]:
-        """Per-shard merge forests, cache-first, misses fanned out."""
-        n = shards[0].n_vertices
-        forests: List[Optional[np.ndarray]] = [None] * len(shards)
-        keys: List[Optional[str]] = [None] * len(shards)
-        if cache is not None and scalars_fp is not None:
-            from ..engine.cache import stage_key
-
-            for i, shard in enumerate(shards):
-                keys[i] = stage_key(
-                    "dist-reduce",
-                    {"method": shard.method, "n_shards": shard.n_shards},
-                    shard.fingerprint(),
-                    scalars_fp,
-                )
-                hit = cache.get(keys[i])
-                if hit is None:
-                    continue
-                if not _valid_forest(hit, n):
-                    # A poisoned reduction (corrupt disk envelope that
-                    # still parsed, wrong shape, out-of-range ids) is
-                    # re-derived from the shard's own edges; the fresh
-                    # put below overwrites the bad entry.
-                    self.stats["poisoned_forests"] += 1
-                    _M_POISONED.inc()
-                    continue
-                forests[i] = hit
-                self.stats["reduce_cache_hits"] += 1
-                _M_REDUCE_HITS.inc()
-        miss_idx = [i for i, f in enumerate(forests) if f is None]
-        if miss_idx:
-            self.stats["reduce_jobs"] += len(miss_idx)
-            _M_REDUCE_JOBS.inc(len(miss_idx))
-            self._measure_serialization(shards[miss_idx[0]], rank)
-            with _M_REDUCE_SECONDS.time() as timer:
-                results = self._fan_out_reduces(miss_idx, shards, rank, n)
-            mean_edges = sum(
-                int(shards[i].n_edges) for i in miss_idx
-            ) // len(miss_idx)
-            self._record_cost(
-                "dist.reduce",
-                timer.seconds / len(miss_idx),
-                size=mean_edges,
-            )
-            for i, forest in zip(miss_idx, results):
-                forests[i] = forest
-                if cache is not None and keys[i] is not None:
-                    cache.put(keys[i], forest)
-        return forests  # type: ignore[return-value]
-
-    def _record_cost(self, stage: str, seconds: float, *, size: int = 0,
-                     nbytes: Optional[int] = None) -> None:
-        try:
-            self.ledger.record(
-                stage,
-                seconds,
-                backend=f"workers={self.workers}",
-                size=size,
-                nbytes=nbytes,
-            )
-        except Exception:
-            # A broken ledger (read-only cache dir) never fails a build.
-            pass
-
-    def _measure_serialization(self, shard: Shard, rank: np.ndarray) -> None:
-        """Measure what shipping one shard job to a process worker
-        costs (the fan-out's fixed overhead the planner must weigh).
-
-        One representative ``pickle.dumps`` of a real job payload per
-        cold fan-out — thread mode ships references, not bytes, so only
-        process pools pay this and only they are measured.
-        """
-        if not getattr(self.runner, "uses_processes", False):
-            return
-        t0 = time.perf_counter()
-        try:
-            payload = pickle.dumps(
-                (shard.edges, rank), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        except Exception:
-            return
-        seconds = time.perf_counter() - t0
-        self.stats["serialized_bytes"] += len(payload)
-        self.stats["serialize_seconds"] += seconds
-        self._record_cost(
-            "dist.serialize",
-            seconds,
-            size=int(shard.n_edges),
-            nbytes=len(payload),
+    if not shards:
+        raise ValueError("at least one shard is required")
+    n = shards[0].n_vertices
+    scalars = np.asarray(scalars, dtype=np.float64)
+    if len(scalars) != n:
+        raise ValueError(
+            f"scalar field has {len(scalars)} entries for "
+            f"{n} vertices"
         )
-
-    def _fan_out_reduces(
-        self,
-        miss_idx: List[int],
-        shards: Sequence[Shard],
-        rank: np.ndarray,
-        n: int,
-    ) -> List[np.ndarray]:
-        """Run the per-shard reduce jobs, tracing each when enabled.
-
-        Thread mode relies on the runner's context propagation (the
-        shard span nests under the caller's span directly); process
-        mode wraps jobs in :func:`repro.obs.trace.traced_job`, whose
-        captured worker spans are re-parented under this build's span
-        and re-exported here (workers start with tracing off and no
-        exporters of their own)."""
-        if not obs_trace.ENABLED:
-            return self.runner.map_sync(
-                reduce_shard,
-                [(n, shards[i].edges, rank) for i in miss_idx],
-                timeout=self.deadline_s,
-            )
-        if getattr(self.runner, "uses_processes", False):
-            parent = obs_trace.current_span_id()
-            pairs = self.runner.map_sync(
-                obs_trace.traced_job,
-                [
-                    (
-                        reduce_shard,
-                        (n, shards[i].edges, rank),
-                        "dist.reduce_shard",
-                        {"shard": i, "edges": int(shards[i].n_edges)},
-                    )
-                    for i in miss_idx
-                ],
-                timeout=self.deadline_s,
-            )
-            results = []
-            for forest, records in pairs:
-                obs_trace.adopt(records, parent)
-                results.append(forest)
-            return results
-        return self.runner.map_sync(
-            _reduce_shard_traced,
-            [(n, shards[i].edges, rank, i) for i in miss_idx],
-            timeout=self.deadline_s,
-        )
-
-    def build_tree(
-        self,
-        scalars: np.ndarray,
-        shards: Sequence[Shard],
-        *,
-        cache=None,
-        scalars_fingerprint: Optional[str] = None,
-    ) -> ScalarTree:
-        """The global vertex scalar tree of ``scalars`` over the union
-        of the shards' edges — node-for-node identical to
-        :func:`~repro.core.scalar_tree.build_vertex_tree` on the whole
-        graph.
-
-        ``cache`` (an :class:`~repro.engine.cache.ArtifactCache`) plus
-        ``scalars_fingerprint`` enable per-shard merge-forest reuse;
-        when the cache is shared with an :class:`engine.Pipeline` the
-        fingerprints agree with the pipeline's own field stage.
-        """
-        if not shards:
-            raise ValueError("at least one shard is required")
-        n = shards[0].n_vertices
-        scalars = np.asarray(scalars, dtype=np.float64)
-        if len(scalars) != n:
-            raise ValueError(
-                f"scalar field has {len(scalars)} entries for "
-                f"{n} vertices"
-            )
-        self.stats["builds"] += 1
-        _M_BUILDS.inc()
-        jobs_before = self.stats["reduce_jobs"]
-        t0 = time.perf_counter()
-        with obs_trace.span(
-            "dist.build_tree", n_shards=len(shards), n_vertices=int(n)
-        ):
-            tree = self._build_tree(
-                scalars, shards, n, cache, scalars_fingerprint
-            )
-        # Only cold builds (reduce jobs actually ran) are comparable to
-        # the single-process stage.tree time the planner weighs this
-        # against — a warm replay from cached forests would flatter
-        # sharding.
-        if self.stats["reduce_jobs"] > jobs_before:
-            total_edges = sum(int(s.n_edges) for s in shards)
-            self._record_cost(
-                "dist.tree", time.perf_counter() - t0, size=total_edges
-            )
-        return tree
-
-    def _build_tree(
-        self, scalars, shards, n, cache, scalars_fingerprint
-    ) -> ScalarTree:
+    if cache is not None and scalars_fingerprint is None:
+        scalars_fingerprint = fingerprint_array(scalars)
+    _M_BUILDS.inc()
+    with obs_trace.span(
+        "dist.build_tree", n_shards=len(shards), n_vertices=int(n)
+    ):
         __, rank = rank_order(scalars)
-
-        if cache is not None and scalars_fingerprint is None:
-            from ..engine.cache import fingerprint_array
-
-            scalars_fingerprint = fingerprint_array(scalars)
-        forests = self._reduce_all(shards, rank, cache, scalars_fingerprint)
+        with _M_REDUCE_SECONDS.time():
+            forests: List[np.ndarray] = [
+                _shard_forest(i, shard, rank, cache, scalars_fingerprint)
+                for i, shard in enumerate(shards)
+            ]
 
         t0 = time.perf_counter()
         # Base: the largest shard's local forest, recovered from its
@@ -453,55 +240,35 @@ class ShardedExecutor:
         tree = ScalarTree(base_parent, scalars, kind="vertex").spliced(
             changed, global_parent[changed]
         )
-        merge_seconds = time.perf_counter() - t0
-        self.stats["merge_seconds"] += merge_seconds
-        _M_MERGE_SECONDS.observe(merge_seconds)
-        self.stats["reduced_edges"] += int(len(reduced))
-        self.stats["spliced_parents"] += int(len(changed))
-        self.stats["last_build"] = {
-            "n_shards": len(shards),
-            "method": shards[0].method,
-            "shard_edges": [int(s.n_edges) for s in shards],
-            "boundary_vertices": cut_vertices(shards),
-            "reduced_edges": int(len(reduced)),
-            "spliced_parents": int(len(changed)),
-        }
-        return tree
+        _M_MERGE_SECONDS.observe(time.perf_counter() - t0)
+    summary = {
+        "n_shards": len(shards),
+        "method": shards[0].method,
+        "shard_edges": [int(s.n_edges) for s in shards],
+        "boundary_vertices": cut_vertices(shards),
+        "reduced_edges": int(len(reduced)),
+        "spliced_parents": int(len(changed)),
+    }
+    return tree, summary
 
-    def merged_field(
-        self, measure: str, shards: Sequence[Shard]
-    ) -> Optional[np.ndarray]:
-        """The global field of a shard-mergeable measure, summed from
-        per-shard contributions; ``None`` when ``measure`` cannot be
-        merged over an edge partition (caller computes it globally)."""
-        job = DIST_FIELD_MERGERS.get(measure)
-        if job is None or not shards:
-            return None
-        if not all(shard.dedup_safe for shard in shards):
-            # Duplicate copies of an edge may straddle shards (range
-            # scatter of a raw file); per-shard dedup would then count
-            # them twice.  Correctness first: make the caller compute
-            # the field globally.
-            return None
-        n = shards[0].n_vertices
-        parts = self.runner.map_sync(
-            job,
-            [(n, shard.edges) for shard in shards],
-            timeout=self.deadline_s,
-        )
-        self.stats["field_merges"] += 1
-        total = np.zeros(n, dtype=np.float64)
-        for part in parts:
-            total += part
-        return total
 
-    def shutdown(self) -> None:
-        """Release the worker pool (borrowed runners are left alive)."""
-        if self._owns_runner:
-            self.runner.shutdown()
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedExecutor(workers={self.workers}, "
-            f"builds={self.stats['builds']})"
-        )
+def merged_field(
+    measure: str, shards: Sequence[Shard]
+) -> Optional[np.ndarray]:
+    """The global field of a shard-mergeable measure, summed from
+    per-shard contributions; ``None`` when ``measure`` cannot be merged
+    over an edge partition (the caller computes it globally)."""
+    job = DIST_FIELD_MERGERS.get(measure)
+    if job is None or not shards:
+        return None
+    if not all(shard.dedup_safe for shard in shards):
+        # Duplicate copies of an edge may straddle shards (range
+        # scatter of a raw file); per-shard dedup would then count
+        # them twice.  Correctness first: make the caller compute the
+        # field globally.
+        return None
+    n = shards[0].n_vertices
+    total = np.zeros(n, dtype=np.float64)
+    for shard in shards:
+        total += job(n, shard.edges)
+    return total

@@ -1,7 +1,6 @@
 """Out-of-core edge scatter: stream an on-disk edge list into shards.
 
-For graphs whose edge list does not fit one worker's memory, the
-distributed build never materializes the full edge array.  Instead
+The scatter never materializes the full edge array:
 :func:`scatter_edge_list` makes (at most) two streaming passes over the
 file via :func:`repro.graph.io.iter_edge_chunks`:
 
@@ -19,7 +18,9 @@ file via :func:`repro.graph.io.iter_edge_chunks`:
 Peak memory is therefore ``max(max_buffer_bytes, one chunk)`` plus the
 O(n) vertex-sized vectors — the bound
 :data:`ScatterResult.stats`\\ ``["peak_buffered_bytes"]`` records and
-``benchmarks/bench_dist_scaling.py`` asserts.
+``benchmarks/bench_dist_scaling.py`` asserts.  The build that follows
+is not bounded this way: :func:`load_shards` returns every shard's
+edges at once.
 
 Duplicate edges are *kept per shard* (deduplication would need global
 state); every consumer builds CSR fragments through
@@ -48,7 +49,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..graph.io import DEFAULT_CHUNK_EDGES, iter_edge_chunks
-from ..obs import costs as obs_costs
 from ..obs import metrics as obs_metrics
 from ..resil import faults as resil_faults
 from ..resil.retry import note_giveup, note_retry
@@ -80,19 +80,6 @@ _M_QUARANTINED = obs_metrics.REGISTRY.counter(
     "Shard fragments quarantined after a failed integrity check.",
     ("reason",),
 )
-
-
-def _record_cost(stage: str, seconds: float, *, size: int = 0,
-                 nbytes: Optional[int] = None) -> None:
-    """Measured scatter/load wall time into the process cost ledger —
-    part of the sharding overhead ``--dist auto`` weighs.  Best-effort:
-    a broken ledger never fails an I/O pass that already succeeded."""
-    try:
-        obs_costs.default_ledger().record(
-            stage, seconds, size=size, nbytes=nbytes
-        )
-    except Exception:
-        pass
 
 
 class ShardIntegrityError(ValueError):
@@ -320,7 +307,6 @@ def scatter_edge_list(
         str(out_dir / "boundary.i64")
     )
 
-    scatter_seconds = time.perf_counter() - t_start
     stats = {
         "n_edges": int(n_edges_total),
         "n_vertices": n,
@@ -328,15 +314,8 @@ def scatter_edge_list(
         "flushes": n_flushes,
         "peak_buffered_bytes": int(peak_buffered),
         "buffer_limit_bytes": int(max_buffer_bytes),
-        "scatter_seconds": scatter_seconds,
+        "scatter_seconds": time.perf_counter() - t_start,
     }
-    # 16 bytes per canonical edge (two int64 endpoints) hit the disk.
-    _record_cost(
-        "dist.scatter",
-        scatter_seconds,
-        size=int(n_edges_total),
-        nbytes=int(n_edges_total) * 16,
-    )
 
     # Fault sites `fragment_corrupt` / `fragment_truncate`: damage one
     # just-written sidecar (rule param selects the shard, default 0) so
@@ -434,7 +413,6 @@ def load_shards(directory: PathLike) -> List[Shard]:
     shards: List[Shard] = []
     problems: List[str] = []
     bad: List[object] = []
-    t_start = time.perf_counter()
     for manifest_path in manifest_paths:
         try:
             doc = json.loads(manifest_path.read_text())
@@ -455,13 +433,6 @@ def load_shards(directory: PathLike) -> List[Shard]:
             bad.extend(exc.bad_shards)
     if problems:
         raise ShardIntegrityError("; ".join(problems), bad_shards=bad)
-    total_edges = sum(int(len(s.edges)) for s in shards)
-    _record_cost(
-        "dist.load",
-        time.perf_counter() - t_start,
-        size=total_edges,
-        nbytes=total_edges * 16,
-    )
     return shards
 
 

@@ -341,12 +341,12 @@ class ArtifactCache:
         keys never change, so mtime is creation time and the oldest
         artifacts are the stalest).
 
-        Long-lived sharded runs re-key per-shard artifacts whenever a
-        shard's edges or field change, so without pruning the disk tier
-        grows without bound.  Returns ``{"removed", "bytes"}`` — how
-        many entries went and how many bytes remain.  Memory-tier
-        entries are untouched; a pruned artifact that is requested
-        again is simply rebuilt (or re-persisted on its next put).
+        A long-lived server re-keys its artifacts whenever a graph or
+        field changes, so without pruning the disk tier grows without
+        bound.  Returns ``{"removed", "bytes"}`` — how many entries
+        went and how many bytes remain.  Memory-tier entries are
+        untouched; a pruned artifact that is requested again is simply
+        rebuilt (or re-persisted on its next put).
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")

@@ -57,7 +57,6 @@ from ..core import (
 from ..core.scalar_tree import ScalarTree
 from ..core.super_tree import SuperTree
 from ..graph import datasets
-from ..obs import costs as obs_costs
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..graph.csr import CSRGraph
@@ -267,16 +266,6 @@ class Pipeline(_TreeSinks):
         An :class:`ArtifactCache`; defaults to a fresh memory-only cache.
         Share one instance (or point several at one directory) to reuse
         artifacts across builds.
-    dist:
-        Sharded execution backend (``repro.dist``): ``None``/``"off"``
-        runs single-process, ``"auto"`` shards when the graph and host
-        justify it, an integer runs that many process workers, and a
-        :class:`~repro.dist.plan.DistPlan` pins everything.  Like the
-        :mod:`repro.accel` backend choice, ``dist`` never enters a
-        cache key — the sharded build is node-for-node identical to the
-        single-process one, so artifacts are interchangeable.  Only
-        vertex fields shard; edge fields fall back single-process (see
-        :meth:`dist_stats`).
     """
 
     def __init__(
@@ -287,7 +276,6 @@ class Pipeline(_TreeSinks):
         bins: Optional[int] = None,
         scheme: str = "quantile",
         cache: Optional[ArtifactCache] = None,
-        dist=None,
     ) -> None:
         self._explicit_field: Optional[FieldGraph] = None
         if isinstance(source, (ScalarGraph, EdgeScalarGraph)):
@@ -311,15 +299,6 @@ class Pipeline(_TreeSinks):
         self.bins = bins
         self.scheme = scheme
         self.cache = cache if cache is not None else ArtifactCache()
-        # Measured build times land here (and persist next to the cache
-        # when it has a directory) so dist_plan can decide from data.
-        self.cost_ledger = obs_costs.ledger_for(self.cache.directory)
-        self.dist = dist
-        self._dist_resolved = False
-        self._dist_plan = None
-        self._dist_note: Optional[str] = None
-        self._dist_executor = None
-        self._dist_shards = None
         self._graph: Optional[CSRGraph] = None
         self._graph_fp: Optional[str] = None
         self._field: Optional[FieldGraph] = None
@@ -353,39 +332,13 @@ class Pipeline(_TreeSinks):
                     resil_faults.maybe_fail("stage_fail", f"stage.{name}")
                     return build()
 
-                with STAGE_BUILD_SECONDS.time(stage=name) as timer:
+                with STAGE_BUILD_SECONDS.time(stage=name):
                     value = retry_call(
                         guarded, policy=_STAGE_RETRY, site=f"stage.{name}"
                     )
                 sp.set(built=True)
-                self._record_cost(f"stage.{name}", timer.seconds)
                 value = self.cache.put(key, value, disk=disk)
         return value
-
-    def _record_cost(self, stage: str, seconds: float) -> None:
-        """Fold a measured cold-build time into the cost ledger (sized
-        by the graph when it's already loaded — source loads aren't)."""
-        try:
-            from .. import accel
-
-            # A sharded tree build is the executor's measurement
-            # (recorded as ``dist.tree``); folding it into the
-            # single-process ``stage.tree`` estimate would make the
-            # planner compare sharding against itself.
-            if stage == "stage.tree" and self._dist_plan is not None:
-                return
-            size = self._graph.n_edges if self._graph is not None else 0
-            self.cost_ledger.record(
-                stage,
-                seconds,
-                measure=self.measure,
-                backend=accel.get_backend(),
-                size=size,
-            )
-        except Exception:
-            # Ledger trouble (read-only cache dir, etc.) must never
-            # fail a build that already succeeded.
-            pass
 
     # -- stage-level entry points --------------------------------------
     def stage(self, name: str, params: Dict[str, object], build, disk=True):
@@ -418,104 +371,6 @@ class Pipeline(_TreeSinks):
             "scheme": self.scheme if self.bins else None,
         }
 
-    # -- sharded execution backend (repro.dist) -------------------------
-    def dist_plan(self):
-        """The resolved :class:`~repro.dist.plan.DistPlan`, or ``None``
-        for single-process execution.  Resolution is lazy (it may need
-        the graph) and happens once; the decision and its reason are
-        visible through :meth:`dist_stats`."""
-        if not self._dist_resolved:
-            self._dist_resolved = True
-            if self.dist not in (None, "off", 0):
-                from .. import dist as dist_mod
-
-                if self.measure is not None:
-                    spec = registry.get_measure(self.measure)
-                    kind, cost = spec.kind, spec.cost
-                else:
-                    kind, cost = self.kind, "moderate"
-                if kind != "vertex":
-                    self._dist_note = (
-                        "edge fields run single-process (Algorithm 3 "
-                        "is not sharded)"
-                    )
-                else:
-                    from ..dist.plan import last_decline_reason
-
-                    self._dist_plan = dist_mod.plan(
-                        self.dist,
-                        self.graph,
-                        measure_cost=cost,
-                        measure=self.measure,
-                        ledger=self.cost_ledger,
-                    )
-                    if self._dist_plan is None:
-                        self._dist_note = (
-                            last_decline_reason()
-                            or "auto: graph/host below sharding thresholds"
-                        )
-        return self._dist_plan
-
-    def _dist_backend(self):
-        """The executor + shards for the resolved plan (lazy)."""
-        from .. import dist as dist_mod
-
-        plan = self.dist_plan()
-        if self._dist_executor is None:
-            self._dist_executor = dist_mod.ShardedExecutor(
-                workers=plan.workers, ledger=self.cost_ledger
-            )
-        if self._dist_shards is None:
-            self._dist_shards = dist_mod.partition_edges(
-                self.graph, plan.n_shards, plan.partitioner
-            )
-        return self._dist_executor, self._dist_shards
-
-    def dist_stats(self) -> Optional[Dict[str, object]]:
-        """Shard summary for instrumentation (``repro serve /stats``,
-        ``repro dist-build``); ``None`` when ``dist`` was never
-        requested."""
-        if self.dist in (None, "off", 0):
-            return None
-        plan = self._dist_plan
-        out: Dict[str, object] = {
-            "requested": str(self.dist),
-            "active": plan is not None,
-        }
-        if self._dist_note:
-            out["note"] = self._dist_note
-        if plan is not None:
-            out["plan"] = plan.summary()
-        if self._dist_shards is not None:
-            from ..dist import cut_vertices
-
-            out["shard_edges"] = [
-                int(s.n_edges) for s in self._dist_shards
-            ]
-            out["boundary_vertices"] = cut_vertices(self._dist_shards)
-        if self._dist_executor is not None:
-            out["executor"] = dict(self._dist_executor.stats)
-        return out
-
-    def close_dist(self) -> None:
-        """Release the sharded backend's worker pool (if any)."""
-        if self._dist_executor is not None:
-            self._dist_executor.shutdown()
-            self._dist_executor = None
-
-    def _dist_tree_build(self) -> ScalarTree:
-        """Tree-stage build via the sharded executor.  Per-shard merge
-        forests flow through this pipeline's :class:`ArtifactCache`, so
-        a warm re-run only re-reduces shards whose edges or field
-        changed."""
-        executor, shards = self._dist_backend()
-        return executor.build_tree(
-            self.field.scalars,
-            shards,
-            cache=self.cache,
-            scalars_fingerprint=self.field_fingerprint,
-        )
-
     # -- stages ---------------------------------------------------------
     @property
     def graph(self) -> CSRGraph:
@@ -535,29 +390,12 @@ class Pipeline(_TreeSinks):
     def _field_stage(self, spec) -> np.ndarray:
         """Run the cached field stage for one measure spec.  The stage
         key (name, params, fingerprints) and the disk policy live only
-        here so every caller shares cache identity.
-
-        Under an active dist plan, shard-mergeable measures (see
-        :data:`repro.dist.executor.DIST_FIELD_MERGERS`) are summed from
-        per-shard contributions — exactly equal to the global
-        computation, so the cache key is unchanged."""
-
-        def build() -> np.ndarray:
-            if spec.kind == "vertex" and self.dist_plan() is not None:
-                from ..dist.executor import DIST_FIELD_MERGERS
-
-                if spec.name in DIST_FIELD_MERGERS:
-                    executor, shards = self._dist_backend()
-                    merged = executor.merged_field(spec.name, shards)
-                    if merged is not None:
-                        return merged
-            return registry.compute(spec.name, self.graph)
-
+        here so every caller shares cache identity."""
         return self._stage(
             "field",
             {"measure": spec.name},
             [self.graph_fingerprint],
-            build,
+            lambda: registry.compute(spec.name, self.graph),
             disk=spec.cost != "cheap",
         )
 
@@ -587,25 +425,17 @@ class Pipeline(_TreeSinks):
 
     @property
     def tree(self) -> ScalarTree:
-        """Tree stage: the raw scalar tree (Algorithm 1 or 3, cached).
-
-        With an active ``dist`` plan (vertex fields only) the build
-        fans out over shards instead — same cache key, because the
-        sharded result is node-for-node identical."""
+        """Tree stage: the raw scalar tree (Algorithm 1 or 3, cached)."""
         if self._tree is None:
             kind = self.kind
-            if self.dist_plan() is not None and kind == "vertex":
-                build = self._dist_tree_build
-            else:
-                builder = (
-                    build_vertex_tree if kind == "vertex" else build_edge_tree
-                )
-                build = lambda: builder(self.field)  # noqa: E731
+            builder = (
+                build_vertex_tree if kind == "vertex" else build_edge_tree
+            )
             self._tree = self._stage(
                 "tree",
                 {"kind": kind},
                 [self.graph_fingerprint, self.field_fingerprint],
-                build,
+                lambda: builder(self.field),
             )
         return self._tree
 

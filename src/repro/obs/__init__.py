@@ -17,25 +17,18 @@ The observability layer the rest of the system reports through:
     ``sys._current_frames()``), span-scoped capture, and a
     self-contained flamegraph SVG renderer.  Served by
     ``GET /debug/prof``, driven from the CLI by ``repro prof``.
-``repro.obs.costs``
-    A persistent EWMA ledger of *measured* stage/shard costs, stamped
-    with a host fingerprint; ``repro.dist.plan`` consults it so
-    ``--dist auto`` declines to shard when measurements say sharding
-    loses on this host.
 
 Instrumented layers: :class:`~repro.engine.pipeline.Pipeline` stages,
 the :func:`~repro.terrain.render.render_terrain` sink (mesh, render and
 encode spans), :class:`~repro.engine.cache.ArtifactCache` tiers,
-:class:`~repro.dist.executor.ShardedExecutor` shard jobs (worker spans
-serialized back and re-parented), every :mod:`repro.serve` request,
-and :mod:`repro.stream` replay batches.  Enable tracing with the
-global ``--trace PATH`` CLI flag or ``$REPRO_TRACE``; both write JSONL
-convertible to Chrome trace JSON via
-:func:`~repro.obs.trace.chrome_trace_from_jsonl`.
+:func:`~repro.dist.executor.build_tree` shard reductions, every
+:mod:`repro.serve` request, and :mod:`repro.stream` replay batches.
+Enable tracing with the global ``--trace PATH`` CLI flag or
+``$REPRO_TRACE``; both write JSONL convertible to Chrome trace JSON
+via :func:`~repro.obs.trace.chrome_trace_from_jsonl`.
 """
 
-from . import costs, metrics, prof, trace
-from .costs import CostLedger, host_fingerprint
+from . import metrics, prof, trace
 from .metrics import REGISTRY
 from .prof import ContinuousProfiler, SamplingProfiler, capture, flamegraph_svg
 from .trace import (
@@ -60,7 +53,6 @@ __all__ = [
     "metrics",
     "trace",
     "prof",
-    "costs",
     "REGISTRY",
     "span",
     "enabled",
@@ -79,6 +71,4 @@ __all__ = [
     "ContinuousProfiler",
     "capture",
     "flamegraph_svg",
-    "CostLedger",
-    "host_fingerprint",
 ]

@@ -119,7 +119,6 @@ class ServeApp:
         levels: int = 3,
         bins: Optional[int] = None,
         scheme: str = "quantile",
-        dist=None,
         max_disk_bytes: Optional[int] = None,
         request_timeout: Optional[float] = None,
     ) -> None:
@@ -129,10 +128,6 @@ class ServeApp:
         self.levels = levels
         self.bins = bins
         self.scheme = scheme
-        # Sharded engine: forwarded to every in-process Pipeline.  In
-        # process mode the builds already run in a worker pool, so the
-        # dist backend stays off there (no nested process pools).
-        self.dist = dist
         # Disk-tier budget: pruned after every cold build funnel so a
         # long-lived server's cache directory cannot grow unboundedly.
         self.max_disk_bytes = max_disk_bytes
@@ -394,7 +389,6 @@ class ServeApp:
                 bins=self.bins,
                 scheme=self.scheme,
                 cache=self.cache,
-                dist=None if self.runner.uses_processes else self.dist,
             )
             pyramid = LODPyramid(
                 pipeline, tile_size=self.tile_size, levels=self.levels
@@ -560,27 +554,6 @@ class ServeApp:
                     r.get("live", 0) for r in runs.values()
                 ),
             }
-        if self.dist is not None:
-            # Shard summary per built pipeline (in process mode the
-            # dist backend is off in workers; say so instead of lying).
-            if self.runner.uses_processes:
-                payload["dist"] = {
-                    "requested": str(self.dist),
-                    "active": False,
-                    "note": "dist backend disabled under process-mode "
-                            "workers (no nested pools)",
-                }
-            else:
-                payload["dist"] = {
-                    "requested": str(self.dist),
-                    "pipelines": {
-                        f"{name}:{measure}": stats
-                        for (name, measure), pyramid
-                        in self._pyramids.items()
-                        for stats in [pyramid.pipeline.dist_stats()]
-                        if stats is not None
-                    },
-                }
         return Response.json_(payload)
 
     async def _get_metrics(self, request: Request) -> Response:

@@ -12,20 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ScalarGraph, build_super_tree, build_vertex_tree
-from repro.dist import PARTITIONERS, ShardedExecutor, partition_edges
+from repro.dist import PARTITIONERS, build_tree, merged_field, partition_edges
+from repro.dist import executor
 from repro.dist.executor import reduce_shard, shard_degree
 from repro.accel.tree import rank_order, vertex_tree_parents
-from repro.engine import registry
+from repro.engine import ArtifactCache, registry
+from repro.engine.cache import fingerprint_array, stage_key
 from repro.graph import generators
 
 MEASURES = ["degree", "kcore"]
-
-
-@pytest.fixture(scope="module")
-def executor():
-    ex = ShardedExecutor(workers=0)
-    yield ex
-    ex.shutdown()
 
 
 def _graphs():
@@ -38,13 +33,14 @@ def _graphs():
 
 @pytest.mark.parametrize("method", PARTITIONERS)
 @pytest.mark.parametrize("measure", MEASURES)
-def test_identity_partitioners_by_measures(executor, method, measure):
+def test_identity_partitioners_by_measures(method, measure):
     for name, graph in _graphs().items():
         scalars = registry.compute(measure, graph)
         ref_tree = build_vertex_tree(ScalarGraph(graph, scalars))
         ref_super = build_super_tree(ref_tree)
         shards = partition_edges(graph, 4, method)
-        tree = executor.build_tree(scalars, shards)
+        tree, summary = build_tree(scalars, shards)
+        assert summary["n_shards"] == 4 and summary["method"] == method
 
         assert np.array_equal(tree.parent, ref_tree.parent), (name, method)
         assert np.array_equal(tree.scalars, ref_tree.scalars)
@@ -58,17 +54,17 @@ def test_identity_partitioners_by_measures(executor, method, measure):
             assert np.array_equal(a, b)
 
 
-def test_merged_degree_field_equals_global(executor):
+def test_merged_degree_field_equals_global():
     graph = _graphs()["powerlaw"]
     for method in PARTITIONERS:
         shards = partition_edges(graph, 3, method)
-        merged = executor.merged_field("degree", shards)
+        merged = merged_field("degree", shards)
         assert np.array_equal(merged, registry.compute("degree", graph))
 
 
-def test_non_mergeable_field_returns_none(executor):
+def test_non_mergeable_field_returns_none():
     shards = partition_edges(_graphs()["powerlaw"], 2, "hash")
-    assert executor.merged_field("kcore", shards) is None
+    assert merged_field("kcore", shards) is None
 
 
 def test_reduce_shard_is_a_merge_forest():
@@ -96,63 +92,67 @@ def test_shard_degree_collapses_duplicates():
     assert shard_degree(4, edges).tolist() == [1.0, 2.0, 1.0, 0.0]
 
 
-def test_duplicate_scalars_and_ties(executor):
+def test_duplicate_scalars_and_ties():
     """Integer fields with heavy ties are the regime Algorithm 2 exists
     for; the sharded build must agree on the raw tree bit-for-bit."""
     graph, __ = generators.planted_cliques(150, 300, [8, 8, 10], seed=4)
     scalars = registry.compute("kcore", graph)
     ref = build_vertex_tree(ScalarGraph(graph, scalars))
     for method in PARTITIONERS:
-        tree = executor.build_tree(
-            scalars, partition_edges(graph, 5, method)
-        )
+        tree, __ = build_tree(scalars, partition_edges(graph, 5, method))
         assert np.array_equal(tree.parent, ref.parent)
 
 
-def test_empty_and_edgeless_graphs(executor):
+def test_empty_and_edgeless_graphs():
     from repro.graph.builders import empty_graph
 
     graph = empty_graph(7)
     scalars = np.arange(7, dtype=float)
     shards = partition_edges(graph, 2, "hash")
-    tree = executor.build_tree(scalars, shards)
+    tree, __ = build_tree(scalars, shards)
     ref = build_vertex_tree(ScalarGraph(graph, scalars))
     assert np.array_equal(tree.parent, ref.parent)
     assert (tree.parent == -1).all()
 
 
-def test_borrowed_runner_survives_shutdown():
-    """An executor over a borrowed StageRunner (the server's case) must
-    not kill the runner on shutdown."""
-    from repro.serve.workers import StageRunner
-
-    runner = StageRunner(workers=0)
-    try:
-        graph = generators.powerlaw_cluster(150, 2, 0.3, seed=5)
-        scalars = registry.compute("degree", graph)
-        ex = ShardedExecutor(runner=runner)
-        tree = ex.build_tree(scalars, partition_edges(graph, 2, "hash"))
-        ex.shutdown()
-        ref = build_vertex_tree(ScalarGraph(graph, scalars))
-        assert np.array_equal(tree.parent, ref.parent)
-        # The borrowed pool still executes jobs after executor shutdown.
-        assert runner.map_sync(len, [("ab",), ("abc",)]) == [2, 3]
-    finally:
-        runner.shutdown()
+def test_warm_rebuild_reuses_cached_forests():
+    """A second build over the same shards and field reduces nothing:
+    every merge forest comes from the cache."""
+    graph = generators.powerlaw_cluster(400, 2, 0.3, seed=8)
+    scalars = registry.compute("kcore", graph)
+    shards = partition_edges(graph, 3, "hash")
+    cache = ArtifactCache()
+    first, __ = build_tree(scalars, shards, cache=cache)
+    jobs = executor._M_REDUCE_JOBS.value()
+    hits = executor._M_REDUCE_HITS.value()
+    second, __ = build_tree(scalars, shards, cache=cache)
+    assert executor._M_REDUCE_JOBS.value() == jobs
+    assert executor._M_REDUCE_HITS.value() == hits + 3
+    assert np.array_equal(second.parent, first.parent)
 
 
-def test_process_pool_workers_agree():
-    """One small end-to-end run on a real ProcessPoolExecutor: the
-    picklable job path must produce the same tree as thread mode."""
-    graph = generators.powerlaw_cluster(200, 2, 0.3, seed=6)
+def test_poisoned_cached_forest_is_rederived():
+    """A cached forest that fails validation is reduced again and the
+    good forest replaces it in the cache."""
+    graph = generators.powerlaw_cluster(300, 2, 0.3, seed=12)
     scalars = registry.compute("degree", graph)
+    shards = partition_edges(graph, 2, "hash")
     ref = build_vertex_tree(ScalarGraph(graph, scalars))
-    ex = ShardedExecutor(workers=2)
-    try:
-        tree = ex.build_tree(scalars, partition_edges(graph, 2, "range"))
-        assert np.array_equal(tree.parent, ref.parent)
-    finally:
-        ex.shutdown()
+    cache = ArtifactCache()
+    build_tree(scalars, shards, cache=cache)
+    key = stage_key(
+        "dist-reduce",
+        {"method": "hash", "n_shards": 2},
+        shards[0].fingerprint(),
+        fingerprint_array(scalars),
+    )
+    assert cache.get(key) is not None
+    cache.put(key, np.full((3, 2), graph.n_vertices, dtype=np.int64))
+    poisoned = executor._M_POISONED.value()
+    tree, __ = build_tree(scalars, shards, cache=cache)
+    assert executor._M_POISONED.value() == poisoned + 1
+    assert np.array_equal(tree.parent, ref.parent)
+    assert executor._valid_forest(cache.get(key), graph.n_vertices)
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,12 +174,6 @@ def test_property_identity(n, m, n_shards, method, levels, seed):
         rng.uniform(0, levels, graph.n_vertices)
     ).astype(np.float64)
     ref = build_vertex_tree(ScalarGraph(graph, scalars))
-    ex = ShardedExecutor(workers=0)
-    try:
-        tree = ex.build_tree(
-            scalars, partition_edges(graph, n_shards, method)
-        )
-    finally:
-        ex.shutdown()
+    tree, __ = build_tree(scalars, partition_edges(graph, n_shards, method))
     assert np.array_equal(tree.parent, ref.parent)
     assert np.array_equal(tree.scalars, ref.scalars)

@@ -7,9 +7,10 @@ import pytest
 
 from repro.core import ScalarGraph, build_vertex_tree
 from repro.dist import (
-    ShardedExecutor,
     ShardIntegrityError,
+    build_tree,
     load_shards,
+    merged_field,
     partition_edges,
     scatter_edge_list,
 )
@@ -84,13 +85,9 @@ def test_oocore_build_is_identical(graph, edge_file, tmp_path):
     shards = scatter_edge_list(
         edge_file, 3, tmp_path / "build", method="degree", chunk_edges=200
     ).load()
-    ex = ShardedExecutor(workers=0)
-    try:
-        merged = ex.merged_field("degree", shards)
-        assert np.array_equal(merged, scalars)
-        tree = ex.build_tree(merged, shards)
-    finally:
-        ex.shutdown()
+    merged = merged_field("degree", shards)
+    assert np.array_equal(merged, scalars)
+    tree, __ = build_tree(merged, shards)
     assert np.array_equal(tree.parent, ref.parent)
 
 
@@ -144,16 +141,12 @@ def test_range_scatter_is_not_dedup_safe(tmp_path):
         path, 2, tmp_path / "r", method="range", chunk_edges=2
     ).load()
     assert all(not s.dedup_safe for s in by_range)
-    ex = ShardedExecutor(workers=0)
-    try:
-        assert ex.merged_field("degree", by_range) is None
-        by_hash = scatter_edge_list(
-            path, 2, tmp_path / "h", method="hash", chunk_edges=2
-        ).load()
-        assert all(s.dedup_safe for s in by_hash)
-        merged = ex.merged_field("degree", by_hash)
-    finally:
-        ex.shutdown()
+    assert merged_field("degree", by_range) is None
+    by_hash = scatter_edge_list(
+        path, 2, tmp_path / "h", method="hash", chunk_edges=2
+    ).load()
+    assert all(s.dedup_safe for s in by_hash)
+    merged = merged_field("degree", by_hash)
     assert merged.tolist() == [1.0, 2.0, 2.0, 1.0]
 
 

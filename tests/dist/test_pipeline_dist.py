@@ -1,11 +1,12 @@
-"""The dist backend as seen from engine.Pipeline and the CLI."""
+"""The out-of-core build as seen from the CLI: ``repro dist-build``."""
 
-import numpy as np
 import pytest
 
-from repro.dist import DistPlan
-from repro.engine import ArtifactCache, Pipeline
-from repro.engine.pipeline import GraphSource
+from repro.cli import main
+from repro.core import ScalarGraph, build_vertex_tree
+from repro.core.serialize import load_tree, save_tree
+from repro.dist import PARTITIONERS
+from repro.engine import registry
 from repro.graph import generators
 from repro.graph.io import write_edge_list
 
@@ -15,164 +16,20 @@ def graph():
     return generators.powerlaw_cluster(400, 2, 0.3, seed=8)
 
 
-def _plan(workers=0, n_shards=3, method="hash"):
-    return DistPlan(method, n_shards, workers, "test")
-
-
-class TestPipelineBackend:
-    def test_identical_display_tree(self, graph):
-        ref = Pipeline(GraphSource(graph), "kcore").build()
-        p = Pipeline(GraphSource(graph), "kcore", dist=_plan())
-        try:
-            assert np.array_equal(p.tree.parent, ref.tree.parent)
-            assert np.array_equal(
-                p.display_tree.parent, ref.display_tree.parent
-            )
-        finally:
-            p.close_dist()
-
-    def test_mergeable_field_through_cached_stage(self, graph):
-        p = Pipeline(GraphSource(graph), "degree", dist=_plan())
-        try:
-            ref = Pipeline(GraphSource(graph), "degree")
-            assert np.array_equal(p.field.scalars, ref.field.scalars)
-            assert p._dist_executor.stats["field_merges"] == 1
-        finally:
-            p.close_dist()
-
-    def test_dist_never_enters_cache_keys(self, graph):
-        """A tree built sharded must be a cache hit for a
-        single-process pipeline over the same inputs (and vice versa)."""
-        cache = ArtifactCache()
-        p1 = Pipeline(GraphSource(graph), "kcore", cache=cache, dist=_plan())
-        try:
-            t1 = p1.tree
-        finally:
-            p1.close_dist()
-        before = cache.stats["misses"]
-        p2 = Pipeline(GraphSource(graph), "kcore", cache=cache)
-        assert p2.tree is t1  # memory-tier hit, no rebuild
-        assert cache.stats["misses"] == before
-
-    def test_warm_rerun_skips_shard_reductions(self, graph):
-        cache = ArtifactCache()
-        p1 = Pipeline(GraphSource(graph), "kcore", cache=cache, dist=_plan())
-        try:
-            p1.tree
-            assert p1._dist_executor.stats["reduce_jobs"] == 3
-        finally:
-            p1.close_dist()
-        # Same cache, but force the tree stage to miss so the dist
-        # build runs again: per-shard merge forests must all hit.
-        cache._memory.pop(
-            next(
-                k for k, v in list(cache._memory.items())
-                if v is p1._tree
-            )
-        )
-        p2 = Pipeline(GraphSource(graph), "kcore", cache=cache, dist=_plan())
-        try:
-            p2.tree
-            assert p2._dist_executor.stats["reduce_cache_hits"] == 3
-            assert p2._dist_executor.stats["reduce_jobs"] == 0
-        finally:
-            p2.close_dist()
-
-    def test_edge_measure_falls_back(self, graph):
-        p = Pipeline(GraphSource(graph), "ktruss", dist=2)
-        try:
-            assert p.tree is not None
-            stats = p.dist_stats()
-            assert stats["active"] is False
-            assert "edge fields" in stats["note"]
-        finally:
-            p.close_dist()
-
-    def test_off_reports_none(self, graph):
-        p = Pipeline(GraphSource(graph), "kcore")
-        assert p.dist_stats() is None
-        p2 = Pipeline(GraphSource(graph), "kcore", dist="off")
-        assert p2.dist_stats() is None
-
-    def test_auto_below_threshold_notes_reason(self, graph):
-        p = Pipeline(GraphSource(graph), "kcore", dist="auto")
-        try:
-            p.tree
-            stats = p.dist_stats()
-            # On any host this small graph resolves to single-process.
-            assert stats["active"] is False
-            assert "note" in stats
-        finally:
-            p.close_dist()
-
-    def test_explicit_field_source(self, graph):
-        from repro.core import ScalarGraph
-
-        rng = np.random.default_rng(0)
-        field = ScalarGraph(graph, rng.uniform(size=graph.n_vertices))
-        ref = Pipeline(ScalarGraph(graph, field.scalars.copy()))
-        p = Pipeline(field, dist=_plan())
-        try:
-            assert np.array_equal(p.tree.parent, ref.tree.parent)
-        finally:
-            p.close_dist()
-
-
-class TestServeStats:
-    def test_stats_exposes_shard_summary(self, graph, tmp_path):
-        import http.client
-        import json
-
-        from repro.serve import ServeApp, ServerThread
-
-        edge_file = tmp_path / "g.txt"
-        write_edge_list(graph, edge_file)
-        app = ServeApp(tile_size=16, levels=2, dist=_plan())
-        app.add_dataset("toy", ["degree"], edge_list=str(edge_file))
-        with ServerThread(app) as server:
-            conn = http.client.HTTPConnection("127.0.0.1", server.port)
-            conn.request("GET", "/t/toy/degree/0/0/0")
-            resp = conn.getresponse()
-            resp.read()
-            assert resp.status == 200
-            conn.request("GET", "/stats")
-            stats = json.loads(conn.getresponse().read())
-        dist = stats["dist"]
-        summary = dist["pipelines"]["toy:degree"]
-        assert summary["active"] is True
-        assert summary["plan"]["n_shards"] == 3
-        assert summary["executor"]["builds"] == 1
-        assert "disk" in stats["cache"]
-        for pyramid in app._pyramids.values():
-            pyramid.pipeline.close_dist()
-
-    def test_stats_without_dist_has_no_dist_key(self, graph, tmp_path):
-        import http.client
-        import json
-
-        from repro.serve import ServeApp, ServerThread
-
-        edge_file = tmp_path / "g.txt"
-        write_edge_list(graph, edge_file)
-        app = ServeApp(tile_size=16, levels=2)
-        app.add_dataset("toy", ["degree"], edge_list=str(edge_file))
-        with ServerThread(app) as server:
-            conn = http.client.HTTPConnection("127.0.0.1", server.port)
-            conn.request("GET", "/stats")
-            stats = json.loads(conn.getresponse().read())
-        assert "dist" not in stats
+@pytest.fixture
+def edge_file(graph, tmp_path):
+    path = tmp_path / "g.txt"
+    write_edge_list(graph, path)
+    return path
 
 
 class TestCLI:
-    def test_dist_build_end_to_end(self, graph, tmp_path, capsys):
-        from repro.cli import main
-
-        edge_file = tmp_path / "g.txt"
-        write_edge_list(graph, edge_file)
+    def test_dist_build_end_to_end(self, edge_file, tmp_path, capsys):
         out = tmp_path / "tree.json"
         code = main([
             "dist-build", "--edge-list", str(edge_file),
-            "--measure", "degree", "--dist", "0",
+            "--scatter-dir", str(tmp_path / "shards"),
+            "--measure", "degree",
             "--partitioner", "hash", "--shards", "3",
             "--verify", "-o", str(out),
         ])
@@ -181,16 +38,11 @@ class TestCLI:
         assert "identical to single-process" in text
         assert out.exists()
 
-    def test_dist_build_scatter_mode(self, graph, tmp_path, capsys):
-        from repro.cli import main
-        from repro.core.serialize import load_tree
-
-        edge_file = tmp_path / "g.txt"
-        write_edge_list(graph, edge_file)
+    def test_dist_build_scatter_mode(self, graph, edge_file, tmp_path, capsys):
         out = tmp_path / "tree.json"
         code = main([
             "dist-build", "--edge-list", str(edge_file),
-            "--measure", "degree", "--dist", "0",
+            "--measure", "degree",
             "--scatter-dir", str(tmp_path / "shards"),
             "--max-buffer-mb", "1", "--verify", "-o", str(out),
         ])
@@ -199,61 +51,42 @@ class TestCLI:
         tree = load_tree(out)
         assert tree.n_nodes == graph.n_vertices
 
-    def test_dist_build_rejects_edge_measures(self, capsys):
-        from repro.cli import main
+    @pytest.mark.parametrize("method", PARTITIONERS)
+    @pytest.mark.parametrize("measure", ["degree", "kcore"])
+    def test_written_tree_matches_single_process(
+        self, graph, edge_file, tmp_path, capsys, measure, method
+    ):
+        """``degree`` takes the merged-field path, ``kcore`` the global
+        field; either way the tree file equals the single-process one
+        byte for byte."""
+        out = tmp_path / "tree.json"
+        assert main([
+            "dist-build", "--edge-list", str(edge_file),
+            "--scatter-dir", str(tmp_path / "shards"),
+            "--measure", measure, "--partitioner", method,
+            "--verify", "-o", str(out),
+        ]) == 0
+        assert f"2 {method} shards" in capsys.readouterr().out
+        ref = tmp_path / "ref.json"
+        scalars = registry.compute(measure, graph)
+        save_tree(build_vertex_tree(ScalarGraph(graph, scalars)), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
+    def test_dist_build_rejects_edge_measures(self, edge_file, tmp_path,
+                                              capsys):
         with pytest.raises(SystemExit):
             main([
-                "dist-build", "--dataset", "grqc",
+                "dist-build", "--edge-list", str(edge_file),
+                "--scatter-dir", str(tmp_path / "shards"),
                 "--measure", "ktruss",
             ])
         assert "vertex measures only" in capsys.readouterr().err
 
-    def test_scatter_dir_requires_edge_list(self):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="--edge-list"):
+    def test_scatter_dir_requires_edge_list(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
-                "dist-build", "--dataset", "grqc", "--measure", "degree",
-                "--scatter-dir", "/tmp/nope",
+                "dist-build", "--measure", "degree",
+                "--scatter-dir", str(tmp_path / "shards"),
             ])
-
-    def test_correlate_honours_dist(self, graph, tmp_path, capsys):
-        from repro.cli import main
-
-        edge_file = tmp_path / "g.txt"
-        write_edge_list(graph, edge_file)
-        code = main([
-            "correlate", "--edge-list", str(edge_file),
-            "--dist", "0", "degree", "kcore",
-        ])
-        assert code == 0
-        assert "GCI(" in capsys.readouterr().out
-
-    def test_stream_rejects_dist(self, tmp_path):
-        from repro.cli import main
-
-        log = tmp_path / "log.jsonl"
-        log.write_text("")
-        with pytest.raises(SystemExit, match="--dist"):
-            main([
-                "stream", "--dataset", "grqc", "--log", str(log),
-                "--dist", "2",
-            ])
-
-    def test_dist_flag_parses_on_common_commands(self, graph, tmp_path):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["terrain", "--dataset", "grqc", "--dist", "auto"]
-        )
-        assert args.dist == "auto"
-        args = parser.parse_args(
-            ["peaks", "--dataset", "grqc", "--dist", "4"]
-        )
-        assert args.dist == 4
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["terrain", "--dataset", "grqc", "--dist", "soon"]
-            )
+        assert exc.value.code == 2
+        assert "--edge-list" in capsys.readouterr().err

@@ -133,46 +133,19 @@ class TestPipelineSpans:
 
 class TestDistSpans:
     def test_build_tree_spans_cover_shard_reduces(self, ring):
-        from repro.dist import ShardedExecutor, partition_edges
+        from repro.dist import build_tree, partition_edges
 
         graph = toy_graph()
         scalars = np.asarray(
             [float(d) for d in np.diff(graph.indptr)], dtype=np.float64
         )
         shards = partition_edges(graph, 2, method="hash")
-        executor = ShardedExecutor(workers=0)
-        try:
-            executor.build_tree(scalars, shards)
-        finally:
-            executor.shutdown()
+        build_tree(scalars, shards)
         records = ring.snapshot()
         build = next(r for r in records if r["name"] == "dist.build_tree")
         reduces = [r for r in records if r["name"] == "dist.reduce_shard"]
         assert len(reduces) == 2
         assert all(r["parent"] == build["id"] for r in reduces)
-
-    def test_process_mode_spans_are_adopted(self, ring):
-        from repro.dist import ShardedExecutor, partition_edges
-
-        graph = toy_graph()
-        scalars = np.asarray(
-            [float(d) for d in np.diff(graph.indptr)], dtype=np.float64
-        )
-        shards = partition_edges(graph, 2, method="hash")
-        executor = ShardedExecutor(workers=2)
-        try:
-            executor.build_tree(scalars, shards)
-        finally:
-            executor.shutdown()
-        records = ring.snapshot()
-        build = next(r for r in records if r["name"] == "dist.build_tree")
-        reduces = [r for r in records if r["name"] == "dist.reduce_shard"]
-        assert len(reduces) == 2
-        assert all(r["parent"] == build["id"] for r in reduces)
-        # Worker spans came from other processes.
-        import os
-
-        assert all(r["pid"] != os.getpid() for r in reduces)
 
 
 class TestServeSurfaces:

@@ -7,12 +7,12 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.accel.tree import rank_order, vertex_tree_parents
 from repro.core import ScalarGraph, build_vertex_tree
 from repro.dist import (
-    ShardedExecutor,
     ShardIntegrityError,
-    load_shards,
     partition_edges,
+    reduce_shard,
     resilient_scatter,
     scatter_edge_list,
 )
@@ -52,48 +52,65 @@ def assert_identical(tree, reference):
 
 
 class TestShardedBuilds:
+    """Per-shard merge-forest reductions fanned over a
+    :class:`StageRunner`: retry, process-pool respawn and give-up must
+    leave the reduced forests exactly as a fault-free run makes them."""
+
+    @staticmethod
+    def reduce_all(runner, graph, scalars, n_shards):
+        __, rank = rank_order(scalars)
+        jobs = [
+            (graph.n_vertices, shard.edges, rank)
+            for shard in partition_edges(graph, n_shards, "hash")
+        ]
+        forests = runner.map_sync(reduce_shard, jobs)
+        assert all(
+            np.array_equal(forest, reduce_shard(*job))
+            for forest, job in zip(forests, jobs)
+        )
+        return vertex_tree_parents(
+            graph.n_vertices, np.concatenate(forests), rank
+        )
+
     def test_task_faults_heal_to_identical_tree(
         self, graph, scalars, reference_tree, fault_spec
     ):
         fault_spec("task_fail:1,3;task_delay:2:0.01")
-        shards = partition_edges(graph, 3, "hash")
-        ex = ShardedExecutor(workers=0)
+        runner = StageRunner(workers=0)
         try:
-            tree = ex.build_tree(scalars, shards)
+            parent = self.reduce_all(runner, graph, scalars, 3)
         finally:
-            ex.shutdown()
-        assert_identical(tree, reference_tree)
-        assert ex.runner.stats["retries"] >= 1
+            runner.shutdown()
+        assert np.array_equal(parent, reference_tree.parent)
+        assert runner.stats["retries"] >= 1
         assert faults.snapshot()["fired"]["task_fail"] == 2
 
     def test_worker_kill_respawns_pool(
         self, graph, scalars, reference_tree, fault_spec
     ):
         # Every pool task also sleeps a beat: the surviving worker must
-        # not race through the queue before the executor notices the
+        # not race through the queue before the runner notices the
         # kill, or no BrokenProcessPool is ever observed.
         fault_spec("worker_kill:1;task_delay:*:0.05")
-        shards = partition_edges(graph, 4, "hash")
-        ex = ShardedExecutor(workers=2)
+        runner = StageRunner(workers=2)
         try:
-            tree = ex.build_tree(scalars, shards)
-            assert ex.runner.stats["respawns"] >= 1
+            parent = self.reduce_all(runner, graph, scalars, 4)
+            assert runner.stats["respawns"] >= 1
         finally:
-            ex.shutdown()
-        assert_identical(tree, reference_tree)
+            runner.shutdown()
+        assert np.array_equal(parent, reference_tree.parent)
 
     def test_unbounded_faults_eventually_give_up(
         self, graph, scalars, fault_spec
     ):
         fault_spec("task_fail:*")
-        shards = partition_edges(graph, 2, "hash")
-        ex = ShardedExecutor(workers=0)
-        ex.runner.retry.base_delay = 0.0
+        runner = StageRunner(workers=0)
+        runner.retry.base_delay = 0.0
         try:
             with pytest.raises(InjectedFault):
-                ex.build_tree(scalars, shards)
+                self.reduce_all(runner, graph, scalars, 2)
         finally:
-            ex.shutdown()
+            runner.shutdown()
 
 
 class TestStageRunnerChaos:
