@@ -61,9 +61,10 @@ Subpackages
     edit logs with dirty-tile invalidations.
 ``repro.accel``
     Vectorized compute kernels for the hot stages — tree construction,
-    traversal measures, k-core/k-truss peeling, layout relaxation,
-    rasterization — equivalence-tested to produce the same arrays as
-    the naive reference code, selected via ``repro --accel``, the
+    traversal measures, k-core peeling, layout relaxation,
+    rasterization; C kernels for the merge scans and the k-truss peel —
+    equivalence-tested to produce the same arrays as the naive
+    reference code, selected via ``repro --accel``, the
     ``REPRO_ACCEL`` environment variable or per call.
 ``repro.dist``
     Out-of-core scalar-tree construction (``repro dist-build

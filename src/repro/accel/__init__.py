@@ -4,10 +4,10 @@ Every hot stage of the pipeline (tree construction, traversal-based
 measures, layout relaxation, heightfield rasterization) has two
 implementations: the *naive* reference code that lives next to the
 algorithm it implements, and a numpy-vectorized *kernel* in this
-package.  The inherently sequential union-find merge scan additionally
-has a third, *native* tier: a small C implementation compiled at first
-use from embedded source and loaded with ctypes
-(:mod:`repro.accel.native`).  The contract is strict across all tiers:
+package.  The sequential union-find merge scan and k-truss peel have a
+third, *native* tier compiled at first use from embedded C and loaded
+with ctypes (:mod:`repro.accel.native`); the truss peel has no vector
+kernel.  The contract is strict across all tiers:
 for any input, every backend produces the **same arrays** — identical
 ``parent`` pointers, identical integer measure vectors, identical
 layouts and heightfields (float centrality accumulations agree to
@@ -25,9 +25,9 @@ Backend selection is a process-global setting:
   dispatch overhead);
 * ``naive`` — always the pure-Python reference path;
 * ``vector`` — always the numpy kernels;
-* ``native`` — the compiled C merge-scan kernels where they exist,
-  the vector kernels everywhere else.  **Soft fallback**: when no
-  toolchain exists or compilation fails, native degrades to vector
+* ``native`` — the compiled C kernels (merge scans, truss peel) where
+  they exist, the vector kernels everywhere else.  **Soft fallback**:
+  when no toolchain exists or compilation fails, native degrades to vector
   with one logged warning and a
   ``repro_accel_native_fallbacks_total`` increment — never an error.
 
@@ -145,10 +145,7 @@ def resolve(
     ``backend`` overrides the global setting when given.  ``auto``
     resolves by comparing ``size`` (the call site's natural work
     measure: edges, vertices, siblings, nodes) against the call site's
-    ``threshold``; with no size it resolves to the accelerated tier.  A
-    call site whose vector kernel does not (yet) win may pass an
-    infinite threshold: ``auto`` then stays naive while an explicit
-    backend still forces the kernel.
+    ``threshold``; with no size it resolves to the accelerated tier.
 
     ``native`` declares that the call site *has* a compiled kernel.
     Only then can ``"native"`` come back — and only when the toolchain

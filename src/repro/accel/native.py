@@ -1,11 +1,11 @@
-"""Self-compiled C kernel tier for the union-find merge scans.
+"""Self-compiled C kernels for the union-find merge scans and k-truss.
 
-The one loop PR 4's vectorization could not touch is the inherently
-sequential union-find scan at the heart of Algorithms 1 and 3
-(:func:`repro.accel.tree.merge_scan`): pointer chasing with a data
-dependence between consecutive steps.  This module compiles that loop —
-path-halving find, union by size, group-root caching, in three
-flavours — **at first use** from the embedded C source below, using
+Two sequential loops resist numpy: the union-find scan of Algorithms 1
+and 3 (:func:`repro.accel.tree.merge_scan`) and the k-truss peel behind
+Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`).  This
+module compiles the scan (path-halving find, union by size, group-root
+caching, in three flavours) and the bin-sort truss peel of Wang & Cheng
+(PVLDB 2012) **at first use** from the embedded C source below, using
 whatever system compiler is around (``$CC``, else ``cc``/``gcc``/
 ``clang``), and loads it with stdlib :mod:`ctypes`.  No build system,
 no wheels, no new dependencies.
@@ -36,10 +36,10 @@ Design points:
   :func:`info` feeds the ``/stats`` endpoint.
 
 The kernels are semantically *identical* to their Python counterparts —
-same tie-breaks, same union-by-size swaps, same journal entry order —
-which is what lets the backend stay out of every cache key.  A tiny
-known-answer self-test runs right after each load and a poisoned cached
-``.so`` is deleted rather than trusted.
+same tie-breaks, same union-by-size swaps, same journal entry order,
+and truss numbers that no peel order changes — which keeps the backend
+out of every cache key.  Known-answer self-tests run right after each
+load, and a poisoned or stale cached ``.so`` is deleted, not trusted.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ __all__ = [
     "merge_scan",
     "reduce_scan",
     "replay_scan",
+    "truss_peel",
     "cache_dir",
     "info",
     "reset",
@@ -244,6 +245,53 @@ i64 repro_replay_scan(i64 n, const i64 *indptr, const i64 *indices,
         ckpt_jlen[c++] = nj;
     return nj;
 }
+
+/* Move edge f down one support bin when its support is above k: swap it
+ * with the first edge of its bin, which then starts one slot later. */
+static void bin_down(i64 f, i64 k, i64 *sup, i64 *order, i64 *pos,
+                     i64 *bin) {
+    i64 s = sup[f], g;
+    if (s <= k)
+        return;
+    g = order[bin[s]];
+    order[pos[f]] = g;
+    pos[g] = pos[f];
+    order[bin[s]] = f;
+    pos[f] = bin[s]++;
+    sup[f]--;
+}
+
+/* repro.measures.ktruss's bin-sort truss peel (Wang & Cheng, PVLDB 2012)
+ * over ascending CSR rows.  sup: triangle support per edge on entry, truss
+ * number on return; order/pos: the edges sorted by support and each
+ * edge's slot there; bin[s]: the first slot of support s; ends: edge
+ * endpoints; slot_eid: the edge of each CSR slot.  Peeling (u, v) merges
+ * the two rows; a common neighbour w closes a triangle unless (u, w) or
+ * (v, w) is already peeled.  Order stays sorted past the current slot,
+ * so an edge's support when the walk reaches it is its truss number. */
+void repro_truss_peel(i64 m, const i64 *indptr, const i64 *indices,
+                      const i64 *slot_eid, const i64 *ends, i64 *sup,
+                      i64 *order, i64 *pos, i64 *bin) {
+    i64 i;
+    for (i = 0; i < m; i++) {
+        i64 e = order[i], k = sup[e], u = ends[2 * e], v = ends[2 * e + 1];
+        i64 a = indptr[u], a_end = indptr[u + 1];
+        i64 b = indptr[v], b_end = indptr[v + 1];
+        while (a < a_end && b < b_end) {
+            if (indices[a] < indices[b]) {
+                a++;
+            } else if (indices[a] > indices[b]) {
+                b++;
+            } else {
+                i64 f = slot_eid[a++], g = slot_eid[b++];
+                if (pos[f] > i && pos[g] > i) {
+                    bin_down(f, k, sup, order, pos, bin);
+                    bin_down(g, k, sup, order, pos, bin);
+                }
+            }
+        }
+    }
+}
 """
 
 
@@ -335,12 +383,16 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_reduce_scan.restype = i
     lib.repro_replay_scan.argtypes = [i] + [p] * 4 + [i] + [p] * 8
     lib.repro_replay_scan.restype = i
+    lib.repro_truss_peel.argtypes = [i] + [p] * 8
+    lib.repro_truss_peel.restype = None
     return lib
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
-    """Known-answer check: chain 0-1-2 processed as 1, 2 must yield
-    parents [1, 2, -1] — guards against a stale or corrupt cached .so."""
+    """Known answers against a stale or corrupt cached .so: chain 0-1-2
+    merge-scanned as 1, 2 gives parents [1, 2, -1]; K4 on 0..3 plus a
+    pendant (3, 4) and a fin triangle 0-1-5 gives truss 2 on the clique,
+    0 on the pendant and 1 on the fin, which takes (0, 1) down from 3."""
     cur = np.array([1, 2], dtype=np.int64)
     prev = np.array([0, 1], dtype=np.int64)
     parent = np.empty(3, dtype=np.int64)
@@ -349,7 +401,14 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         3, 2, _ptr(cur), _ptr(prev), _ptr(parent),
         _ptr(scratch[0]), _ptr(scratch[1]), _ptr(scratch[2]),
     )
-    return parent.tolist() == [1, 2, -1]
+    # Edges by id: (0,1) (0,2) (0,3) (0,5) (1,2) (1,3) (1,5) (2,3) (3,4).
+    truss = truss_peel(
+        [0, 4, 8, 11, 15, 16, 18],
+        [1, 2, 3, 5, 0, 2, 3, 5, 0, 1, 3, 0, 1, 2, 4, 3, 0, 1],
+        [3, 2, 2, 1, 2, 2, 1, 2, 0], lib=lib,
+    )
+    expected = [2, 2, 2, 1, 2, 2, 1, 2, 0]
+    return parent.tolist() == [1, 2, -1] and truss.tolist() == expected
 
 
 def _load_impl() -> ctypes.CDLL:
@@ -403,7 +462,7 @@ def _load_impl() -> ctypes.CDLL:
         ok = False
         detail = f"{exc!r}"
     else:
-        detail = "self-test produced wrong parents"
+        detail = "self-test produced wrong answers"
     if not ok:
         try:
             so_path.unlink()
@@ -555,3 +614,32 @@ def replay_scan(
         "ckpt_jlen": ckpt_jlen[: len(ckpt_pos)],
         "n_unions": int(nj),
     }
+
+
+def truss_peel(
+    indptr: np.ndarray, indices: np.ndarray, support, lib=None
+) -> Optional[np.ndarray]:
+    """K-truss numbers per dense edge id (``CSRGraph.edge_array`` order)
+    from the initial triangle ``support``; None when unavailable."""
+    lib = load() if lib is None else lib
+    if lib is None:
+        return None
+    indptr, indices = _as_i64(indptr), _as_i64(indices)
+    sup = np.array(support, dtype=np.int64)
+    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    upper = src < indices
+    # Upper slots hold the edges in id order, lower slots in order of
+    # their larger endpoint, which a stable sort by it reproduces.
+    slot_eid = np.empty(len(indices), dtype=np.int64)
+    slot_eid[upper] = np.arange(len(sup))
+    slot_eid[~upper] = np.argsort(indices[upper], kind="stable")
+    ends = _as_i64(np.column_stack([src[upper], indices[upper]]))
+    order = _as_i64(np.argsort(sup, kind="stable"))
+    pos = _as_i64(np.argsort(order))  # the inverse permutation
+    levels = np.arange(sup.max(initial=0) + 1)
+    bins = _as_i64(np.searchsorted(sup[order], levels))
+    lib.repro_truss_peel(
+        len(sup), _ptr(indptr), _ptr(indices), _ptr(slot_eid), _ptr(ends),
+        _ptr(sup), _ptr(order), _ptr(pos), _ptr(bins),
+    )
+    return sup

@@ -5,6 +5,10 @@ subgraph where every edge participates in at least K triangles
 (Definition 5; this is the *triangle-count* convention the paper uses,
 not the k = support+2 convention of some libraries).  By Proposition 5,
 maximal α-edge connected components of the KT field are K-trusses.
+
+The native tier runs the C bin-sort peel of :mod:`repro.accel.native`;
+``naive``, ``vector`` and hosts without a C compiler run the bucket-queue
+peel below.  Truss numbers are peel-order-independent, so both agree.
 """
 
 from __future__ import annotations
@@ -14,18 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .. import accel
-from ..accel import traverse as _traverse
+from ..accel import native as _native
 from ..graph.csr import CSRGraph
 from ..engine.registry import edge_measure
 from .triangles import edge_supports
 
 __all__ = ["truss_numbers", "k_truss_edges", "max_truss"]
-
-# ``--accel auto`` never picks the vector peel here: its per-cascade
-# numpy overhead loses to the dict-adjacency peel on the skewed graphs
-# this repo targets (measured ~2x slower at 1e5 edges), so the batched
-# kernel stays an explicit opt-in (--accel vector / backend="vector").
-_AUTO_THRESHOLD = float("inf")
 
 
 def truss_numbers(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
@@ -34,23 +32,14 @@ def truss_numbers(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
     Repeatedly removes an edge of minimum remaining support; its truss
     number is its support at removal (made monotone over the peel).
     Removing (u, v) decrements the support of (u, w) and (v, w) for every
-    surviving common neighbour w.  The vector backend peels whole
-    support levels per batch
-    (:func:`repro.accel.traverse.truss_numbers_vector`); truss numbers
-    are peel-order-independent, so both backends return identical
-    vectors — but note ``auto`` keeps the naive peel (see
-    ``_AUTO_THRESHOLD``), so the vector path runs only when forced.
+    surviving common neighbour w.
     """
-    chosen = accel.resolve(
-        backend, size=graph.n_edges, threshold=_AUTO_THRESHOLD
-    )
-    if chosen == "vector":
-        return _traverse.truss_numbers_vector(
-            graph.indptr, graph.indices, support=edge_supports(graph)
-        )
+    support = edge_supports(graph)
+    if accel.resolve(backend, native=True) == "native":
+        return _native.truss_peel(graph.indptr, graph.indices, support)
     pairs = graph.edge_array()
     m = len(pairs)
-    support = edge_supports(graph).tolist()
+    support = support.tolist()
     # adjacency as vertex -> {neighbor: edge_id} for surviving edges.
     adj = [dict() for _ in range(graph.n_vertices)]
     for eid, (u, v) in enumerate(pairs):

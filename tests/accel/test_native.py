@@ -10,6 +10,7 @@ the streaming replay kernel's state reconstruction, and the
 """
 
 import logging
+import subprocess
 
 import numpy as np
 import pytest
@@ -104,6 +105,24 @@ class TestLifecycle:
         assert not native.available()
         assert "load-failed" in native.info()["error"]
         assert not bad.exists(), "poisoned .so should be deleted"
+
+    def test_wrong_truss_answer_is_rejected(self, fresh_native):
+        """A cached .so whose truss peel is wrong (stale source, corrupt
+        build) fails the known-answer self-test and is deleted."""
+        guard = "if (s <= k)"
+        assert guard in native.C_SOURCE
+        fresh_native.mkdir(parents=True, exist_ok=True)
+        cc = native._compiler()
+        bad = fresh_native / f"repro_native_{native._digest(cc)}.so"
+        source = fresh_native / "no_decrements.c"
+        source.write_text(native.C_SOURCE.replace(guard, "if (1)"))
+        subprocess.run(
+            cc + ["-O2", "-shared", "-fPIC", "-o", str(bad), str(source)],
+            check=True,
+        )
+        assert not native.available()
+        assert "self-test" in native.info()["error"]
+        assert not bad.exists(), "a wrong-answer .so should be deleted"
 
     def test_kernel_output_matches_python_scan(self, fresh_native):
         rng = np.random.default_rng(7)

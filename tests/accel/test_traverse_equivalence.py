@@ -3,7 +3,8 @@
 BFS-derived values (harmonic, closeness) must be byte-identical — the
 frontier kernel computes the very same integer distances.  Betweenness
 sums float dependencies in a different order, so it gets atol=1e-9.
-K-core and k-truss are integer vectors and must match exactly.
+K-core and k-truss are integer vectors and must match exactly; k-truss
+is checked against the fixed loop oracle on every backend.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.accel import traverse
 from repro.serve.workers import StageRunner
 
 from accel_strategies import graphs
+from truss_oracle import oracle_truss_numbers
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,9 +76,9 @@ def test_core_numbers_identical(graph):
 @settings(max_examples=40, deadline=None)
 @given(graphs())
 def test_truss_numbers_identical(graph):
-    naive = truss_numbers(graph, backend="naive")
-    vector = truss_numbers(graph, backend="vector")
-    assert np.array_equal(naive, vector)
+    expected = oracle_truss_numbers(graph)
+    for backend in ("naive", "vector", "native"):
+        assert np.array_equal(truss_numbers(graph, backend=backend), expected)
 
 
 @settings(max_examples=15, deadline=None)

@@ -31,6 +31,17 @@ class TestEdgeSupports:
             common = set(G[u]) & set(G[v])
             assert s == len(common)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_small_chunks_match_networkx(self, monkeypatch, chunk):
+        """Triangles whose wedges straddle a chunk boundary count once."""
+        from repro.measures import triangles
+
+        monkeypatch.setattr(triangles, "_PAIR_CHUNK", chunk)
+        G = nx.powerlaw_cluster_graph(60, 4, 0.7, seed=chunk)
+        g = from_networkx(G)
+        for (u, v), s in zip(g.edge_array(), edge_supports(g)):
+            assert s == len(set(G[u]) & set(G[v]))
+
 
 class TestVertexTriangles:
     @pytest.mark.parametrize("seed", range(4))
@@ -40,6 +51,17 @@ class TestVertexTriangles:
         ours = vertex_triangles(g)
         theirs = nx.triangles(G)
         assert all(ours[v] == theirs[v] for v in G)
+
+    def test_integer_exact(self):
+        G = nx.powerlaw_cluster_graph(300, 6, 0.8, seed=1)
+        g = from_networkx(G)
+        ours = vertex_triangles(g)
+        assert ours.dtype == np.int64
+        expected = np.zeros(g.n_vertices, dtype=np.int64)
+        for (u, v), s in zip(g.edge_array(), edge_supports(g)):
+            expected[u] += s
+            expected[v] += s
+        assert np.array_equal(ours, expected // 2)
 
     def test_total(self):
         G = nx.gnm_random_graph(40, 150, seed=7)
