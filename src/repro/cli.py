@@ -575,6 +575,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .graph import datasets as dataset_registry
+    from .graph.io import iter_temporal_edge_chunks
     from .serve import (
         EvolveSession,
         HTTPServer,
@@ -691,6 +692,14 @@ def _cmd_serve(args) -> int:
             )
         if not Path(log_path).exists():
             raise SystemExit(f"temporal edge log not found: {log_path}")
+        # The run is built lazily, on the first /evolve/* request; read
+        # the log once now so a malformed line fails the boot, not
+        # every request with a 500.
+        try:
+            for _ in iter_temporal_edge_chunks(log_path):
+                pass
+        except ValueError as exc:
+            raise SystemExit(f"bad temporal log {log_path}: {exc}")
         app.add_evolve_session(EvolveSession(
             name, log_path, measure=measure, horizon=horizon,
             bins=args.bins, tile_size=args.tile_size,

@@ -3,10 +3,11 @@
 The temporal subsystem the ROADMAP's community-evolution item calls
 for, layered on :mod:`repro.stream` and served by :mod:`repro.serve`:
 
-* :mod:`~repro.evolve.timeline` — timestamped edge streams →
-  per-window edit batches → one terrain frame per window, driven
-  through :class:`~repro.stream.window.SlidingWindow` so each frame
-  is exactly the last-``horizon`` edge set;
+* :mod:`~repro.evolve.timeline` — timestamped edge streams → one
+  terrain frame per window, each exactly the last-``horizon`` edge
+  set: tumbling windows hand the maintained tree each transition as
+  arrays, overlapping ones go through
+  :class:`~repro.stream.window.SlidingWindow` edit batches;
 * :mod:`~repro.evolve.tracker` — Jaccard matching of peaks across
   consecutive windows into trajectories with
   birth/growth/shrink/merge/split/death lifecycle events, scored by

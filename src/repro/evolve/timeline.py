@@ -14,10 +14,12 @@ semantics, frame ``k`` holds precisely the edges with
 ``t_{k-1} < ts <= t_k``).
 
 Scalars are refreshed per frame — the measure is recomputed on the
-window graph and the changed vertices patched through
-``stream.apply`` *directly* (never through the window: windowed
-``SetScalar`` edits would revert to stale baselines on expiry and
-corrupt later windows).
+window graph.  A tumbling frame reaches the tree as arrays, with no
+edit objects: one ``stream.advance`` call takes the frame's CSR, its
+field, and the removed and added pairs.  Overlapping frames patch the
+changed vertices through ``stream.apply`` *directly* (never through the
+window: windowed ``SetScalar`` edits would revert to stale baselines on
+expiry and corrupt later windows).
 
 Each emitted :class:`WindowFrame` carries the compacted window graph,
 its scalar field, and the vertex/super trees, and is asserted (in
@@ -27,6 +29,7 @@ same window — the incremental path changes cost, never arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -46,7 +49,7 @@ from ..graph.io import (
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..core.scalar_graph import ScalarGraph
-from ..stream.editlog import AddEdge, RemoveEdge, SetScalar
+from ..stream.editlog import AddEdge, SetScalar
 from ..stream.incremental import StreamingScalarTree
 from ..stream.window import SlidingWindow
 
@@ -213,28 +216,26 @@ class Timeline:
                 new = np.setdiff1d(keys, self._live_keys, assume_unique=True)
                 n = self.n_vertices
                 # The key set IS the window edge set, so the frame
-                # graph comes straight from it (vectorized) rather
-                # than from compacting the delta's per-vertex edit
-                # lists; and because the measure can be computed on
-                # that graph before touching the stream, the edge
-                # diff and the scalar refresh fold into ONE apply —
-                # a single theta-bounded rewind/replay per frame
-                # instead of two.
-                pairs = np.column_stack([keys // n, keys % n])
-                graph = from_edge_array(pairs, n_vertices=n)
+                # graph comes straight from it, the measure is computed
+                # on that graph before touching the stream, and the
+                # edge diff and the scalar refresh reach the tree as
+                # arrays in ONE advance — a single theta-bounded
+                # rewind/replay per frame over the frame's own CSR.
+                graph = from_edge_array(
+                    np.column_stack(np.divmod(keys, n)), n_vertices=n
+                )
                 values = registry.compute(
                     self.measure, graph, backend=self.backend
                 )
-                changed = np.flatnonzero(values != self.stream.scalars)
-                edits: List[object] = [
-                    RemoveEdge(int(k) // n, int(k) % n) for k in gone
-                ]
-                edits += [AddEdge(int(k) // n, int(k) % n) for k in new]
-                edits += [
-                    SetScalar(int(v), float(values[v])) for v in changed
-                ]
-                if edits:
-                    self.stream.apply(edits)
+                if len(gone) or len(new) or (
+                    values != self.stream.scalars
+                ).any():
+                    self.stream.advance(
+                        graph,
+                        values,
+                        np.column_stack(np.divmod(gone, n)),
+                        np.column_stack(np.divmod(new, n)),
+                    )
                 self._live_keys = keys
                 n_new_edges = len(new)
             else:
@@ -289,6 +290,7 @@ class Timeline:
         provides this for unsorted logs); out-of-order input raises.
         Quiet intervals still emit (empty) frames — expiry-driven
         deaths need them.  A trailing partial window is emitted last.
+        An endpoint outside ``0..n_vertices-1`` raises ``ValueError``.
         """
         emitted_any = False
         for chunk in chunks:
@@ -297,6 +299,10 @@ class Timeline:
                 raise ValueError("chunks must be (k, >=3) row arrays")
             if len(chunk) == 0:
                 continue
+            ids = chunk[:, :2]
+            lo, hi = ids.min(), ids.max()
+            if lo < 0 or hi >= self.n_vertices:
+                raise _out_of_range(lo if lo < 0 else hi, self.n_vertices)
             ts_col = chunk[:, 2]
             if ts_col[0] < self._last_ts or np.any(np.diff(ts_col) < 0):
                 raise ValueError(
@@ -327,6 +333,13 @@ class Timeline:
     # checks against from-scratch builds.
     def window_graph(self) -> CSRGraph:
         return self.stream.delta.compact()
+
+
+def _out_of_range(vertex, n_vertices: int) -> ValueError:
+    return ValueError(
+        f"vertex id {int(vertex)} outside 0..{n_vertices - 1} "
+        f"(n_vertices={n_vertices})"
+    )
 
 
 def temporal_log_stats(
@@ -362,13 +375,22 @@ def frames_from_log(
 ) -> Iterator[WindowFrame]:
     """Frames from an (possibly unsorted) on-disk temporal edge list.
 
-    When ``n_vertices`` is ``None`` a first streaming pass sizes the
-    vertex universe; the second pass replays the log timestamp-sorted
-    through :func:`~repro.graph.io.iter_temporal_edges_sorted` — the
-    full log is never materialized in memory.
+    The log is read once: :func:`~repro.graph.io.iter_temporal_edges_sorted`
+    spills it into timestamp-sorted runs, reporting the vertex bound
+    (largest endpoint + 1) on the way, and then merges the runs back —
+    the full log is never materialized in memory.  That spill happens
+    here, at call time, so a malformed log raises before any frame is
+    asked for.  When ``n_vertices`` is ``None`` the bound sizes the
+    vertex universe; an explicit ``n_vertices`` below it raises
+    ``ValueError``.
     """
+    spill: Dict[str, int] = {}
+    chunks = iter_temporal_edges_sorted(path, chunk_edges, scratch_dir, spill)
+    first = next(chunks, None)
     if n_vertices is None:
-        n_vertices = int(temporal_log_stats(path, chunk_edges)["n_vertices"])
+        n_vertices = spill["n_vertices"]
+    elif spill["n_vertices"] > n_vertices:
+        raise _out_of_range(spill["n_vertices"] - 1, n_vertices)
     timeline = Timeline(
         n_vertices,
         measure=measure,
@@ -378,7 +400,7 @@ def frames_from_log(
         **timeline_kwargs,
     )
     return timeline.frames(
-        iter_temporal_edges_sorted(path, chunk_edges, scratch_dir)
+        itertools.chain([] if first is None else [first], chunks)
     )
 
 

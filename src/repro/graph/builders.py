@@ -51,24 +51,18 @@ def from_edge_array(
     if len(edges) and (edges.min() < 0 or edges.max() >= n_vertices):
         raise ValueError("edge endpoints outside 0..n_vertices-1")
 
-    # Canonicalise: drop loops, order endpoints, dedup.
-    keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if len(lo):
-        canon = np.unique(lo * np.int64(n_vertices) + hi)
-        lo = canon // n_vertices
-        hi = canon % n_vertices
-
-    # Symmetrise and bucket by source.
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    # Drop loops; then one sort over both orientations' keys
+    # (u * n + v and v * n + u) buckets by source with sorted
+    # neighbours, and dropping adjacent repeats collapses parallel
+    # edges given in either orientation.
+    u, v = edges[edges[:, 0] != edges[:, 1]].T
+    n = np.int64(n_vertices)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    src, dst = np.divmod(keys[first], n)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
     return CSRGraph(indptr, dst, labels=labels)
 
 

@@ -19,7 +19,9 @@ blocks (errors are :class:`TemporalEdgeError`), and
 :func:`iter_temporal_edges_sorted` adds an external merge sort by
 timestamp (sorted runs spilled to one memory-mapped scratch file, then
 merged a block at a time), so even an unsorted multi-GB log is consumed
-in chunk-sized memory.
+in chunk-sized memory; the spill pass also reports the log's vertex
+bound (largest endpoint + 1), so a consumer that needs the vertex
+universe reads the file once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -408,6 +410,7 @@ def iter_temporal_edges_sorted(
     path: PathLike,
     chunk_edges: int = DEFAULT_CHUNK_EDGES,
     scratch_dir: Optional[PathLike] = None,
+    stats: Optional[Dict[str, int]] = None,
 ) -> Iterator[np.ndarray]:
     """Stream a temporal edge log globally sorted by timestamp.
 
@@ -421,14 +424,23 @@ def iter_temporal_edges_sorted(
     ``rows[np.argsort(rows[:, 2], kind="stable")]`` over the whole
     file.  Peak memory stays at ``2 * chunk_edges + 64 * runs`` rows —
     the full log is never materialized.
+
+    The spill pass sees every row, so it also reports the log's vertex
+    bound: a ``stats`` dict, when given, receives ``n_vertices`` (the
+    largest endpoint + 1; 0 for an empty log) after the whole log has
+    been read and before the first chunk is yielded.
     """
     with tempfile.TemporaryFile(
         prefix="repro-tsort-", dir=scratch_dir
     ) as spill:
         bounds = [0]
+        n_vertices = 0
         for chunk in iter_temporal_edge_chunks(path, chunk_edges):
             chunk[np.argsort(chunk[:, 2], kind="stable")].tofile(spill)
             bounds.append(bounds[-1] + len(chunk))
+            n_vertices = max(n_vertices, int(chunk[:, :2].max()) + 1)
+        if stats is not None:
+            stats["n_vertices"] = n_vertices
         if len(bounds) == 1:
             return
         spill.flush()

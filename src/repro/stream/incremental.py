@@ -15,7 +15,12 @@ therefore records the build as a journal with checkpoints at scalar-level
 boundaries (a :class:`~repro.core.union_find.RollbackUnionFind` snapshot
 plus the journal length), and on each batch:
 
-1. applies the edits to a :class:`~repro.stream.delta.DeltaGraph`;
+1. brings the delta to the batch's graph and computes θ
+   (:func:`impact_level`): :meth:`~StreamingScalarTree.apply` runs
+   typed edits through a :class:`~repro.stream.delta.DeltaGraph`'s
+   overlay one at a time; :meth:`~StreamingScalarTree.advance` takes
+   the next snapshot whole — its CSR, its scalars and the churned
+   pairs as arrays — and bases a fresh delta on that CSR;
 2. rewinds to the deepest checkpoint still strictly above θ;
 3. re-sorts and replays only the suffix (the dirty maximal
    α-components' worth of vertices at levels ≤ θ), via the same
@@ -49,16 +54,44 @@ from ..core.scalar_tree import ScalarTree, attach_vertex
 from ..core.simplify import simplify_tree
 from ..core.super_tree import SuperTree, build_super_tree, splice_super_tree
 from ..core.union_find import RollbackUnionFind
+from ..graph.csr import CSRGraph
 from .delta import DeltaGraph
 from .editlog import AddEdge, Batch, RemoveEdge, SetScalar
 
-__all__ = ["StreamingScalarTree"]
+__all__ = ["StreamingScalarTree", "impact_level"]
 
 _INF = float("inf")
 
 # Below this many edges the native rebuild's CSR materialisation does
 # not pay for itself; the journalled Python replay stays.
 _NATIVE_REBUILD_MIN_EDGES = 2048
+
+
+def impact_level(
+    scalars: np.ndarray,
+    vertices: np.ndarray,
+    before: np.ndarray,
+    edges: np.ndarray,
+) -> float:
+    """A batch's impact level θ: the highest scalar level at which it
+    can change the tree (−inf when it changed nothing).
+
+    ``scalars`` is the post-batch field, ``vertices`` the vertices whose
+    scalar the batch changed and ``before`` their pre-batch values;
+    ``edges`` is a ``(k, 2)`` array of the pairs it added or removed.
+
+    An edge's pre-batch term, the min of its endpoints' old scalars,
+    needs no pass of its own: with no changed endpoint it equals the
+    post-batch min, and otherwise it is at most that endpoint's old
+    value, which the scalar term already counts.
+    """
+    theta = -_INF
+    if len(vertices):
+        theta = max(float(before.max()), float(scalars[vertices].max()))
+    if len(edges):
+        after = np.minimum(scalars[edges[:, 0]], scalars[edges[:, 1]])
+        theta = max(theta, float(after.max()))
+    return theta
 
 
 class StreamingScalarTree:
@@ -188,7 +221,9 @@ class StreamingScalarTree:
         Produces the same rollback-capable state the Python replay
         maintains — parent/tree-root lists, the union-find with its
         undo history, the journal, and per-level checkpoints — from one
-        C pass over the compacted CSR adjacency.  The union-find's
+        C pass over the compacted CSR adjacency (the delta's base
+        itself when its overlay is empty, as after :meth:`advance`).
+        The union-find's
         internal forest may differ from the Python replay's when
         adjacency enumeration order differs, but the maintained
         invariant (``tree_root[find(x)]`` is x's current subtree root)
@@ -197,11 +232,7 @@ class StreamingScalarTree:
         native tier is unavailable (caller falls back to Python).
         """
         n = self.delta.n_vertices
-        graph = (
-            self.delta.base
-            if self.delta.n_pending_edits == 0
-            else self.delta.compact()
-        )
+        graph = self.delta.compact()
         pos = np.empty(n, dtype=np.int64)
         pos[order] = np.arange(n, dtype=np.int64)
         svals = np.asarray(scalars, dtype=np.float64)[order]
@@ -289,10 +320,13 @@ class StreamingScalarTree:
             else:
                 raise TypeError(f"not an edit: {edit!r}")
 
-    def _apply_edits(self, edits: Sequence) -> float:
-        """Apply ``edits`` to the delta; return the batch impact level θ
-        (−inf when nothing effectively changed)."""
-        scalars = self.delta.scalars
+    def _apply_edits(
+        self, edits: Sequence
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Apply ``edits`` to the delta's overlay; return the vertices
+        whose scalar changed, their pre-batch values, and the ``(k, 2)``
+        pairs that were actually added or removed — the arguments of
+        :func:`impact_level`."""
         before: Dict[int, float] = {}
         touched_edges: List[Tuple[int, int]] = []
         for edit in edits:
@@ -310,17 +344,11 @@ class StreamingScalarTree:
                     touched_edges.append((edit.u, edit.v))
             else:
                 raise TypeError(f"not an edit: {edit!r}")
-        theta = -_INF
-        for v, old in before.items():
-            theta = max(theta, old, float(scalars[v]))
-        for u, v in touched_edges:
-            min_before = min(
-                before.get(u, float(scalars[u])),
-                before.get(v, float(scalars[v])),
-            )
-            min_after = min(float(scalars[u]), float(scalars[v]))
-            theta = max(theta, min_before, min_after)
-        return theta
+        return (
+            np.fromiter(before, dtype=np.int64, count=len(before)),
+            np.fromiter(before.values(), dtype=np.float64, count=len(before)),
+            np.array(touched_edges, dtype=np.int64).reshape(-1, 2),
+        )
 
     def apply(self, edits: Batch) -> ScalarTree:
         """Apply one transaction and return the updated tree.
@@ -334,7 +362,73 @@ class StreamingScalarTree:
         """
         self._validate_edits(edits)
         self.stats["batches"] += 1
-        theta = self._apply_edits(edits)
+        theta = impact_level(self.delta.scalars, *self._apply_edits(edits))
+        return self._settle(theta)
+
+    def advance(
+        self, graph: CSRGraph, scalars, removed, added
+    ) -> ScalarTree:
+        """Move to the next snapshot, given whole, and return the tree.
+
+        ``graph`` and ``scalars`` are the next snapshot; ``removed`` and
+        ``added`` are ``(k, 2)`` endpoint arrays of the edges it drops
+        and gains against the current graph, each churned edge once.
+        The array counterpart of :meth:`apply` for callers that already
+        hold the next CSR (the tumbling
+        :class:`~repro.evolve.timeline.Timeline`): θ comes from array
+        ops over the churned pairs and the changed vertices, the delta
+        is replaced by one based on ``graph`` with an empty overlay,
+        and the same rewind, replay and splice run.
+
+        Like :meth:`apply` it validates first: a vertex-count mismatch,
+        a misshapen or non-finite field, an out-of-range endpoint
+        (``IndexError``), a self-loop, or an edge count that the churn
+        does not explain raises before any state changes.
+        """
+        n = self.delta.n_vertices
+        if graph.n_vertices != n:
+            raise ValueError(
+                f"graph has {graph.n_vertices} vertices, the stream {n}"
+            )
+        values = np.asarray(scalars, dtype=np.float64)
+        if values.shape != (n,):
+            raise ValueError("scalars must have one entry per vertex")
+        if not np.isfinite(values).all():
+            raise ValueError("scalar values must be finite")
+        churn = []
+        for name, pairs in (("removed", removed), ("added", added)):
+            pairs = np.asarray(pairs, dtype=np.int64)
+            if pairs.size == 0:
+                pairs = pairs.reshape(0, 2)
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError(f"{name} must be a (k, 2) endpoint array")
+            churn.append(pairs)
+        edges = np.concatenate(churn)
+        if len(edges):
+            lo, hi = int(edges.min()), int(edges.max())
+            if lo < 0 or hi >= n:
+                raise IndexError(
+                    f"vertex {lo if lo < 0 else hi} outside 0..{n - 1}"
+                )
+            if (edges[:, 0] == edges[:, 1]).any():
+                raise ValueError("self-loops are not allowed")
+        expected = self.delta.n_edges - len(churn[0]) + len(churn[1])
+        if graph.n_edges != expected:
+            raise ValueError(
+                f"graph has {graph.n_edges} edges, the churn implies {expected}"
+            )
+        old = self.delta.scalars
+        changed = np.flatnonzero(values != old)
+        theta = impact_level(values, changed, old[changed], edges)
+        self.stats["batches"] += 1
+        self.delta = DeltaGraph(graph, scalars=values)
+        return self._settle(theta)
+
+    def _settle(self, theta: float) -> ScalarTree:
+        """Bring the tree up to the already-applied batch with impact
+        level ``theta``: rewind to the deepest checkpoint above θ,
+        replay the suffix and splice it in — or rebuild, past the
+        threshold.  The tail :meth:`apply` and :meth:`advance` share."""
         if theta == -_INF:
             self.stats["last_suffix"] = 0
             return self._tree

@@ -11,6 +11,7 @@ from repro.evolve import (
 )
 from repro.graph.generators import dynamic_planted_partition
 from repro.graph.io import write_temporal_edge_list
+from repro.stream import StreamingScalarTree
 
 
 def _rows(triples):
@@ -123,3 +124,109 @@ class TestLogIntegration:
         assert doc["index"] == 0
         assert doc["n_edges"] == frame.n_edges
         assert {"t_start", "t_end", "super_nodes"} <= set(doc)
+
+
+class TestArrayTransitions:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"apply": 0, "advance": 0}
+        for name in calls:
+            real = getattr(StreamingScalarTree, name)
+
+            def spy(self, *args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(StreamingScalarTree, name, spy)
+        return calls
+
+    def test_tumbling_timeline_never_calls_apply(self, calls):
+        log = dynamic_planted_partition(n_windows=4, seed=2)
+        frames = list(frames_from_rows(
+            log.rows, log.n_vertices, origin=log.origin
+        ))
+        assert calls["apply"] == 0
+        assert calls["advance"] == frames[-1].stream_stats["batches"] > 0
+
+    def test_sliding_timeline_still_applies(self, calls):
+        log = dynamic_planted_partition(n_windows=4, seed=2)
+        list(frames_from_rows(
+            log.rows, log.n_vertices, stride=0.5, origin=log.origin
+        ))
+        assert calls["apply"] > 0
+        assert calls["advance"] == 0
+
+
+class TestOutOfRangeIds:
+    def test_tumbling_rejects_id_past_universe(self):
+        rows = np.array([[3, 12, 0.5, 1.0], [1, 2, 0.6, 1.0]])
+        with pytest.raises(ValueError, match=r"vertex id 12 .*n_vertices=10"):
+            list(frames_from_rows(rows, n_vertices=10, origin=0.0))
+
+    def test_sliding_and_negative_ids_rejected(self):
+        rows = _rows([(0, 1, 0.1), (-2, 1, 0.2)])
+        with pytest.raises(ValueError, match=r"vertex id -2 .*n_vertices=4"):
+            list(frames_from_rows(rows, 4, stride=0.5, origin=0.0))
+
+    def test_log_bound_checked_at_call_time(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        write_temporal_edge_list(_rows([(0, 1, 0.5), (2, 9, 0.7)]), path)
+        with pytest.raises(ValueError, match=r"vertex id 9 .*n_vertices=5"):
+            frames_from_log(path, n_vertices=5)
+        (frame,) = frames_from_log(path, n_vertices=10, origin=0.0)
+        assert frame.n_edges == 2
+
+
+class TestReadOnce:
+    def test_frames_from_log_reads_the_file_once(self, tmp_path, monkeypatch):
+        from repro.evolve import timeline
+        from repro.graph import io
+
+        rng = np.random.default_rng(5)
+        k, n = 300, 40
+        body = np.column_stack([
+            rng.integers(0, n - 1, (k, 2)),
+            rng.integers(0, 3000, k) / 1000.0, np.ones(k),
+        ])
+        # The largest id appears only in the file's last rows, after
+        # many chunks, and early in time so it sorts into frame 0.
+        tail = np.array([[n - 1, 0, 0.25, 1.0], [3, n - 1, 2.5, 1.0]])
+        rows = np.concatenate([body[rng.permutation(k)], tail])
+        path = tmp_path / "shuffled.tsv"
+        write_temporal_edge_list(rows, path)
+
+        reads = []
+        real = io.iter_temporal_edge_chunks
+
+        def counting(*args, **kwargs):
+            reads.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(io, "iter_temporal_edge_chunks", counting)
+        monkeypatch.setattr(timeline, "iter_temporal_edge_chunks", counting)
+        got = list(frames_from_log(path, origin=0.0, chunk_edges=16))
+        assert len(reads) == 1
+        n_vertices = temporal_log_stats(path)["n_vertices"]
+        assert n_vertices == n
+        ref = list(frames_from_rows(
+            rows[np.argsort(rows[:, 2], kind="stable")], n_vertices,
+            origin=0.0,
+        ))
+        assert len(got) == len(ref) == 3
+        for a, b in zip(got, ref):
+            assert a.graph == b.graph
+            assert np.array_equal(a.scalars, b.scalars)
+            assert np.array_equal(a.tree.parent, b.tree.parent)
+            assert np.array_equal(a.super.parent, b.super.parent)
+            assert a.stream_stats == b.stream_stats
+
+    def test_empty_log_yields_no_frames(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("# nothing yet\n")
+        assert list(frames_from_log(path)) == []
+
+    def test_malformed_log_raises_at_call_time(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0 1 0.5\n" * 40 + "0 x 0.6\n")
+        with pytest.raises(ValueError, match="bad.tsv:41"):
+            frames_from_log(path, chunk_edges=8)

@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     empty_graph,
@@ -39,6 +41,38 @@ class TestFromEdgeArray:
         g = from_edge_array(np.empty((0, 2), dtype=np.int64))
         assert g.n_vertices == 0
         assert g.n_edges == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_set_reference(self, data):
+        # Pairs over a prefix of the vertices (so trailing vertices stay
+        # isolated), with repeats, both orientations and self-loops.
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        used = data.draw(st.integers(min_value=0, max_value=n))
+        vertex = st.integers(min_value=0, max_value=max(used - 1, 0))
+        pairs = data.draw(st.lists(
+            st.tuples(vertex, vertex), max_size=40 if used else 0
+        ))
+        pairs += data.draw(st.lists(
+            st.sampled_from(pairs), max_size=10
+        )) if pairs else []
+        pairs += [(v, u) for u, v in pairs[::2]]
+        g = from_edge_array(
+            np.array(pairs, dtype=np.int64).reshape(-1, 2), n_vertices=n
+        )
+        adjacency = {v: set() for v in range(n)}
+        for u, v in pairs:
+            if u != v:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        assert g.n_vertices == n
+        assert g.indptr.tolist() == np.cumsum(
+            [0] + [len(adjacency[v]) for v in range(n)]
+        ).tolist()
+        assert g.indices.tolist() == [
+            w for v in range(n) for w in sorted(adjacency[v])
+        ]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
 class TestFromEdges:

@@ -542,3 +542,23 @@ class TestServeEvolveFlags:
                 "serve",
                 "--evolve-log", "demo=degree:1.0:/does/not/exist.tsv",
             ])
+
+    def test_malformed_temporal_log_fails_the_boot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import asyncio
+
+        def no_server(coro):
+            coro.close()
+            raise AssertionError("the server booted")
+
+        monkeypatch.setattr(asyncio, "run", no_server)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("0 1 1.0\n0 nope 2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--evolve-log", f"demo=degree:1.0:{bad}"])
+        message = str(exc.value.code)
+        assert message.startswith(f"bad temporal log {bad}: ")
+        assert f"{bad}:2: non-integer endpoint" in message
+        assert "\n" not in message
+        assert "Traceback" not in capsys.readouterr().err
