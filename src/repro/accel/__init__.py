@@ -39,9 +39,7 @@ subcommand.  Library calls can override per invocation via their
 Kernels are deliberately *flat*: they take plain numpy arrays
 (``indptr``/``indices`` CSR pairs, edge arrays, rank permutations) and
 return plain arrays, importing nothing from :mod:`repro.core` — so the
-core algorithm modules can dispatch to them without import cycles, and
-the multi-source kernels stay picklable for
-:meth:`repro.serve.workers.StageRunner.map_sync` sharding.
+core algorithm modules can dispatch to them without import cycles.
 """
 
 from __future__ import annotations

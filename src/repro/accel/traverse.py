@@ -9,11 +9,9 @@ visited test is one mask, and peeling decrements arrive via
 ``np.add.at`` scatters.
 
 Everything takes flat ``indptr``/``indices`` arrays (not a
-:class:`~repro.graph.csr.CSRGraph`) so the functions pickle cleanly:
-multi-source measures shard their source lists across an existing
-:class:`repro.serve.workers.StageRunner` pool via
-:func:`shard_sources` — each chunk is an independent
-``(indptr, indices, sources)`` job, thread- or process-pooled.
+:class:`~repro.graph.csr.CSRGraph`), and the multi-source kernels take
+an explicit source list, so :mod:`repro.measures.centrality` calls
+them directly on its graph's arrays and its own sources.
 
 Equivalence to the naive code (``tests/accel/``): BFS distances, and
 hence harmonic/closeness values, are byte-identical (same masked-sum
@@ -35,7 +33,6 @@ __all__ = [
     "closeness_values",
     "betweenness_accumulate",
     "core_numbers_vector",
-    "shard_sources",
 ]
 
 
@@ -203,44 +200,3 @@ def core_numbers_vector(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
             candidates = np.unique(nbrs)
             peel = candidates[deg[candidates] <= k]
     return core
-
-
-# ----------------------------------------------------------------------
-# Multi-source sharding
-# ----------------------------------------------------------------------
-def shard_sources(
-    fn,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: Sequence[int],
-    runner=None,
-    min_chunk: int = 64,
-) -> np.ndarray:
-    """Fan a multi-source kernel's source list across a worker pool.
-
-    ``fn(indptr, indices, chunk)`` must return a full-length float
-    vector whose entries combine by addition (per-source values land in
-    disjoint slots for harmonic/closeness; betweenness partials sum).
-    ``runner`` is a :class:`repro.serve.workers.StageRunner` — in
-    process mode ``fn`` ships as a module-level picklable plus the CSR
-    arrays; with no runner the chunks just run inline.
-    """
-    sources = np.asarray(list(sources), dtype=np.int64)
-    if runner is None or len(sources) <= min_chunk:
-        return fn(indptr, indices, sources)
-    n_chunks = max(1, min(len(sources) // min_chunk, 4 * _pool_width(runner)))
-    chunks = np.array_split(sources, n_chunks)
-    parts = runner.map_sync(
-        fn, [(indptr, indices, chunk) for chunk in chunks if len(chunk)]
-    )
-    total = np.zeros(len(indptr) - 1)
-    for part in parts:
-        total += part
-    return total
-
-
-def _pool_width(runner) -> int:
-    if getattr(runner, "uses_processes", False):
-        return max(1, runner.workers)
-    executor = getattr(runner, "thread_executor", None)
-    return max(1, getattr(executor, "_max_workers", 1))

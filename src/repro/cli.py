@@ -575,7 +575,7 @@ def _cmd_serve(args) -> int:
     import asyncio
 
     from .graph import datasets as dataset_registry
-    from .graph.io import iter_temporal_edge_chunks
+    from .graph.io import iter_edge_chunks, iter_temporal_edge_chunks
     from .serve import (
         EvolveSession,
         HTTPServer,
@@ -644,6 +644,11 @@ def _cmd_serve(args) -> int:
             raise SystemExit(f"--edge-list expects NAME=PATH, got {spec!r}")
         if not Path(path).exists():
             raise SystemExit(f"edge list not found: {path}")
+        # Pyramids build lazily, on the first request; read the file
+        # once now so a malformed line fails the boot (main() prints
+        # the EdgeListError), not every tile with a 500.
+        for _ in iter_edge_chunks(path):
+            pass
         app.add_dataset(name, measures, edge_list=path)
     if not app.datasets:
         raise SystemExit("nothing to serve: no datasets or edge lists")

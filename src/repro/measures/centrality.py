@@ -8,9 +8,8 @@ The traversal-based measures (closeness, harmonic, betweenness) carry a
 ``backend`` switch: the naive path is the per-source Python BFS below,
 the vector path the frontier-at-a-time kernels of
 :mod:`repro.accel.traverse` (identical distances, hence identical
-closeness/harmonic values; betweenness agrees to 1e-9).  They also take
-an optional ``runner`` — a :class:`repro.serve.workers.StageRunner` —
-to shard their source lists across a thread/process pool.
+closeness/harmonic values; betweenness agrees to 1e-9).  Both paths
+walk the same source list in the calling thread.
 """
 
 from __future__ import annotations
@@ -64,22 +63,17 @@ def closeness_centrality(
     graph: CSRGraph,
     backend: Optional[str] = None,
     sources: Optional[Sequence[int]] = None,
-    runner=None,
 ) -> np.ndarray:
     """Closeness with the Wasserman–Faust component correction
     (matches networkx): ``((r-1)/(n-1)) * (r-1)/Σd`` where ``r`` is the
     size of v's reachable set.  ``sources`` restricts the computation to
-    those vertices (zeros elsewhere); ``runner`` shards sources across a
-    :class:`~repro.serve.workers.StageRunner` pool on the vector path.
+    those vertices (zeros elsewhere).
     """
     n = graph.n_vertices
     chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
     if chosen == "vector":
-        return _traverse.shard_sources(
-            _traverse.closeness_values,
-            graph.indptr, graph.indices,
-            range(n) if sources is None else sources,
-            runner=runner,
+        return _traverse.closeness_values(
+            graph.indptr, graph.indices, sources
         )
     out = np.zeros(n)
     for v in range(n) if sources is None else sources:
@@ -96,22 +90,17 @@ def harmonic_centrality(
     graph: CSRGraph,
     backend: Optional[str] = None,
     sources: Optional[Sequence[int]] = None,
-    runner=None,
 ) -> np.ndarray:
     """Harmonic centrality: ``Σ_{u != v} 1 / d(u, v)`` (0 for unreachable).
 
     ``sources`` restricts the computation to those vertices (zeros
-    elsewhere); ``runner`` shards sources across a
-    :class:`~repro.serve.workers.StageRunner` pool on the vector path.
+    elsewhere).
     """
     n = graph.n_vertices
     chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
     if chosen == "vector":
-        return _traverse.shard_sources(
-            _traverse.harmonic_values,
-            graph.indptr, graph.indices,
-            range(n) if sources is None else sources,
-            runner=runner,
+        return _traverse.harmonic_values(
+            graph.indptr, graph.indices, sources
         )
     out = np.zeros(n)
     for v in range(n) if sources is None else sources:
@@ -188,7 +177,6 @@ def betweenness_centrality(
     samples: Optional[int] = None,
     seed: int = 0,
     backend: Optional[str] = None,
-    runner=None,
 ) -> np.ndarray:
     """Brandes betweenness centrality (unweighted).
 
@@ -206,9 +194,6 @@ def betweenness_centrality(
         Accumulation kernel (see :mod:`repro.accel`); both backends use
         the same pivots, and agree to ~1e-9 (the level-synchronous
         vector pass sums dependencies in a different order).
-    runner:
-        Optional :class:`~repro.serve.workers.StageRunner` to shard the
-        pivots across on the vector path.
     """
     n = graph.n_vertices
     bc = np.zeros(n)
@@ -224,10 +209,8 @@ def betweenness_centrality(
 
     chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
     if chosen == "vector":
-        bc = _traverse.shard_sources(
-            _traverse.betweenness_accumulate,
-            graph.indptr, graph.indices, sources,
-            runner=runner,
+        bc = _traverse.betweenness_accumulate(
+            graph.indptr, graph.indices, sources
         )
         bc *= scale_samples / 2.0  # each undirected pair counted twice
         if normalized:

@@ -18,7 +18,8 @@ service on ``asyncio.start_server``, zero new runtime dependencies.
     :class:`StageRunner` — CPU-bound stages on a bounded executor
     (threads by default, ``ProcessPoolExecutor`` with ``workers > 0``)
     with per-key request coalescing: concurrent cold requests for one
-    artifact trigger exactly one build.
+    artifact trigger exactly one build; and the serve jobs, functions
+    of a pyramid that both executor modes run.
 ``repro.serve.app``
     :class:`ServeApp` — the routes (``/datasets``, tiles, ``/peaks``,
     ``/hit``, the linked SVG displays, ``/stats``).

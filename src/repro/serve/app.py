@@ -48,7 +48,6 @@ from typing import Dict, List, Optional, Tuple
 from .. import accel
 from ..accel import native as accel_native
 from ..engine import ArtifactCache, registry
-from ..engine.pipeline import Pipeline
 from ..obs import metrics as obs_metrics
 from ..obs import prof as obs_prof
 from ..obs import trace as obs_trace
@@ -375,26 +374,36 @@ class ServeApp:
             tile_size=self.tile_size,
             levels=self.levels,
             cache_dir=str(cache_dir) if cache_dir else None,
+            max_memory_bytes=self.cache.max_memory_bytes,
         )
 
     def pyramid(self, entry: _DatasetEntry, measure: str) -> LODPyramid:
-        """The in-process pyramid (thread mode's build target; also the
-        parent-side reader once stages are cached)."""
+        """The in-process pyramid over the shared cache (thread mode's
+        job target; in both modes the tile geometry and the reader of
+        cached stages)."""
         key = (entry.name, measure)
         pyramid = self._pyramids.get(key)
         if pyramid is None:
-            pipeline = Pipeline(
-                workers.source_from_spec(entry.source),
-                measure,
-                bins=self.bins,
-                scheme=self.scheme,
-                cache=self.cache,
+            pyramid = self._pyramids[key] = workers.build_pyramid(
+                self.spec(entry, measure), self.cache
             )
-            pyramid = LODPyramid(
-                pipeline, tile_size=self.tile_size, levels=self.levels
-            )
-            self._pyramids[key] = pyramid
         return pyramid
+
+    async def _run(self, key, entry, measure, fn, *args, interactive):
+        """Run job ``fn(pyramid, *args)`` for ``key`` on the runner.
+
+        Thread mode passes the in-process pyramid; process mode ships
+        ``fn`` and the picklable spec to :func:`workers.on_spec`, which
+        resolves the worker's own memoized pyramid.
+        """
+        if self.runner.uses_processes:
+            fn, args = workers.on_spec, (fn, self.spec(entry, measure), *args)
+        else:
+            args = (self.pyramid(entry, measure), *args)
+        return await self.runner.run(
+            key, fn, *args,
+            interactive=interactive, timeout=self.request_timeout,
+        )
 
     # -- coalesced build funnel ----------------------------------------
     async def _ensure(
@@ -408,17 +417,10 @@ class ServeApp:
         ready = self._ready.get(key)
         if ready is not None:
             return ready
-        run_key = f"levels:{entry.name}:{measure}"
-        if self.runner.uses_processes:
-            ready = await self.runner.run(
-                run_key, workers.ensure_levels, self.spec(entry, measure),
-                interactive=interactive, timeout=self.request_timeout,
-            )
-        else:
-            ready = await self.runner.run(
-                run_key, self.pyramid(entry, measure).ensure_levels,
-                interactive=interactive, timeout=self.request_timeout,
-            )
+        ready = await self._run(
+            f"levels:{entry.name}:{measure}", entry, measure,
+            LODPyramid.ensure_levels, interactive=interactive,
+        )
         self._ready[key] = ready
         if self.max_disk_bytes is not None:
             self.cache.prune(self.max_disk_bytes)
@@ -429,27 +431,16 @@ class ServeApp:
     #: builds are bulk and shed first under overload.
     _INTERACTIVE_KINDS = frozenset({"hit", "peaks"})
 
-    async def _job(self, entry, measure, kind, local_fn, worker_fn, *args):
-        """Run one read-ish job after the cold funnel.
-
-        ``local_fn(pyramid, *args)`` runs on the in-process thread pool
-        in thread mode; ``worker_fn(spec, *args)`` (a picklable
-        module-level function) runs on the process pool in process
-        mode.  Coalesced per (kind, dataset, measure, args).
-        """
+    async def _job(self, entry, measure, kind, fn, *args):
+        """Run job ``fn(pyramid, *args)`` after the cold funnel,
+        coalesced per (kind, dataset, measure, args)."""
         interactive = kind in self._INTERACTIVE_KINDS
         await self._ensure(entry, measure, interactive=interactive)
         run_key = f"{kind}:{entry.name}:{measure}:" + ":".join(
             str(a) for a in args
         )
-        if self.runner.uses_processes:
-            return await self.runner.run(
-                run_key, worker_fn, self.spec(entry, measure), *args,
-                interactive=interactive, timeout=self.request_timeout,
-            )
-        return await self.runner.run(
-            run_key, local_fn, self.pyramid(entry, measure), *args,
-            interactive=interactive, timeout=self.request_timeout,
+        return await self._run(
+            run_key, entry, measure, fn, *args, interactive=interactive
         )
 
     # -- handlers -------------------------------------------------------
@@ -632,9 +623,7 @@ class ServeApp:
             try:
                 cached = await self._job(
                     entry, measure, "tile",
-                    LODPyramid.tile_payload,
-                    workers.build_tile_payload,
-                    level_i, tx_i, ty_i,
+                    LODPyramid.tile_payload, level_i, tx_i, ty_i,
                 )
             except HTTPError:
                 raise
@@ -681,10 +670,7 @@ class ServeApp:
         entry, measure = self._ds_measure(request)
         count = request.query_int("count", default=3, lo=1, hi=64)
         peaks = await self._job(
-            entry, measure, "peaks",
-            lambda pyr, c: workers.peaks_as_dicts(pyr.pipeline, c),
-            workers.build_peaks,
-            count,
+            entry, measure, "peaks", workers.peaks, count
         )
         return Response.json_(
             {"dataset": entry.name, "measure": measure, "peaks": peaks}
@@ -694,12 +680,7 @@ class ServeApp:
         entry, measure = self._ds_measure(request)
         x = request.query_float("x")
         y = request.query_float("y")
-        hit = await self._job(
-            entry, measure, "hit",
-            lambda pyr, xx, yy: workers.hit_as_dict(pyr.pipeline, xx, yy),
-            workers.build_hit,
-            x, y,
-        )
+        hit = await self._job(entry, measure, "hit", workers.hit, x, y)
         return Response.json_(
             dict(hit, dataset=entry.name, measure=measure, x=x, y=y)
         )
@@ -708,10 +689,7 @@ class ServeApp:
         entry, measure = self._ds_measure(request)
         size = request.query_int("size", default=640, lo=64, hi=4096)
         svg = await self._job(
-            entry, measure, "treemap",
-            lambda pyr, s: pyr.pipeline.treemap(size=s),
-            workers.build_treemap_svg,
-            size,
+            entry, measure, "treemap", workers.treemap_svg, size
         )
         return Response.text(svg, content_type="image/svg+xml")
 
@@ -720,10 +698,7 @@ class ServeApp:
         width = request.query_int("width", default=720, lo=64, hi=4096)
         height = request.query_int("height", default=240, lo=64, hi=4096)
         svg = await self._job(
-            entry, measure, "profile",
-            lambda pyr, w, h: pyr.pipeline.profile(width=w, height=h),
-            workers.build_profile_svg,
-            width, height,
+            entry, measure, "profile", workers.profile_svg, width, height
         )
         return Response.text(svg, content_type="image/svg+xml")
 

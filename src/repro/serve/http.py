@@ -31,6 +31,7 @@ import asyncio
 import itertools
 import json
 import logging
+import math
 import os
 import time
 import traceback
@@ -186,11 +187,16 @@ class Request:
         return value
 
     def query_float(self, name: str) -> float:
+        """A finite float: ``nan`` and ``inf`` parse, but JSON has no
+        spelling for them, so they are refused like any non-number."""
         raw = self.query_str(name)
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
-            raise HTTPError(400, f"query parameter {name}={raw!r} is not a number")
+            value = math.nan
+        if not math.isfinite(value):
+            raise HTTPError(400, f"query parameter {name}={raw!r} is not a finite number")
+        return value
 
     def if_none_match(self) -> List[str]:
         """The ``If-None-Match`` header as a list of entity tags."""

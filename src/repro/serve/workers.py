@@ -8,17 +8,23 @@ concurrent requests for the same cold artifact await one in-flight
 build; only the first actually executes (the single-flight pattern —
 ``stats["coalesced"]`` counts the riders).
 
-Two executor modes:
+Every serve job is a module-level function of an :class:`LODPyramid` —
+``LODPyramid.ensure_levels`` (the cold funnel), ``LODPyramid.tile_payload``,
+and :func:`peaks`, :func:`hit`, :func:`treemap_svg`, :func:`profile_svg`
+below — and one recipe, :func:`build_pyramid`, turns a plain ``spec``
+dict into that pyramid.  The two executor modes differ only in where
+the pyramid lives:
 
 * ``workers == 0`` (default) — a small bounded ``ThreadPoolExecutor``
-  in-process.  Build callables may be closures over live pipeline
-  objects; every build shares the server's :class:`ArtifactCache`
-  directly.  This is the mode tests, benchmarks and single-host
-  deployments use.
-* ``workers > 0`` — a bounded ``ProcessPoolExecutor``.  Builds must be
-  the picklable module-level functions below, which reconstruct
-  pipelines from plain ``spec`` dicts and memoize them **per worker
-  process**; pair with a ``--cache-dir`` so serialized stages (fields,
+  in-process.  The job receives the server's own pyramid, built over
+  the server's shared :class:`ArtifactCache`.  This is the mode tests,
+  benchmarks and single-host deployments use.
+* ``workers > 0`` — a bounded ``ProcessPoolExecutor``.  The job ships
+  by import path through :func:`on_spec` together with its ``spec``;
+  the worker resolves the pyramid through :func:`pyramid_for`, a memo
+  **per worker process** over one worker-side cache (same memory
+  budget as the server's, so ``--cache-memory-mb`` bounds each
+  process).  Pair with a ``--cache-dir`` so serialized stages (fields,
   trees, tiles) are shared across workers through the disk tier.
 """
 
@@ -28,14 +34,12 @@ import asyncio
 import contextvars
 import json
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional, Tuple
 
@@ -71,13 +75,13 @@ __all__ = [
     "pipeline_spec",
     "spec_key",
     "source_from_spec",
+    "build_pyramid",
     "pyramid_for",
-    "ensure_levels",
-    "build_tile_payload",
-    "build_peaks",
-    "build_hit",
-    "build_treemap_svg",
-    "build_profile_svg",
+    "on_spec",
+    "peaks",
+    "hit",
+    "treemap_svg",
+    "profile_svg",
 ]
 
 
@@ -303,100 +307,6 @@ class StageRunner:
             if self.gate is not None:
                 self.gate.release()
 
-    def map_sync(
-        self,
-        fn,
-        args_list: List[tuple],
-        timeout: Optional[float] = None,
-    ) -> List:
-        """Run ``fn(*args)`` for every tuple in ``args_list`` on the
-        pool, synchronously, preserving input order.
-
-        The blocking counterpart of :meth:`run` for fan-out jobs that
-        are *parts* of one computation rather than independently keyed
-        artifacts — e.g. :func:`repro.accel.traverse.shard_sources`
-        splitting a multi-source centrality's source list into chunks.
-        In process mode ``fn`` must be a picklable module-level
-        function, exactly like the build jobs below.
-
-        Failed jobs (transient faults, a broken process pool) are
-        **resubmitted individually** with backoff — completed shards are
-        never recomputed — until the retry budget or the optional
-        ``timeout`` budget runs out.
-        """
-        deadline = Deadline(timeout) if timeout is not None else None
-        results: List = [None] * len(args_list)
-        pending = list(range(len(args_list)))
-        failures = 0
-        last_exc: Optional[BaseException] = None
-        while True:
-            futures = {}
-            broken = False
-            for index in pending:
-                job_fn, job_args = (
-                    faults.wrap_job(fn, tuple(args_list[index]))
-                    if faults.active() else (fn, args_list[index])
-                )
-                try:
-                    if self.uses_processes:
-                        self._maybe_sacrifice_worker()
-                        futures[index] = self._executor.submit(
-                            job_fn, *job_args
-                        )
-                    else:
-                        # Propagate the caller's context (repro.obs span
-                        # parenting) onto the worker threads; a fresh
-                        # copy per job keeps the jobs' own contextvar
-                        # writes isolated from each other.
-                        futures[index] = self._executor.submit(
-                            contextvars.copy_context().run, job_fn, *job_args
-                        )
-                except BrokenExecutor as exc:
-                    broken = True
-                    last_exc = exc
-                    break
-            still = [i for i in pending if i not in futures]
-            for index, future in futures.items():
-                try:
-                    results[index] = future.result(
-                        timeout=deadline.remaining()
-                        if deadline is not None else None
-                    )
-                except FuturesTimeout:
-                    self.stats["deadline_exceeded"] += 1
-                    note_deadline("map_sync")
-                    raise DeadlineExceeded(
-                        f"map_sync exceeded {deadline.seconds:g}s budget"
-                    ) from None
-                except BrokenProcessPool as exc:
-                    broken = True
-                    last_exc = exc
-                    still.append(index)
-                except TransientFault as exc:
-                    last_exc = exc
-                    still.append(index)
-            if broken:
-                self._respawn()
-            if not still:
-                return results
-            still.sort()
-            failures += 1
-            if failures >= self.retry.max_attempts or (
-                deadline is not None and deadline.expired
-            ):
-                note_giveup("map_sync")
-                raise last_exc if last_exc is not None else BrokenExecutor(
-                    "process pool broke during submit"
-                )
-            self.stats["retries"] += len(still)
-            note_retry("map_sync")
-            pause = self.retry.delay(failures)
-            if deadline is not None:
-                pause = min(pause, deadline.remaining())
-            if pause > 0.0:
-                time.sleep(pause)
-            pending = still
-
     def resil_snapshot(self) -> Dict[str, object]:
         """Admission/breaker/retry state for ``/stats``."""
         open_keys = [
@@ -419,7 +329,7 @@ class StageRunner:
 
 
 # ----------------------------------------------------------------------
-# Picklable pipeline specs (process mode)
+# Pipeline specs and the one pyramid recipe
 # ----------------------------------------------------------------------
 def pipeline_spec(
     source: Dict[str, str],
@@ -430,9 +340,11 @@ def pipeline_spec(
     tile_size: int = 64,
     levels: int = 3,
     cache_dir: Optional[str] = None,
+    max_memory_bytes: Optional[int] = None,
 ) -> Dict[str, object]:
     """The plain-dict description a worker process needs to rebuild a
-    pipeline + pyramid: source, measure, display and pyramid params."""
+    pipeline + pyramid: source, measure, display and pyramid params,
+    and the cache directory and memory budget its worker cache uses."""
     return {
         "source": dict(source),
         "measure": measure,
@@ -441,6 +353,7 @@ def pipeline_spec(
         "tile_size": tile_size,
         "levels": levels,
         "cache_dir": cache_dir,
+        "max_memory_bytes": max_memory_bytes,
     }
 
 
@@ -457,50 +370,56 @@ def source_from_spec(spec_source: Dict[str, str]) -> Source:
     raise ValueError(f"unknown source spec kind {kind!r}")
 
 
+def build_pyramid(spec: Dict[str, object], cache: ArtifactCache) -> LODPyramid:
+    """The pyramid ``spec`` describes, with its pipeline over ``cache``
+    (nothing is built until a job asks)."""
+    pipeline = Pipeline(
+        source_from_spec(spec["source"]),
+        spec["measure"],
+        bins=spec["bins"],
+        scheme=spec["scheme"],
+        cache=cache,
+    )
+    return LODPyramid(
+        pipeline, tile_size=spec["tile_size"], levels=spec["levels"]
+    )
+
+
 _MEMO_LOCK = threading.Lock()
 _PYRAMIDS: Dict[str, LODPyramid] = {}
+_CACHES: Dict[Tuple[Optional[str], Optional[int]], ArtifactCache] = {}
 
 
 def pyramid_for(spec: Dict[str, object]) -> LODPyramid:
     """Per-process memoized pyramid for ``spec`` (worker-side warmth:
     once a worker has built a pipeline, later jobs on it are cache
-    hits in that worker's memory tier)."""
+    hits in that worker's memory tier).  Every pyramid in the process
+    shares one cache per (directory, budget), so the memory budget
+    bounds the process, not each pyramid."""
     key = spec_key(spec)
     with _MEMO_LOCK:
         pyramid = _PYRAMIDS.get(key)
         if pyramid is None:
-            pipeline = Pipeline(
-                source_from_spec(spec["source"]),
-                spec["measure"],
-                bins=spec["bins"],
-                scheme=spec["scheme"],
-                cache=ArtifactCache(spec.get("cache_dir")),
-            )
-            pyramid = LODPyramid(
-                pipeline,
-                tile_size=spec["tile_size"],
-                levels=spec["levels"],
-            )
-            _PYRAMIDS[key] = pyramid
+            where = (spec["cache_dir"], spec["max_memory_bytes"])
+            cache = _CACHES.get(where)
+            if cache is None:
+                cache = _CACHES[where] = ArtifactCache(*where)
+            pyramid = _PYRAMIDS[key] = build_pyramid(spec, cache)
         return pyramid
 
 
+def on_spec(fn, spec: Dict[str, object], *args):
+    """Process-mode entry point: run job ``fn(pyramid, *args)`` on this
+    worker's pyramid for ``spec``."""
+    return fn(pyramid_for(spec), *args)
+
+
 # ----------------------------------------------------------------------
-# Module-level build jobs (picklable for ProcessPoolExecutor)
+# Jobs: module-level functions of a pyramid (picklable by import path)
 # ----------------------------------------------------------------------
-def ensure_levels(spec: Dict[str, object]) -> Dict[str, object]:
-    """Cold-start unit: build every pyramid level; returns its summary."""
-    return pyramid_for(spec).ensure_levels()
-
-
-def build_tile_payload(
-    spec: Dict[str, object], level: int, tx: int, ty: int
-) -> Tuple[bytes, str]:
-    return pyramid_for(spec).tile_payload(level, tx, ty)
-
-
-def peaks_as_dicts(pipeline: Pipeline, count: int) -> List[Dict[str, object]]:
+def peaks(pyramid: LODPyramid, count: int) -> List[Dict[str, object]]:
     """JSON-ready rows for the ``count`` highest disconnected peaks."""
+    pipeline = pyramid.pipeline
     unit = "edges" if pipeline.display_tree.kind == "edge" else "vertices"
     return [
         {
@@ -516,12 +435,9 @@ def peaks_as_dicts(pipeline: Pipeline, count: int) -> List[Dict[str, object]]:
     ]
 
 
-def build_peaks(spec: Dict[str, object], count: int) -> List[Dict[str, object]]:
-    return peaks_as_dicts(pyramid_for(spec).pipeline, count)
-
-
-def hit_as_dict(pipeline: Pipeline, x: float, y: float) -> Dict[str, object]:
+def hit(pyramid: LODPyramid, x: float, y: float) -> Dict[str, object]:
     """JSON-ready hover hit-test at layout coordinates ``(x, y)``."""
+    pipeline = pyramid.pipeline
     layout = pipeline.layout()
     node = layout.node_at(x, y)
     if node is None:
@@ -537,13 +453,9 @@ def hit_as_dict(pipeline: Pipeline, x: float, y: float) -> Dict[str, object]:
     }
 
 
-def build_hit(spec: Dict[str, object], x: float, y: float) -> Dict[str, object]:
-    return hit_as_dict(pyramid_for(spec).pipeline, x, y)
+def treemap_svg(pyramid: LODPyramid, size: int) -> str:
+    return pyramid.pipeline.treemap(size=size)
 
 
-def build_treemap_svg(spec: Dict[str, object], size: int) -> str:
-    return pyramid_for(spec).pipeline.treemap(size=size)
-
-
-def build_profile_svg(spec: Dict[str, object], width: int, height: int) -> str:
-    return pyramid_for(spec).pipeline.profile(width=width, height=height)
+def profile_svg(pyramid: LODPyramid, width: int, height: int) -> str:
+    return pyramid.pipeline.profile(width=width, height=height)

@@ -18,7 +18,6 @@ from repro.measures.centrality import (
     harmonic_centrality,
 )
 from repro.accel import traverse
-from repro.serve.workers import StageRunner
 
 from accel_strategies import graphs
 from truss_oracle import oracle_truss_numbers
@@ -94,43 +93,3 @@ def test_sources_restriction_matches_full(graph):
         untouched = np.ones(graph.n_vertices, dtype=bool)
         untouched[sources] = False
         assert not part[untouched].any()
-
-
-class TestRunnerSharding:
-    def test_map_sync_preserves_order(self):
-        runner = StageRunner(workers=0)
-        try:
-            results = runner.map_sync(pow, [(2, i) for i in range(10)])
-            assert results == [2 ** i for i in range(10)]
-        finally:
-            runner.shutdown()
-
-    def test_sharded_harmonic_matches_inline(self):
-        from repro.graph.generators import powerlaw_cluster
-
-        graph = powerlaw_cluster(300, 2, 0.4, seed=11)
-        runner = StageRunner(workers=0)
-        try:
-            inline = harmonic_centrality(graph, backend="vector")
-            sharded = traverse.shard_sources(
-                traverse.harmonic_values,
-                graph.indptr, graph.indices, range(graph.n_vertices),
-                runner=runner, min_chunk=16,
-            )
-            assert np.array_equal(inline, sharded)
-        finally:
-            runner.shutdown()
-
-    def test_sharded_betweenness_matches_inline(self):
-        from repro.graph.generators import erdos_renyi
-
-        graph = erdos_renyi(200, 500, seed=4)
-        runner = StageRunner(workers=0)
-        try:
-            inline = betweenness_centrality(graph, backend="vector")
-            sharded = betweenness_centrality(
-                graph, backend="vector", runner=runner
-            )
-            assert np.allclose(inline, sharded, atol=1e-9, rtol=0)
-        finally:
-            runner.shutdown()

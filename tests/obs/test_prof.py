@@ -113,12 +113,20 @@ class TestSpanScopedCapture:
     def test_capture_in_worker_threads_parents_correctly(self, ring):
         """StageRunner thread mode propagates the submitting context, so
         captures in worker threads nest under the submitting span."""
+        import asyncio
+
         from repro.serve.workers import StageRunner
+
+        async def fanout():
+            with trace.span("fanout"):
+                await asyncio.gather(*(
+                    runner.run(f"job{i}", _capture_job, 0.05)
+                    for i in range(2)
+                ))
 
         runner = StageRunner(workers=0)
         try:
-            with trace.span("fanout") as parent_span:
-                runner.map_sync(_capture_job, [(0.05,), (0.05,)])
+            asyncio.run(fanout())
         finally:
             runner.shutdown()
         records = ring.snapshot()

@@ -2,6 +2,7 @@
 disabled no-op path, and the JSONL -> Chrome trace conversion."""
 
 import asyncio
+import concurrent.futures
 import json
 
 import pytest
@@ -51,17 +52,27 @@ class TestNesting:
 
 class TestAcrossThreads:
     def test_map_sync_thread_jobs_nest_under_caller(self, ring):
-        runner = StageRunner(workers=0)
-        try:
-            with trace.span("build") as sp:
-                runner.map_sync(_traced_leaf, [(0,), (1,), (2,)])
-                build_id = sp.span_id
-        finally:
-            runner.shutdown()
+        async def go():
+            runner = StageRunner(workers=0)
+            try:
+                with trace.span("build") as sp:
+                    await asyncio.gather(
+                        *(
+                            runner.run(f"k{i}", _traced_leaf, i)
+                            for i in range(3)
+                        )
+                    )
+                    # Each job ran in its own context copy: its span
+                    # writes don't leak back into the caller's.
+                    assert trace.current_span_id() == sp.span_id
+                    return sp.span_id
+            finally:
+                runner.shutdown()
+
+        build_id = asyncio.run(go())
         leaves = [r for r in ring.snapshot() if r["name"] == "leaf"]
         assert len(leaves) == 3
         assert all(r["parent"] == build_id for r in leaves)
-        # Each job got its own context copy: writes don't leak back.
         assert trace.current_span_id() is None
 
     def test_run_thread_job_nests_under_caller(self, ring):
@@ -81,26 +92,23 @@ class TestAcrossThreads:
 
 class TestAcrossProcesses:
     def test_traced_job_captures_and_adopt_reparents(self, ring):
-        runner = StageRunner(workers=2)
-        try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
             with trace.span("build") as sp:
                 parent = trace.current_span_id()
-                pairs = runner.map_sync(
-                    trace.traced_job,
-                    [
-                        (_plain_leaf, (i,), "leaf", {"i": i})
-                        for i in range(2)
-                    ],
-                )
-                for result, records in pairs:
+                futures = [
+                    pool.submit(
+                        trace.traced_job, _plain_leaf, (i,), "leaf", {"i": i}
+                    )
+                    for i in range(2)
+                ]
+                for future in futures:
+                    result, records = future.result(timeout=60)
                     assert result == "leaf-done"
                     adopted = trace.adopt(records, parent)
                     assert all(
                         r["parent"] is not None for r in adopted
                     )
                 build_id = sp.span_id
-        finally:
-            runner.shutdown()
         leaves = [r for r in ring.snapshot() if r["name"] == "leaf"]
         assert len(leaves) == 2
         assert all(r["parent"] == build_id for r in leaves)

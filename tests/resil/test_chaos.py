@@ -52,9 +52,10 @@ def assert_identical(tree, reference):
 
 
 class TestShardedBuilds:
-    """Per-shard merge-forest reductions fanned over a
-    :class:`StageRunner`: retry, process-pool respawn and give-up must
-    leave the reduced forests exactly as a fault-free run makes them."""
+    """Per-shard merge-forest reductions run one after another as
+    :class:`StageRunner` jobs: retry, process-pool respawn and give-up
+    must leave the reduced forests exactly as a fault-free run makes
+    them."""
 
     @staticmethod
     def reduce_all(runner, graph, scalars, n_shards):
@@ -63,7 +64,14 @@ class TestShardedBuilds:
             (graph.n_vertices, shard.edges, rank)
             for shard in partition_edges(graph, n_shards, "hash")
         ]
-        forests = runner.map_sync(reduce_shard, jobs)
+
+        async def reduce_each():
+            return [
+                await runner.run(f"shard:{i}", reduce_shard, *job)
+                for i, job in enumerate(jobs)
+            ]
+
+        forests = asyncio.run(reduce_each())
         assert all(
             np.array_equal(forest, reduce_shard(*job))
             for forest, job in zip(forests, jobs)
@@ -111,6 +119,11 @@ class TestShardedBuilds:
                 self.reduce_all(runner, graph, scalars, 2)
         finally:
             runner.shutdown()
+        # The default policy: four attempts on the first shard, then
+        # the fault stands.
+        assert runner.retry.max_attempts == 4
+        assert runner.stats["retries"] == 3
+        assert runner.stats["errors"] == 1
 
 
 class TestStageRunnerChaos:
@@ -125,22 +138,6 @@ class TestStageRunnerChaos:
         assert runner.stats == {
             **runner.stats, "builds": 1, "errors": 0, "retries": 1,
         }
-
-    def test_map_sync_resubmits_only_failed_jobs(self, fault_spec):
-        fault_spec("task_fail:2")
-        runner = StageRunner()
-        try:
-            results = runner.map_sync(
-                _double, [(i,) for i in range(5)]
-            )
-        finally:
-            runner.shutdown()
-        assert results == [0, 2, 4, 6, 8]
-        assert runner.stats["retries"] == 1
-
-
-def _double(x):
-    return 2 * x
 
 
 class TestPipelineChaos:

@@ -136,6 +136,15 @@ class TestQueries:
         status, doc = client.get_json("/hit?dataset=toy&measure=kcore")
         assert status == 400
 
+    def test_hit_rejects_non_finite_coordinates(self, client):
+        # float() parses these, but JSON cannot carry them back.
+        for x in ("nan", "1e999", "-inf"):
+            status, doc = client.get_json(
+                f"/hit?dataset=toy&measure=kcore&x={x}&y=0"
+            )
+            assert status == 400, x
+            assert "finite" in doc["error"]
+
     def test_svg_displays(self, client):
         for url in (
             "/treemap.svg?dataset=toy&measure=kcore",

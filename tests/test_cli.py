@@ -80,6 +80,24 @@ class TestServeParser:
         with pytest.raises(SystemExit, match="edge list not found"):
             main(["serve", "--edge-list", "toy=/does/not/exist.txt"])
 
+    def test_malformed_edge_list_fails_the_boot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import asyncio
+
+        def no_server(coro):
+            coro.close()
+            raise AssertionError("the server booted")
+
+        monkeypatch.setattr(asyncio, "run", no_server)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1\n1 nope\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--edge-list", f"bad={bad}"])
+        message = str(exc.value.code)
+        assert message == f"bad edge list {bad}:2: non-integer endpoint: '1 nope'"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_stream_log_spec_rejected(self, edge_list_file):
         with pytest.raises(SystemExit, match="NAME=DATASET:MEASURE"):
             main([
