@@ -66,14 +66,6 @@ Subpackages
     equivalence-tested to produce the same arrays as the naive
     reference code, selected via ``repro --accel``, the
     ``REPRO_ACCEL`` environment variable or per call.
-``repro.dist``
-    Out-of-core scalar-tree construction (``repro dist-build
-    --scatter-dir``): deterministic edge partitioners with
-    self-describing shard manifests, a streaming scatter of on-disk
-    edge lists under a bounded buffer budget, and
-    :func:`~repro.dist.executor.build_tree`, which reduces the shards
-    one after another and merges them into a scalar tree node-for-node
-    identical to the single-process build.
 """
 
 from .core import (

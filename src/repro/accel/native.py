@@ -4,7 +4,7 @@ Two sequential loops resist numpy: the union-find scan of Algorithms 1
 and 3 (:func:`repro.accel.tree.merge_scan`) and the k-truss peel behind
 Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`).  This
 module compiles the scan (path-halving find, union by size, group-root
-caching, in three flavours) and the bin-sort truss peel of Wang & Cheng
+caching, in two flavours) and the bin-sort truss peel of Wang & Cheng
 (PVLDB 2012) **at first use** from the embedded C source below, using
 whatever system compiler is around (``$CC``, else ``cc``/``gcc``/
 ``clang``), and loads it with stdlib :mod:`ctypes`.  No build system,
@@ -66,7 +66,6 @@ __all__ = [
     "available",
     "load",
     "merge_scan",
-    "reduce_scan",
     "replay_scan",
     "truss_peel",
     "cache_dir",
@@ -150,37 +149,6 @@ void repro_merge_scan(i64 n_items, i64 n_steps,
             tree_root[root_v] = v;
         }
     }
-}
-
-/* repro.dist.executor.reduce_shard's keep-scan: the same merge scan,
- * recording the indices of merge-causing steps instead of parents.
- * kept has capacity n_steps; uf/size are length-n_vertices scratch.
- * Returns the number of kept steps (<= n_vertices - 1). */
-i64 repro_reduce_scan(i64 n_vertices, i64 n_steps,
-                      const i64 *cur, const i64 *prev,
-                      i64 *kept, i64 *uf, i64 *size) {
-    i64 i, k = 0, prev_cur = -1, root_v = -1;
-    for (i = 0; i < n_vertices; i++) {
-        uf[i] = i;
-        size[i] = 1;
-    }
-    for (i = 0; i < n_steps; i++) {
-        i64 v = cur[i], x;
-        if (v != prev_cur) {
-            prev_cur = v;
-            root_v = v;
-        }
-        x = find_halve(uf, prev[i]);
-        if (root_v != x) {
-            kept[k++] = i;
-            if (size[root_v] < size[x]) {
-                i64 t = root_v; root_v = x; x = t;
-            }
-            uf[x] = root_v;
-            size[root_v] += size[x];
-        }
-    }
-    return k;
 }
 
 /* repro.stream's journalled full build: Algorithm 1 over CSR adjacency
@@ -379,8 +347,6 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     i = ctypes.c_int64
     lib.repro_merge_scan.argtypes = [i, i, p, p, p, p, p, p]
     lib.repro_merge_scan.restype = None
-    lib.repro_reduce_scan.argtypes = [i, i, p, p, p, p, p]
-    lib.repro_reduce_scan.restype = i
     lib.repro_replay_scan.argtypes = [i] + [p] * 4 + [i] + [p] * 8
     lib.repro_replay_scan.restype = i
     lib.repro_truss_peel.argtypes = [i] + [p] * 8
@@ -547,26 +513,6 @@ def merge_scan(
         _ptr(parent), _ptr(uf), _ptr(size), _ptr(tree_root),
     )
     return parent
-
-
-def reduce_scan(
-    n_vertices: int, cur: np.ndarray, prev: np.ndarray
-) -> Optional[np.ndarray]:
-    """Indices of merge-causing steps (dist shard reduction); None when
-    unavailable."""
-    lib = load()
-    if lib is None:
-        return None
-    cur = _as_i64(cur)
-    prev = _as_i64(prev)
-    kept = np.empty(len(cur), dtype=np.int64)
-    uf = np.empty(n_vertices, dtype=np.int64)
-    size = np.empty(n_vertices, dtype=np.int64)
-    k = lib.repro_reduce_scan(
-        n_vertices, len(cur), _ptr(cur), _ptr(prev),
-        _ptr(kept), _ptr(uf), _ptr(size),
-    )
-    return kept[:k].copy()
 
 
 def replay_scan(

@@ -46,7 +46,6 @@ from . import native as _native
 
 __all__ = [
     "merge_scan",
-    "merge_scan_keep",
     "rank_order",
     "vertex_tree_parents",
     "edge_tree_parents",
@@ -56,9 +55,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 # rank_order, memoized
 # ----------------------------------------------------------------------
-# Both tree builders (and the dist executor's base + global replays)
-# call rank_order on the *same* scalars buffer within one build, and
-# warm pipelines re-build repeatedly over an unchanged field — so the
+# Warm pipelines re-build repeatedly over an unchanged field, so the
 # lexsort + rank scatter is memoized per buffer identity.  Identity is
 # a weakref to the array (so the memo never keeps a field alive and an
 # id() reuse after garbage collection cannot alias) plus a cheap
@@ -184,44 +181,6 @@ def merge_scan(
             size[root_v] += size[x]
             tree_root[root_v] = v
     return np.array(parent, dtype=np.int64)
-
-
-def merge_scan_keep(
-    n_items: int,
-    cur: np.ndarray,
-    prev: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Indices of the steps :func:`merge_scan` would merge on.
-
-    The dist executor's shard reduction keeps exactly these steps (the
-    shard's merge forest); the scan is the same union-find, tracking
-    merge-causing step indices instead of materialising parents.
-    """
-    if _native_selected(backend, len(cur)):
-        kept = _native.reduce_scan(n_items, cur, prev)
-        if kept is not None:
-            return kept
-    uf = list(range(n_items))
-    size = [1] * n_items
-    kept = []
-    prev_cur = -1
-    root_v = -1
-    for i, (v, w) in enumerate(zip(cur.tolist(), prev.tolist())):
-        if v != prev_cur:
-            prev_cur = v
-            root_v = v
-        x = w
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        if root_v != x:
-            kept.append(i)
-            if size[root_v] < size[x]:
-                root_v, x = x, root_v
-            uf[x] = root_v
-            size[root_v] += size[x]
-    return np.array(kept, dtype=np.int64)
 
 
 def vertex_tree_parents(

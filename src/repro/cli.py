@@ -122,9 +122,8 @@ def _number_arg(kind, low, strict=False):
     return parse
 
 
-# Sizes (image pixels; dist-build's shards, chunk edges and buffer
-# MiB), heightfield resolution (the minimum ``rasterize`` accepts), and
-# the camera zoom factor.
+# Image sizes in pixels, heightfield resolution (the minimum
+# ``rasterize`` accepts), and the camera zoom factor.
 _positive_int_arg = _number_arg(int, 1)
 _resolution_arg = _number_arg(int, 4)
 _zoom_arg = _number_arg(float, 0, strict=True)
@@ -159,11 +158,6 @@ def _add_common(
         "--bins", type=int, default=None,
         help="simplify the tree to ~N scalar levels before drawing",
     )
-    _add_build(parser, measure_type)
-
-
-def _add_build(parser: argparse.ArgumentParser, measure_type) -> None:
-    """``--measure``, ``--cache-dir`` and the accel/obs/resil flags."""
     kind = "vertex" if measure_type is _vertex_measure_arg else None
     parser.add_argument(
         "--measure", default="kcore", type=measure_type,
@@ -185,7 +179,7 @@ def _add_resil(parser: argparse.ArgumentParser) -> None:
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing: "
              "'site:occurrences[:param]' rules joined by ';' (e.g. "
-             "'worker_kill:1;fragment_corrupt:1'); sites: "
+             "'worker_kill:1;task_delay:*:0.05'); sites: "
              + ", ".join(resil_faults.SITES)
              + " (default: $REPRO_FAULTS if set, else off)",
     )
@@ -296,86 +290,6 @@ def _cmd_prof(args) -> int:
         f"{collapsed_path}, {svg_path}"
     )
     return rc
-
-
-def _cmd_dist_build(args) -> int:
-    """Build a scalar tree out of core and report the shard/merge
-    summary: stream ``--edge-list`` into sha256-verified shards under
-    ``--scatter-dir``, reduce them one after another, and merge.  For
-    shard-mergeable measures like ``degree`` the global CSR is never
-    materialized (unless ``--verify`` asks for the reference build).
-    """
-    import json as json_mod
-    import time as time_mod
-
-    from .core.serialize import save_tree
-    from .dist import build_tree, merged_field, resilient_scatter
-    from .engine.cache import fingerprint_array
-    from .engine.pipeline import STAGE_BUILD_SECONDS
-    from .graph.io import read_edge_list
-
-    # --measure is parse-time validated to a vertex measure.
-    if not Path(args.edge_list).exists():
-        raise SystemExit(f"edge list not found: {args.edge_list}")
-    cache = _cache(args)
-
-    t0 = time_mod.perf_counter()
-    # Resilient scatter: fragments are sha256-verified on reload, bad
-    # ones quarantined and the scatter re-run (bounded retries).
-    scatter, shards = resilient_scatter(
-        args.edge_list, args.shards, args.scatter_dir,
-        method=args.partitioner,
-        chunk_edges=args.chunk_edges,
-        max_buffer_bytes=args.max_buffer_mb * (1 << 20),
-    )
-    print(
-        f"scattered {scatter.stats['n_edges']} edges into "
-        f"{args.shards} {args.partitioner} shards (peak buffer "
-        f"{scatter.stats['peak_buffered_bytes']} B, limit "
-        f"{scatter.stats['buffer_limit_bytes']} B)"
-    )
-    scalars = merged_field(args.measure, shards)
-    graph = None
-    if scalars is None:
-        graph = read_edge_list(args.edge_list)
-        scalars = registry.compute(args.measure, graph)
-    tree, summary = build_tree(
-        scalars, shards, cache=cache,
-        scalars_fingerprint=fingerprint_array(scalars),
-    )
-    if args.verify:
-        if graph is None:
-            graph = read_edge_list(args.edge_list)
-        _verify_dist(tree, graph, scalars)
-    seconds = time_mod.perf_counter() - t0
-    # Same number the print below reports, mirrored into the global
-    # registry so --metrics and /metrics tell the same story.
-    STAGE_BUILD_SECONDS.observe(seconds, stage="dist_build")
-
-    print(f"dist-build {args.measure}: {tree.n_nodes} nodes, "
-          f"{len(tree.roots)} roots in {seconds:.2f}s")
-    print(json_mod.dumps(summary, indent=2, sort_keys=True))
-    if args.verify:
-        print("verify: sharded tree identical to single-process build")
-    if args.output:
-        save_tree(tree, args.output)
-        print(f"tree -> {args.output}")
-    return 0
-
-
-def _verify_dist(tree, graph, scalars) -> None:
-    """Assert the sharded tree equals the single-process build."""
-    from .core import ScalarGraph, build_vertex_tree
-
-    ref = build_vertex_tree(ScalarGraph(graph, scalars))
-    if not (
-        np.array_equal(tree.parent, ref.parent)
-        and np.array_equal(tree.scalars, ref.scalars)
-    ):
-        raise SystemExit(
-            "verify FAILED: sharded tree differs from the "
-            "single-process build"
-        )
 
 
 def _cmd_correlate(args) -> int:
@@ -843,54 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="the command to profile, after an optional '--'",
     )
     prof.set_defaults(func=_cmd_prof)
-
-    dist_build = sub.add_parser(
-        "dist-build",
-        help="build a scalar tree out of core from on-disk shards, print "
-             "the shard/merge summary",
-        description=(
-            "Stream the edge list from disk into per-shard fragments "
-            "(bounded buffers, sha256-verified on reload), reduce each "
-            "shard's merge forest in turn, and merge into a tree "
-            "identical to the single-process build.  Shard-mergeable "
-            "measures like 'degree' never materialize the global graph."
-        ),
-    )
-    dist_build.add_argument(
-        "--edge-list", required=True,
-        help="path to a SNAP-style edge list to scatter into shards",
-    )
-    dist_build.add_argument(
-        "--scatter-dir", required=True, metavar="DIR",
-        help="write the per-shard fragments and manifests under DIR",
-    )
-    _add_build(dist_build, _vertex_measure_arg)
-    dist_build.add_argument(
-        "--partitioner", default="hash", choices=("hash", "range", "degree"),
-        help="edge partitioner (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--shards", type=_positive_int_arg, default=2,
-        help="shard count (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--chunk-edges", type=_positive_int_arg, default=65536,
-        help="streaming chunk size in edges (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--max-buffer-mb", type=_positive_int_arg, default=8,
-        help="scatter buffer budget in MiB (default: %(default)s)",
-    )
-    dist_build.add_argument(
-        "--verify", action="store_true",
-        help="also run the single-process build and assert the trees "
-             "are identical",
-    )
-    dist_build.add_argument(
-        "-o", "--output", default=None,
-        help="write the merged tree as JSON (repro.core.serialize)",
-    )
-    dist_build.set_defaults(func=_cmd_dist_build)
 
     correlate = sub.add_parser(
         "correlate", help="GCI and outliers of two vertex measures"

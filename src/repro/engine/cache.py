@@ -304,7 +304,7 @@ class ArtifactCache:
             if resil_faults.active() and resil_faults.should_fire(
                 "cache_corrupt"
             ) is not None:
-                resil_faults.corrupt_file(self._path(key), mode="truncate")
+                resil_faults.corrupt_file(self._path(key))
         return value
 
     def clear(self, disk: bool = False) -> None:

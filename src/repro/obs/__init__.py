@@ -21,8 +21,8 @@ The observability layer the rest of the system reports through:
 Instrumented layers: :class:`~repro.engine.pipeline.Pipeline` stages,
 the :func:`~repro.terrain.render.render_terrain` sink (mesh, render and
 encode spans), :class:`~repro.engine.cache.ArtifactCache` tiers,
-:func:`~repro.dist.executor.build_tree` shard reductions, every
-:mod:`repro.serve` request, and :mod:`repro.stream` replay batches.
+every :mod:`repro.serve` request, and :mod:`repro.stream` replay
+batches.
 Enable tracing with the global ``--trace PATH`` CLI flag or
 ``$REPRO_TRACE``; both write JSONL convertible to Chrome trace JSON
 via :func:`~repro.obs.trace.chrome_trace_from_jsonl`.

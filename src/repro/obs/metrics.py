@@ -3,8 +3,8 @@ Prometheus text-format exposition (stdlib-only).
 
 One :class:`Registry` (the module-level :data:`REGISTRY`) is shared by
 every instrumented layer — the artifact cache, pipeline stages, the
-out-of-core shard build, the HTTP server, stream replay — so ``GET /metrics``
-and the CLI's ``--metrics`` flag expose one coherent snapshot.
+HTTP server, stream replay — so ``GET /metrics`` and the CLI's
+``--metrics`` flag expose one coherent snapshot.
 
 Metric families are cheap and always-on (an increment is one lock and
 one float add; there is no per-event allocation beyond the label

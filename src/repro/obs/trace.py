@@ -1,7 +1,7 @@
 """Hierarchical spans with pluggable exporters (stdlib-only).
 
 A *span* is one timed unit of work — a pipeline stage, a cache lookup,
-an HTTP request, a per-shard reduce job — recorded as a plain dict::
+an HTTP request, a stream replay batch — recorded as a plain dict::
 
     {"name": "stage.tree", "id": "1a2f-3", "parent": "1a2f-1",
      "ts_us": 1700000000000000.0, "dur_us": 8123.4,

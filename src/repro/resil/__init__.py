@@ -7,7 +7,7 @@ Two halves:
   keys, and an admission gate with an interactive-priority reserve.
 - :mod:`repro.resil.faults` — a deterministic fault-injection harness
   driven by ``REPRO_FAULTS`` / ``--faults``: kill pool workers, delay or
-  fail tasks, corrupt shard fragments and disk-cache envelopes, and fail
+  fail tasks and pipeline stages, corrupt disk-cache envelopes, and fail
   native compiles, all on an exact occurrence schedule so every failure
   path is testable and reproducible.
 

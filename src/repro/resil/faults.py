@@ -2,7 +2,7 @@
 
 A schedule is a ``;``-joined list of rules, one per *site*::
 
-    REPRO_FAULTS="worker_kill:1;task_delay:2,3:0.05;fragment_corrupt:1"
+    REPRO_FAULTS="worker_kill:1;task_delay:2,3:0.05;cache_corrupt:1"
 
 Each rule is ``site:occurrences[:param]``:
 
@@ -10,7 +10,13 @@ Each rule is ``site:occurrences[:param]``:
 - ``occurrences`` — which 1-based passes through the site fire: a
   single number (``3``), a comma list (``1,4``), an inclusive range
   (``2-5``), or ``*`` (every pass);
-- ``param`` — optional float, site-specific (seconds for ``task_delay``).
+- ``param`` — optional number from 0 to :data:`MAX_PARAM`, site-specific
+  (seconds for ``task_delay``).
+
+A rule that could never fire (pass 0, a reversed range) or whose param
+could not be honoured (nan, negative, or over a day) is a
+``ValueError`` at parse time, not a silent no-op or an error inside the
+faulted job.
 
 Sites wired through the codebase:
 
@@ -20,9 +26,6 @@ Sites wired through the codebase:
 ``task_fail``           a pool job raises :class:`InjectedFault`
 ``task_delay``          a pool job sleeps ``param`` seconds first
 ``stage_fail``          a pipeline stage build raises before running
-``fragment_corrupt``    ``scatter_edge_list`` flips a byte in a shard
-                        fragment after writing it
-``fragment_truncate``   ...or truncates the fragment instead
 ``cache_corrupt``       ArtifactCache truncates a disk envelope it just
                         wrote
 ``compile_fail``        the native-kernel compile aborts (soft fallback)
@@ -55,7 +58,6 @@ __all__ = [
     "active",
     "should_fire",
     "maybe_fail",
-    "maybe_delay",
     "wrap_job",
     "corrupt_file",
     "snapshot",
@@ -63,13 +65,15 @@ __all__ = [
 
 ENV_VAR = "REPRO_FAULTS"
 
+#: Largest rule param: a ``task_delay`` of one day.  ``time.sleep``
+#: fails from about 9.2e9 seconds on, and no useful delay is that long.
+MAX_PARAM = 86400.0
+
 SITES = (
     "worker_kill",
     "task_fail",
     "task_delay",
     "stage_fail",
-    "fragment_corrupt",
-    "fragment_truncate",
     "cache_corrupt",
     "compile_fail",
 )
@@ -91,6 +95,11 @@ class FaultRule:
             raise ValueError(
                 f"unknown fault site {site!r} (known: {', '.join(SITES)})"
             )
+        if param is not None and not 0.0 <= param <= MAX_PARAM:
+            raise ValueError(
+                f"rule for {site!r} has param {param!r} "
+                f"(want a number from 0 to {MAX_PARAM:g})"
+            )
         self.site = site
         self.param = param
         self.all = occurrences == "*"
@@ -100,13 +109,25 @@ class FaultRule:
             if "-" in occurrences:
                 lo, _, hi = occurrences.partition("-")
                 self.low, self.high = int(lo), int(hi)
+                if self.low > self.high:
+                    raise ValueError(
+                        f"rule for {site!r} has a reversed range "
+                        f"{occurrences!r}"
+                    )
+                first = self.low
             else:
                 self.chosen = tuple(
                     int(part) for part in occurrences.split(",") if part
                 )
-            if (self.low, self.high) == (0, 0) and not self.chosen:
+                if not self.chosen:
+                    raise ValueError(
+                        f"rule for {site!r} has no occurrences"
+                    )
+                first = min(self.chosen)
+            if first < 1:
                 raise ValueError(
-                    f"rule for {site!r} has no occurrences"
+                    f"rule for {site!r} names pass {first} "
+                    "(passes count from 1)"
                 )
 
     def fires_at(self, n: int) -> bool:
@@ -221,16 +242,6 @@ def maybe_fail(site: str, detail: str = "") -> None:
         raise InjectedFault(site, detail)
 
 
-def maybe_delay(site: str = "task_delay") -> float:
-    """Sleep the rule's param if ``site`` fires; seconds actually slept."""
-    rule = should_fire(site)
-    if rule is None:
-        return 0.0
-    pause = rule.param if rule.param is not None else 0.05
-    time.sleep(pause)
-    return pause
-
-
 def snapshot() -> Optional[dict]:
     sched = _ACTIVE if _LOADED else schedule()
     return sched.snapshot() if sched is not None else None
@@ -276,11 +287,11 @@ def _worker_suicide() -> None:  # pragma: no cover - dies by design
 
 
 # ----------------------------------------------------------------------
-# File corruption (shard fragments, cache envelopes)
+# File corruption (cache envelopes)
 # ----------------------------------------------------------------------
-def corrupt_file(path: os.PathLike, mode: str = "corrupt") -> bool:
-    """Flip the last byte (``corrupt``) or drop the back half
-    (``truncate``) of ``path``; False when the file is missing/empty."""
+def corrupt_file(path: os.PathLike) -> bool:
+    """Drop the back half of ``path``, as a writer killed mid-write
+    would; False when the file is missing or empty."""
     try:
         size = os.path.getsize(path)
     except OSError:
@@ -288,11 +299,5 @@ def corrupt_file(path: os.PathLike, mode: str = "corrupt") -> bool:
     if size <= 0:
         return False
     with open(path, "r+b") as handle:
-        if mode == "truncate":
-            handle.truncate(max(1, size // 2))
-        else:
-            handle.seek(size - 1)
-            byte = handle.read(1)
-            handle.seek(size - 1)
-            handle.write(bytes((byte[0] ^ 0xFF,)))
+        handle.truncate(max(1, size // 2))
     return True

@@ -70,6 +70,12 @@ class InjectedFault(TransientFault):
             f"injected fault at {site!r}" + (f": {detail}" if detail else "")
         )
         self.site = site
+        self.detail = detail
+
+    def __reduce__(self):
+        # A process-pool job's fault crosses back to the parent by
+        # pickle; rebuild it from its own arguments, not the message.
+        return type(self), (self.site, self.detail)
 
 
 class DeadlineExceeded(TimeoutError):

@@ -243,28 +243,6 @@ class TestEquivalence:
         nat = build_edge_tree(eg, backend="native").parent
         assert np.array_equal(naive, nat)
 
-    @settings(max_examples=25, deadline=None)
-    @given(scalar_fields())
-    def test_keep_scan_matches_python(self, field):
-        """The dist shard reduction's native keep-scan selects exactly
-        the steps the Python scan keeps."""
-        graph, scalars = field
-        if graph.n_edges == 0:
-            return
-        order, rank = accel_tree.rank_order(scalars)
-        pairs = graph.edge_array()
-        ra, rb = rank[pairs[:, 0]], rank[pairs[:, 1]]
-        later = ra > rb
-        cur = np.where(later, pairs[:, 0], pairs[:, 1])
-        prev = np.where(later, pairs[:, 1], pairs[:, 0])
-        eorder = np.argsort(np.maximum(ra, rb))
-        cur, prev = cur[eorder], prev[eorder]
-        py = accel_tree.merge_scan_keep(
-            graph.n_vertices, cur, prev, backend="vector"
-        )
-        nat = native.reduce_scan(graph.n_vertices, cur, prev)
-        assert np.array_equal(py, nat)
-
 
 # ----------------------------------------------------------------------
 # Streaming replay kernel

@@ -1,5 +1,5 @@
-"""Instrumentation wiring: engine stages, the cache, dist builds, and
-the serve surfaces (/metrics, /stats spans, X-Request-Id, error logs)."""
+"""Instrumentation wiring: engine stages, the cache, and the serve
+surfaces (/metrics, /stats spans, X-Request-Id, error logs)."""
 
 import http.client
 import json
@@ -131,23 +131,6 @@ class TestPipelineSpans:
         assert cache.stats["misses"] == cache.stats["puts"]
 
 
-class TestDistSpans:
-    def test_build_tree_spans_cover_shard_reduces(self, ring):
-        from repro.dist import build_tree, partition_edges
-
-        graph = toy_graph()
-        scalars = np.asarray(
-            [float(d) for d in np.diff(graph.indptr)], dtype=np.float64
-        )
-        shards = partition_edges(graph, 2, method="hash")
-        build_tree(scalars, shards)
-        records = ring.snapshot()
-        build = next(r for r in records if r["name"] == "dist.build_tree")
-        reduces = [r for r in records if r["name"] == "dist.reduce_shard"]
-        assert len(reduces) == 2
-        assert all(r["parent"] == build["id"] for r in reduces)
-
-
 class TestServeSurfaces:
     @pytest.fixture
     def server(self, edge_list_file):
@@ -258,7 +241,6 @@ class TestMetricsFamilies:
     def test_global_registry_has_all_wired_families(self):
         # Importing the instrumented modules registers these; the set is
         # the contract scraped by CI's obs-smoke job.
-        import repro.dist.executor  # noqa: F401
         import repro.engine.pipeline  # noqa: F401
         import repro.serve.app  # noqa: F401
 
@@ -271,8 +253,6 @@ class TestMetricsFamilies:
             "repro_cache_bytes",
             "repro_stage_build_seconds",
             "repro_stream_batches_total",
-            "repro_dist_builds_total",
-            "repro_dist_reduce_jobs_total",
             "repro_http_responses_total",
             "repro_http_request_seconds",
             "repro_sse_sessions",

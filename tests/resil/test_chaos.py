@@ -9,13 +9,6 @@ import pytest
 
 from repro.accel.tree import rank_order, vertex_tree_parents
 from repro.core import ScalarGraph, build_vertex_tree
-from repro.dist import (
-    ShardIntegrityError,
-    partition_edges,
-    reduce_shard,
-    resilient_scatter,
-    scatter_edge_list,
-)
 from repro.engine import ArtifactCache, EdgeListSource, Pipeline, registry
 from repro.graph import generators
 from repro.graph.io import write_edge_list
@@ -35,6 +28,14 @@ def scalars(graph):
 
 
 @pytest.fixture(scope="module")
+def fields(graph):
+    return [
+        registry.compute(name, graph)
+        for name in ("degree", "kcore", "pagerank")
+    ]
+
+
+@pytest.fixture(scope="module")
 def reference_tree(graph, scalars):
     return build_vertex_tree(ScalarGraph(graph, scalars))
 
@@ -51,76 +52,72 @@ def assert_identical(tree, reference):
     assert np.array_equal(tree.scalars, reference.scalars)
 
 
-class TestShardedBuilds:
-    """Per-shard merge-forest reductions run one after another as
-    :class:`StageRunner` jobs: retry, process-pool respawn and give-up
-    must leave the reduced forests exactly as a fault-free run makes
-    them."""
+class TestRunnerJobs:
+    """One vertex-tree build per field, each a :class:`StageRunner`
+    job: retry, process-pool respawn and give-up must leave every
+    parent array exactly as :func:`build_vertex_tree` makes it, in
+    thread and process mode alike."""
 
     @staticmethod
-    def reduce_all(runner, graph, scalars, n_shards):
-        __, rank = rank_order(scalars)
+    def build_all(runner, graph, fields):
+        pairs = graph.edge_array()
         jobs = [
-            (graph.n_vertices, shard.edges, rank)
-            for shard in partition_edges(graph, n_shards, "hash")
+            (graph.n_vertices, pairs, rank_order(scalars)[1])
+            for scalars in fields
         ]
 
-        async def reduce_each():
+        async def build_each():
             return [
-                await runner.run(f"shard:{i}", reduce_shard, *job)
+                await runner.run(f"tree:{i}", vertex_tree_parents, *job)
                 for i, job in enumerate(jobs)
             ]
 
-        forests = asyncio.run(reduce_each())
-        assert all(
-            np.array_equal(forest, reduce_shard(*job))
-            for forest, job in zip(forests, jobs)
-        )
-        return vertex_tree_parents(
-            graph.n_vertices, np.concatenate(forests), rank
-        )
+        parents = asyncio.run(build_each())
+        for parent, scalars in zip(parents, fields):
+            reference = build_vertex_tree(ScalarGraph(graph, scalars))
+            assert np.array_equal(parent, reference.parent)
 
-    def test_task_faults_heal_to_identical_tree(
-        self, graph, scalars, reference_tree, fault_spec
+    @pytest.mark.parametrize("workers", [0, 2], ids=["thread", "process"])
+    def test_task_faults_heal_to_identical_trees(
+        self, graph, fields, fault_spec, workers
     ):
         fault_spec("task_fail:1,3;task_delay:2:0.01")
-        runner = StageRunner(workers=0)
+        runner = StageRunner(workers=workers)
         try:
-            parent = self.reduce_all(runner, graph, scalars, 3)
+            self.build_all(runner, graph, fields)
         finally:
             runner.shutdown()
-        assert np.array_equal(parent, reference_tree.parent)
-        assert runner.stats["retries"] >= 1
+        assert runner.stats["retries"] == 2
+        assert runner.stats["errors"] == 0
         assert faults.snapshot()["fired"]["task_fail"] == 2
 
-    def test_worker_kill_respawns_pool(
-        self, graph, scalars, reference_tree, fault_spec
-    ):
+    def test_worker_kill_respawns_pool(self, graph, fields, fault_spec):
         # Every pool task also sleeps a beat: the surviving worker must
         # not race through the queue before the runner notices the
         # kill, or no BrokenProcessPool is ever observed.
         fault_spec("worker_kill:1;task_delay:*:0.05")
         runner = StageRunner(workers=2)
         try:
-            parent = self.reduce_all(runner, graph, scalars, 4)
+            self.build_all(runner, graph, fields)
             assert runner.stats["respawns"] >= 1
         finally:
             runner.shutdown()
-        assert np.array_equal(parent, reference_tree.parent)
 
+    @pytest.mark.parametrize("workers", [0, 2], ids=["thread", "process"])
     def test_unbounded_faults_eventually_give_up(
-        self, graph, scalars, fault_spec
+        self, graph, fields, fault_spec, workers
     ):
         fault_spec("task_fail:*")
-        runner = StageRunner(workers=0)
+        runner = StageRunner(workers=workers)
         runner.retry.base_delay = 0.0
         try:
-            with pytest.raises(InjectedFault):
-                self.reduce_all(runner, graph, scalars, 2)
+            with pytest.raises(InjectedFault) as excinfo:
+                self.build_all(runner, graph, fields)
         finally:
             runner.shutdown()
-        # The default policy: four attempts on the first shard, then
+        # The default policy: four attempts on the first tree, then
         # the fault stands.
+        assert excinfo.value.site == "task_fail"
         assert runner.retry.max_attempts == 4
         assert runner.stats["retries"] == 3
         assert runner.stats["errors"] == 1
@@ -165,49 +162,6 @@ class TestPipelineChaos:
         second = Pipeline(EdgeListSource(edge_file), "degree", cache=reread)
         assert np.array_equal(second.tree.parent, tree.parent)
         assert reread.stats["corrupt"] >= 1
-
-
-class TestScatterChaos:
-    def test_corrupt_fragment_quarantined_and_rescattered(
-        self, graph, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_corrupt:1")
-        out = tmp_path / "healed"
-        result, shards = resilient_scatter(
-            edge_file, 2, out, method="hash"
-        )
-        assert len(shards) == 2
-        quarantined = list(out.glob("*.quarantined"))
-        assert quarantined, "bad fragment was not quarantined"
-        # The healed scatter is byte-identical to a clean one.
-        clean = scatter_edge_list(
-            edge_file, 2, tmp_path / "clean", method="hash"
-        ).load()
-        for healed, good in zip(shards, clean):
-            assert np.array_equal(healed.edges, good.edges)
-
-    def test_truncated_fragment_quarantined(
-        self, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_truncate:1:1")  # param 1 -> shard 1
-        out = tmp_path / "trunc"
-        result, shards = resilient_scatter(
-            edge_file, 2, out, method="hash"
-        )
-        assert len(shards) == 2
-        assert any(
-            "shard_0001" in path.name for path in out.glob("*.quarantined")
-        )
-
-    def test_unbounded_corruption_raises_integrity_error(
-        self, edge_file, tmp_path, fault_spec
-    ):
-        fault_spec("fragment_corrupt:*")
-        with pytest.raises(ShardIntegrityError):
-            resilient_scatter(
-                edge_file, 2, tmp_path / "doomed", method="hash",
-                max_attempts=2,
-            )
 
 
 class TestNativeCompileChaos:

@@ -2,10 +2,44 @@
 corruption helpers, and pool-job wrapping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.resil import faults
 from repro.resil.faults import FaultRule, FaultSchedule
 from repro.resil.retry import InjectedFault
+
+
+_NUMBERS = st.integers(-2, 12).map(str)
+_OCCURRENCES = st.one_of(
+    st.just("*"),
+    _NUMBERS,
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join),
+    st.tuples(_NUMBERS, _NUMBERS).map("-".join),
+    st.text(max_size=6),
+)
+_PARAMS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-1", "1e400", "0", ""]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _fault_specs(draw):
+    """``;``-joined rules over real and junk sites, with occurrence
+    lists, ranges and params drawn around the edges of the grammar."""
+    rules = []
+    for _ in range(draw(st.integers(0, 3))):
+        site = draw(
+            st.one_of(st.sampled_from(faults.SITES), st.text(max_size=8))
+        )
+        rule = f"{site}:{draw(_OCCURRENCES)}"
+        if draw(st.booleans()):
+            rule += ":" + draw(_PARAMS)
+        rules.append(rule)
+    return draw(st.sampled_from([";", "; "])).join(rules)
 
 
 class TestParsing:
@@ -34,10 +68,10 @@ class TestParsing:
 
     def test_param_and_multiple_rules(self):
         schedule = FaultSchedule.parse(
-            "task_delay:1:0.25; fragment_corrupt:2"
+            "task_delay:1:0.25; cache_corrupt:2"
         )
         assert schedule.rules["task_delay"].param == 0.25
-        assert schedule.rules["fragment_corrupt"].param is None
+        assert schedule.rules["cache_corrupt"].param is None
         assert len(schedule.rules) == 2
 
     def test_rejects_unknown_site(self):
@@ -51,6 +85,53 @@ class TestParsing:
             FaultSchedule.parse("task_fail:1;task_fail:2")
         with pytest.raises(ValueError, match="no occurrences"):
             FaultRule("task_fail", "", None)
+
+    @pytest.mark.parametrize("spec, message", [
+        ("task_fail:0", "names pass 0"),
+        ("task_fail:2,0", "names pass 0"),
+        ("task_fail:0-3", "names pass 0"),
+        ("task_fail:5-2", "reversed range"),
+        ("task_delay:1:nan", "has param nan"),
+        ("task_delay:1:-1", "has param -1"),
+        ("task_delay:1:inf", "has param inf"),
+        ("task_delay:1:1e10", "has param 1"),
+    ])
+    def test_rejects_rules_that_cannot_fire_or_sleep(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            FaultSchedule.parse(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.one_of(st.text(max_size=30), _fault_specs()))
+    def test_parse_yields_firing_rules_or_value_error(self, spec):
+        try:
+            schedule = FaultSchedule.parse(spec)
+        except ValueError:
+            return
+        for rule in schedule.rules.values():
+            first = 1 if rule.all else min(rule.chosen or (rule.low,))
+            assert first >= 1 and rule.fires_at(first)
+            assert rule.param is None or (
+                0.0 <= rule.param <= faults.MAX_PARAM
+            )
+
+
+class TestCLI:
+    @pytest.mark.parametrize("spec", [
+        "task_fail:0",
+        "task_fail:5-2",
+        "task_delay:1:nan",
+        "task_delay:1:-1",
+        "task_delay:1:inf",
+    ])
+    def test_bad_rule_is_a_one_line_exit(self, spec, fault_spec, monkeypatch):
+        # fault_spec and monkeypatch undo what main() installs and
+        # exports, should a spec ever parse.
+        monkeypatch.setenv(faults.ENV_VAR, "")
+        with pytest.raises(SystemExit) as exc:
+            main(["peaks", "--dataset", "amazon", "--faults", spec])
+        message = str(exc.value.code)
+        assert message.startswith("--faults: ")
+        assert "\n" not in message
 
 
 class TestCounting:
@@ -106,14 +187,6 @@ class TestModuleGlobals:
         assert faults.active()
         assert faults.schedule().spec == "task_fail:1"
 
-    def test_maybe_delay_sleeps_param(self, fault_spec, monkeypatch):
-        fault_spec("task_delay:1:0.02")
-        naps = []
-        monkeypatch.setattr(faults.time, "sleep", naps.append)
-        assert faults.maybe_delay() == 0.02
-        assert naps == [0.02]
-        assert faults.maybe_delay() == 0.0  # pass 2: no fire
-
 
 class TestWrapJob:
     def test_identity_without_schedule(self, fault_spec):
@@ -134,12 +207,10 @@ class TestWrapJob:
 
 
 class TestCorruptFile:
-    def test_flip_and_truncate(self, tmp_path):
+    def test_truncates_back_half(self, tmp_path):
         victim = tmp_path / "payload.bin"
         victim.write_bytes(b"\x01\x02\x03\x04")
         assert faults.corrupt_file(victim)
-        assert victim.read_bytes() == b"\x01\x02\x03\xfb"
-        assert faults.corrupt_file(victim, mode="truncate")
         assert victim.read_bytes() == b"\x01\x02"
 
     def test_missing_or_empty_file(self, tmp_path):

@@ -1,5 +1,7 @@
 """Retry/backoff, deadlines, circuit breaker, and admission control."""
 
+import pickle
+
 import pytest
 
 from repro.resil.retry import (
@@ -110,6 +112,14 @@ class TestRetryCall:
                 deadline=deadline,
                 sleep=lambda _: None,
             )
+
+
+class TestInjectedFault:
+    def test_survives_pickling(self):
+        # A process-pool job's fault reaches the parent by pickle.
+        fault = pickle.loads(pickle.dumps(InjectedFault("task_fail", "x")))
+        assert fault.site == "task_fail"
+        assert str(fault) == "injected fault at 'task_fail': x"
 
 
 class TestDeadline:

@@ -513,33 +513,6 @@ class TestEvolveCommand:
         assert f"{bad}:2: non-finite weight" in str(exc.value.code)
 
 
-class TestDistBuildCommand:
-    @pytest.mark.parametrize("flag, value", [
-        ("--shards", "0"),
-        ("--shards", "-1"),
-        ("--chunk-edges", "0"),
-        ("--chunk-edges", "-5"),
-        ("--max-buffer-mb", "0"),
-        ("--max-buffer-mb", "-1"),
-    ])
-    def test_bad_size_is_one_line_usage_error(
-        self, edge_list_file, tmp_path, capsys, flag, value
-    ):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "dist-build", "--edge-list", edge_list_file,
-                "--scatter-dir", str(tmp_path / "shards"), flag, value,
-            ])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.strip().splitlines()[-1] == (
-            f"repro dist-build: error: argument {flag}: "
-            f"must be >= 1, got '{value}'"
-        )
-        assert not (tmp_path / "shards").exists()
-
-
 class TestServeEvolveFlags:
     def test_bad_evolve_log_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--evolve-log"):
