@@ -4,17 +4,20 @@ Every hot stage of the pipeline (tree construction, traversal-based
 measures, layout relaxation, heightfield rasterization) has two
 implementations: the *naive* reference code that lives next to the
 algorithm it implements, and a numpy-vectorized *kernel* in this
-package.  The sequential union-find merge scan and k-truss peel have a
-third, *native* tier compiled at first use from embedded C and loaded
-with ctypes (:mod:`repro.accel.native`); the truss peel has no vector
-kernel.  The contract is strict across all tiers:
-for any input, every backend produces the **same arrays** — identical
-``parent`` pointers, identical integer measure vectors, identical
-layouts and heightfields (float centrality accumulations agree to
-1e-9; everything else is byte-identical).  The property suite in
-``tests/accel/`` enforces this, so the backends are interchangeable
-mid-pipeline and share one cache identity (an
-:class:`~repro.engine.cache.ArtifactCache` hit bypasses all of them).
+package.  The sequential union-find merge scan, the k-truss peel and
+the terrain renderer's z-buffer have a third, *native* tier compiled at
+first use from embedded C and loaded with ctypes
+(:mod:`repro.accel.native`); the truss peel has no vector kernel, and
+the z-buffer's numpy pair pass serves both ``naive`` and ``vector``.
+The contract is strict across all tiers: for any input, every backend
+produces the **same arrays** — identical ``parent`` pointers, identical
+integer measure vectors, identical layouts, heightfields and images
+(float centrality accumulations agree to 1e-9; everything else is
+byte-identical).  The property suites in ``tests/accel/`` and
+``tests/terrain/test_render_equivalence.py`` enforce this, so the
+backends are interchangeable mid-pipeline and share one cache identity
+(an :class:`~repro.engine.cache.ArtifactCache` hit bypasses all of
+them).
 
 Backend selection is a process-global setting:
 
@@ -25,10 +28,10 @@ Backend selection is a process-global setting:
   dispatch overhead);
 * ``naive`` — always the pure-Python reference path;
 * ``vector`` — always the numpy kernels;
-* ``native`` — the compiled C kernels (merge scans, truss peel) where
-  they exist, the vector kernels everywhere else.  **Soft fallback**:
-  when no toolchain exists or compilation fails, native degrades to vector
-  with one logged warning and a
+* ``native`` — the compiled C kernels (merge scans, truss peel,
+  z-buffer) where they exist, the vector kernels everywhere else.
+  **Soft fallback**: when no toolchain exists or compilation fails,
+  native degrades to vector with one logged warning and a
   ``repro_accel_native_fallbacks_total`` increment — never an error.
 
 Configure it with :func:`set_backend`, the ``REPRO_ACCEL`` environment

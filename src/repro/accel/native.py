@@ -1,11 +1,13 @@
-"""Self-compiled C kernels for the union-find merge scans and k-truss.
+"""Self-compiled C kernels: union-find merge scans, k-truss, z-buffer.
 
-Two sequential loops resist numpy: the union-find scan of Algorithms 1
-and 3 (:func:`repro.accel.tree.merge_scan`) and the k-truss peel behind
-Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`).  This
-module compiles the scan (path-halving find, union by size, group-root
-caching, in two flavours) and the bin-sort truss peel of Wang & Cheng
-(PVLDB 2012) **at first use** from the embedded C source below, using
+Three sequential loops resist numpy: the union-find scan of Algorithms 1
+and 3 (:func:`repro.accel.tree.merge_scan`), the k-truss peel behind
+Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`), and
+the terrain renderer's face-by-face z-buffer
+(:func:`repro.terrain.render.render_mesh`).  This module compiles the
+scan (path-halving find, union by size, group-root caching, in two
+flavours), the bin-sort truss peel of Wang & Cheng (PVLDB 2012) and the
+z-buffer **at first use** from the embedded C source below, using
 whatever system compiler is around (``$CC``, else ``cc``/``gcc``/
 ``clang``), and loads it with stdlib :mod:`ctypes`.  No build system,
 no wheels, no new dependencies.
@@ -14,8 +16,9 @@ Design points:
 
 * **Disk cache.**  The shared object lands in ``$REPRO_NATIVE_CACHE``
   (default ``~/.cache/repro-native``) under a name keyed by a sha256 of
-  (C source, compiler version banner, platform), so compilation happens
-  once per machine and source or toolchain changes recompile cleanly.
+  (C source, compile command and flags, compiler version banner,
+  platform), so compilation happens once per machine and source, flag
+  or toolchain changes recompile cleanly.
   The compile writes to a unique temp name and ``os.replace``\\ s it in,
   so concurrent first calls (serve's process-pool workers) race
   benignly.
@@ -37,9 +40,11 @@ Design points:
 
 The kernels are semantically *identical* to their Python counterparts —
 same tie-breaks, same union-by-size swaps, same journal entry order,
-and truss numbers that no peel order changes — which keeps the backend
-out of every cache key.  Known-answer self-tests run right after each
-load, and a poisoned or stale cached ``.so`` is deleted, not trusted.
+truss numbers that no peel order changes, and z-buffer depths computed
+with the numpy pass's exact double operations in the same order (the
+flags forbid fused multiply-adds) — which keeps the backend out of
+every cache key.  Known-answer self-tests run right after each load,
+and a poisoned or stale cached ``.so`` is deleted, not trusted.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "merge_scan",
     "replay_scan",
     "truss_peel",
+    "zbuffer",
     "cache_dir",
     "info",
     "reset",
@@ -90,9 +96,17 @@ _AVAILABLE = obs_metrics.REGISTRY.gauge(
     "1 when the native kernels compiled and loaded, 0 after a fallback.",
 )
 
+#: The compile flags after ``$CC``.  ``-ffp-contract=off`` keeps every
+#: double product and sum of the z-buffer rounded on its own, as numpy
+#: rounds them: a fused multiply-add (which ``-march=native`` in ``$CC``
+#: would otherwise allow) could move a depth or an inside test by one
+#: ulp.  The integer kernels are unaffected.
+CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
 # ----------------------------------------------------------------------
-# The kernels.  int64 everywhere, matching the arrays the Python tiers
-# already use; callers allocate all buffers (no malloc in C).
+# The kernels.  int64 indices and counts, matching the arrays the Python
+# tiers already use, and float64 coordinates; callers allocate all
+# buffers (no malloc in C).
 # ----------------------------------------------------------------------
 C_SOURCE = r"""
 #include <stdint.h>
@@ -260,6 +274,50 @@ void repro_truss_peel(i64 m, const i64 *indptr, const i64 *indices,
         }
     }
 }
+
+/* repro.terrain.render's z-buffer.  The n_keep faces in keep are drawn
+ * in order; every pixel of a face's clipped box [min_x, max_x) x
+ * [min_y, max_y) is tested with the numpy pair pass's double arithmetic,
+ * operation for operation, and an inside pixel takes the face when its
+ * depth is strictly below zbuf's, so the earliest face wins a tie.
+ * xy: (x, y) per vertex; depth: view depth per vertex; faces: corner
+ * triples; zbuf (+inf) and owner (background id) are row-major images
+ * width pixels wide, updated in place. */
+void repro_zbuffer(i64 width, i64 n_keep, const i64 *keep,
+                   const i64 *faces, const double *xy, const double *depth,
+                   const i64 *min_x, const i64 *max_x,
+                   const i64 *min_y, const i64 *max_y,
+                   double *zbuf, i64 *owner) {
+    i64 i, px, py;
+    for (i = 0; i < n_keep; i++) {
+        i64 f = keep[i];
+        const i64 *c = faces + 3 * f;
+        double x0 = xy[2 * c[0]], y0 = xy[2 * c[0] + 1];
+        double dx1 = xy[2 * c[1]] - x0, dy1 = xy[2 * c[1] + 1] - y0;
+        double dx2 = xy[2 * c[2]] - x0, dy2 = xy[2 * c[2] + 1] - y0;
+        double area = dx1 * dy2 - dx2 * dy1;
+        double z0 = depth[c[0]], z1 = depth[c[1]], z2 = depth[c[2]];
+        for (py = min_y[f]; py < max_y[f]; py++) {
+            double rel_y = ((double)py + 0.5) - y0;
+            double *zrow = zbuf + py * width;
+            i64 *orow = owner + py * width;
+            for (px = min_x[f]; px < max_x[f]; px++) {
+                double rel_x = ((double)px + 0.5) - x0;
+                double w0 = (dx1 * rel_y - rel_x * dy1) / area;
+                double w1 = (rel_x * dy2 - dx2 * rel_y) / area;
+                /* Barycentrics: b1 = w1 (vertex 1), b2 = w0 (vertex 2). */
+                double b0 = 1.0 - w0 - w1, z;
+                if (!(b0 >= 0 && w0 >= 0 && w1 >= 0))
+                    continue;
+                z = b0 * z0 + w1 * z1 + w0 * z2;
+                if (z < zrow[px]) {
+                    zrow[px] = z;
+                    orow[px] = f;
+                }
+            }
+        }
+    }
+}
 """
 
 
@@ -335,8 +393,9 @@ def _compiler_banner(cc: list) -> str:
 
 def _digest(cc: list) -> str:
     h = hashlib.sha256()
-    for part in (C_SOURCE, " ".join(cc), _compiler_banner(cc),
-                 platform.platform(), platform.machine()):
+    for part in (C_SOURCE, " ".join(cc), " ".join(CFLAGS),
+                 _compiler_banner(cc), platform.platform(),
+                 platform.machine()):
         h.update(part.encode())
         h.update(b"\0")
     return h.hexdigest()[:16]
@@ -351,14 +410,25 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_replay_scan.restype = i
     lib.repro_truss_peel.argtypes = [i] + [p] * 8
     lib.repro_truss_peel.restype = None
+    d = ctypes.POINTER(ctypes.c_double)
+    lib.repro_zbuffer.argtypes = [i, i, p, p, d, d, p, p, p, p, d, p]
+    lib.repro_zbuffer.restype = None
     return lib
+
+
+#: The z-buffer self-test's 4x4 owners, row by row: a far triangle
+#: (face 0) below the diagonal, a near one (face 1) on and above it,
+#: and a copy of face 0 (face 2) that ties it exactly and must lose.
+_ZBUFFER_OWNERS = [1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0, 3, 3, 1]
 
 
 def _self_test(lib: ctypes.CDLL) -> bool:
     """Known answers against a stale or corrupt cached .so: chain 0-1-2
     merge-scanned as 1, 2 gives parents [1, 2, -1]; K4 on 0..3 plus a
     pendant (3, 4) and a fin triangle 0-1-5 gives truss 2 on the clique,
-    0 on the pendant and 1 on the fin, which takes (0, 1) down from 3."""
+    0 on the pendant and 1 on the fin, which takes (0, 1) down from 3;
+    and the z-buffer gives a pixel to the nearest face, to the earliest
+    of two exactly tied ones, and to none outside every face."""
     cur = np.array([1, 2], dtype=np.int64)
     prev = np.array([0, 1], dtype=np.int64)
     parent = np.empty(3, dtype=np.int64)
@@ -374,7 +444,18 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         [3, 2, 2, 1, 2, 2, 1, 2, 0], lib=lib,
     )
     expected = [2, 2, 2, 1, 2, 2, 1, 2, 0]
-    return parent.tolist() == [1, 2, -1] and truss.tolist() == expected
+    corners = [(0, 0), (4, 0), (0, 4), (0, 0), (4, 0), (4, 4)]
+    lo, hi = np.zeros(3, dtype=np.int64), np.full(3, 4, dtype=np.int64)
+    owner = zbuffer(
+        np.array(corners, dtype=np.float64), np.repeat([2.0, 1.0], 3),
+        np.array([(0, 1, 2), (3, 4, 5), (0, 1, 2)]), (lo, hi, lo, hi),
+        np.arange(3), 4, 4, lib=lib,
+    )
+    return (
+        parent.tolist() == [1, 2, -1]
+        and truss.tolist() == expected
+        and owner.tolist() == _ZBUFFER_OWNERS
+    )
 
 
 def _load_impl() -> ctypes.CDLL:
@@ -403,8 +484,7 @@ def _load_impl() -> ctypes.CDLL:
             c_path.write_text(C_SOURCE)
             tmp = directory / f"{so_path.stem}.{os.getpid()}.tmp.so"
             proc = subprocess.run(
-                cc + ["-O2", "-shared", "-fPIC", "-o", str(tmp),
-                      str(c_path)],
+                cc + [*CFLAGS, "-o", str(tmp), str(c_path)],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 timeout=120,
             )
@@ -489,6 +569,10 @@ def info() -> dict:
 # ----------------------------------------------------------------------
 def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_int64))
+
+
+def _dptr(arr: np.ndarray):
+    return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
 
 def _as_i64(arr) -> np.ndarray:
@@ -589,3 +673,53 @@ def truss_peel(
         _ptr(sup), _ptr(order), _ptr(pos), _ptr(bins),
     )
     return sup
+
+
+def zbuffer(
+    xy: np.ndarray,
+    depth: np.ndarray,
+    faces: np.ndarray,
+    box,
+    keep: np.ndarray,
+    width: int,
+    height: int,
+    lib=None,
+) -> Optional[np.ndarray]:
+    """The face that owns each pixel of a ``width`` x ``height`` image,
+    row-major, ``len(faces)`` where no kept face covers it; None when
+    unavailable.
+
+    ``xy`` and ``depth`` are the projected vertices, ``faces`` their
+    corner triples, ``box`` the per-face pixel bounds ``(min_x, max_x,
+    min_y, max_y)``, already clipped to the image, and ``keep`` the
+    faces to draw, in drawing order.  Indices and bounds are checked
+    here, since the kernel trusts them (``ValueError``)."""
+    lib = load() if lib is None else lib
+    if lib is None:
+        return None
+    xy = np.ascontiguousarray(xy, dtype=np.float64)
+    depth = np.ascontiguousarray(depth, dtype=np.float64)
+    faces, keep = _as_i64(faces), _as_i64(keep)
+    box = tuple(_as_i64(b) for b in box)
+    n_faces = len(faces)
+    if (xy.shape != (len(depth), 2) or faces.shape != (n_faces, 3)
+            or keep.ndim != 1 or len(box) != 4
+            or any(b.shape != (n_faces,) for b in box)):
+        raise ValueError("zbuffer: mismatched array shapes")
+    if len(keep) and (keep.min() < 0 or keep.max() >= n_faces):
+        raise ValueError("zbuffer: a kept face id is out of range")
+    limits = (width, width, height, height)
+    if n_faces and (
+        faces.min() < 0 or faces.max() >= len(depth)
+        or any(b.min() < 0 or b.max() > hi for b, hi in zip(box, limits))
+    ):
+        raise ValueError("zbuffer: a corner or a box is out of range")
+    min_x, max_x, min_y, max_y = box
+    zbuf = np.full(width * height, np.inf)
+    owner = np.full(width * height, len(faces), dtype=np.int64)
+    lib.repro_zbuffer(
+        width, len(keep), _ptr(keep), _ptr(faces), _dptr(xy), _dptr(depth),
+        _ptr(min_x), _ptr(max_x), _ptr(min_y), _ptr(max_y),
+        _dptr(zbuf), _ptr(owner),
+    )
+    return owner

@@ -14,9 +14,9 @@ Each rule is ``site:occurrences[:param]``:
   (seconds for ``task_delay``).
 
 A rule that could never fire (pass 0, a reversed range) or whose param
-could not be honoured (nan, negative, or over a day) is a
-``ValueError`` at parse time, not a silent no-op or an error inside the
-faulted job.
+could not be honoured (nan, negative, or over a day), and a field that
+is not a number, is a ``ValueError`` at parse time that names the rule
+and the field, not a silent no-op or an error inside the faulted job.
 
 Sites wired through the codebase:
 
@@ -106,24 +106,27 @@ class FaultRule:
         self.low = self.high = 0
         self.chosen: Tuple[int, ...] = ()
         if not self.all:
-            if "-" in occurrences:
-                lo, _, hi = occurrences.partition("-")
-                self.low, self.high = int(lo), int(hi)
-                if self.low > self.high:
-                    raise ValueError(
-                        f"rule for {site!r} has a reversed range "
-                        f"{occurrences!r}"
+            try:
+                if "-" in occurrences:
+                    lo, _, hi = occurrences.partition("-")
+                    self.low, self.high = int(lo), int(hi)
+                else:
+                    self.chosen = tuple(
+                        int(part) for part in occurrences.split(",") if part
                     )
-                first = self.low
-            else:
-                self.chosen = tuple(
-                    int(part) for part in occurrences.split(",") if part
+            except ValueError:
+                raise ValueError(
+                    f"rule for {site!r} has occurrences {occurrences!r} "
+                    "(want *, N, N,M,... or N-M)"
+                ) from None
+            if self.low > self.high:
+                raise ValueError(
+                    f"rule for {site!r} has a reversed range "
+                    f"{occurrences!r}"
                 )
-                if not self.chosen:
-                    raise ValueError(
-                        f"rule for {site!r} has no occurrences"
-                    )
-                first = min(self.chosen)
+            if not self.chosen and "-" not in occurrences:
+                raise ValueError(f"rule for {site!r} has no occurrences")
+            first = min(self.chosen) if self.chosen else self.low
             if first < 1:
                 raise ValueError(
                     f"rule for {site!r} names pass {first} "
@@ -155,6 +158,8 @@ class FaultSchedule:
 
     @classmethod
     def parse(cls, spec: str) -> "FaultSchedule":
+        """The schedule of a ``;``-joined spec; a ``ValueError`` names
+        the first rule that cannot be parsed or honoured."""
         rules: Dict[str, FaultRule] = {}
         for chunk in spec.split(";"):
             chunk = chunk.strip()
@@ -167,10 +172,21 @@ class FaultSchedule:
                     "(want site:occurrences[:param])"
                 )
             site, occurrences = parts[0].strip(), parts[1].strip()
-            param = float(parts[2]) if len(parts) == 3 else None
             if site in rules:
-                raise ValueError(f"duplicate fault rule for site {site!r}")
-            rules[site] = FaultRule(site, occurrences, param)
+                raise ValueError(
+                    f"duplicate fault rule {chunk!r} for site {site!r}"
+                )
+            try:
+                param = float(parts[2]) if len(parts) == 3 else None
+            except ValueError:
+                raise ValueError(
+                    f"bad fault rule {chunk!r}: rule for {site!r} has param "
+                    f"{parts[2]!r} (want a number from 0 to {MAX_PARAM:g})"
+                ) from None
+            try:
+                rules[site] = FaultRule(site, occurrences, param)
+            except ValueError as exc:
+                raise ValueError(f"bad fault rule {chunk!r}: {exc}") from None
         return cls(rules, spec=spec)
 
     def should_fire(self, site: str) -> Optional[FaultRule]:

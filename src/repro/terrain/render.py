@@ -2,9 +2,12 @@
 
 A from-scratch replacement for the paper's OpenGL viewer, so the whole
 terrain pipeline runs headless: project triangles through an orbit
-:class:`~repro.terrain.camera.Camera`, fill them with batched
-barycentric rasterization into a numpy z-buffer, shade with a single
-directional light, and write PNG (stdlib zlib) or binary PPM.
+:class:`~repro.terrain.camera.Camera`, fill them by barycentric
+rasterization into a z-buffer, shade with a single directional light,
+and write PNG (stdlib zlib) or binary PPM.  The z-buffer runs in the
+native tier's C kernel (:func:`repro.accel.native.zbuffer`) where a
+compiler is present, and as a batched numpy pass otherwise; both do the
+same double arithmetic and write the same image byte for byte.
 
 High-level entry point: :func:`render_terrain` — scalar graph/tree in,
 image (and optional file) out.
@@ -19,6 +22,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from .. import accel
+from ..accel import native as _native
 from ..core.super_tree import SuperTree
 from ..obs import trace as obs_trace
 from .camera import Camera
@@ -45,15 +50,39 @@ _PAIR_BUDGET = 1 << 14
 
 def _shade_faces(mesh: TerrainMesh, ambient: float) -> np.ndarray:
     """Lambert-shaded (m, 3) face colours under the fixed light."""
-    tri = mesh.vertices[mesh.faces]
-    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    # One (m, 3) slab per corner; the edges from corner 0 overwrite
+    # the slabs of corners 1 and 2.
+    v0, e1, e2 = np.take(mesh.vertices, mesh.faces.T, axis=0)
+    e1 -= v0
+    e2 -= v0
+    normals = np.cross(e1, e2)
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.where(norms > 1e-12, norms, 1.0)
+    normals /= np.where(norms > 1e-12, norms, 1.0)
     # Faces are viewed from above; flip normals pointing down.
-    normals[normals[:, 2] < 0] *= -1
+    np.multiply(normals, -1, out=normals, where=normals[:, 2:] < 0)
     diffuse = np.clip(normals @ _LIGHT_DIR, 0.0, 1.0)
     shade = ambient + (1.0 - ambient) * diffuse
-    return np.clip(mesh.face_colors * shade[:, None], 0.0, 1.0)
+    colors = mesh.face_colors * shade[:, None]
+    return np.clip(colors, 0.0, 1.0, out=colors)
+
+
+def _zbuffer_tier() -> str:
+    """``native`` when the C z-buffer is loaded and the accel mode
+    allows it, else ``vector`` (the numpy pair pass)."""
+    if accel.resolve(None, native=True) == "native":
+        return "native"
+    return "vector"
+
+
+def _pixel_range(coords: np.ndarray, size: int):
+    """Each face's pixel range ``[lo, hi)`` along one axis, from its
+    corners' (3, m) coordinates: truncated as int() does and clipped
+    before the integer cast so that far-off vertices cannot overflow
+    it."""
+    lo = np.minimum(np.minimum(coords[0], coords[1]), coords[2])
+    hi = np.maximum(np.maximum(coords[0], coords[1]), coords[2])
+    return (np.clip(np.trunc(lo), 0, size).astype(np.int64),
+            np.clip(np.trunc(hi) + 1, 0, size).astype(np.int64))
 
 
 def render_mesh(
@@ -66,14 +95,13 @@ def render_mesh(
 ) -> np.ndarray:
     """Rasterize a terrain mesh to an (H, W, 3) uint8 image.
 
-    All faces are rasterized in one batch.  Each face's clipped pixel
-    bounding box is expanded into (face, pixel) candidate pairs, in
-    face order and at most ``_PAIR_BUDGET`` at a time; the barycentric
-    inside test and the depth run on a whole chunk of pairs at once,
-    operation for operation as a per-face loop computes them.  Each
-    pixel takes its nearest face, and on an exact depth tie the
-    earliest face, as a face-by-face z-buffer with a strict ``<`` does;
-    so the image does not depend on the chunk size.
+    Faces behind the camera, off screen or of zero area are culled;
+    every pixel of each other face's clipped bounding box gets the
+    barycentric inside test and, when inside, a depth.  Each pixel
+    takes its nearest face, and on an exact depth tie the earliest
+    face, as a face-by-face z-buffer with a strict ``<`` does.  The
+    native tier's C kernel walks the faces in order; without it,
+    :func:`_pair_zbuffer` does the same arithmetic in numpy batches.
     """
     if width < 1 or height < 1:
         raise ValueError(
@@ -89,32 +117,48 @@ def render_mesh(
     table[n_faces] = background
     table = (table * 255).astype(np.uint8)
 
-    pts = xy[mesh.faces]  # (m, 3, 2)
-    zs = depth[mesh.faces]  # (m, 3)
-    xs, ys = pts[..., 0], pts[..., 1]
-    # Pixel bounding boxes, truncated as int() does and clipped before
-    # the integer cast so that far-off vertices cannot overflow it.
-    min_x = np.clip(np.trunc(xs.min(axis=1)), 0, width).astype(np.int64)
-    max_x = np.clip(np.trunc(xs.max(axis=1)) + 1, 0, width).astype(np.int64)
-    min_y = np.clip(np.trunc(ys.min(axis=1)), 0, height).astype(np.int64)
-    max_y = np.clip(np.trunc(ys.max(axis=1)) + 1, 0, height).astype(np.int64)
-    x0, y0 = xs[:, 0], ys[:, 0]
-    dx1, dy1 = xs[:, 1] - x0, ys[:, 1] - y0
-    dx2, dy2 = xs[:, 2] - x0, ys[:, 2] - y0
-    area = dx1 * dy2 - dx2 * dy1
+    # Row k holds every face's corner k.
+    corners = mesh.faces.T
+    xs, ys, zs = xy[:, 0][corners], xy[:, 1][corners], depth[corners]
+    min_x, max_x = _pixel_range(xs, width)
+    min_y, max_y = _pixel_range(ys, height)
+    x0, y0 = xs[0], ys[0]
+    area = (xs[1] - x0) * (ys[2] - y0) - (xs[2] - x0) * (ys[1] - y0)
     keep = np.flatnonzero(
-        (zs > 0).all(axis=1)
+        (zs[0] > 0) & (zs[1] > 0) & (zs[2] > 0)
         & (min_x < max_x)
         & (min_y < max_y)
         & (np.abs(area) >= 1e-12)
     )
-    x0, y0, dx1, dy1, dx2, dy2, area = (
-        a[keep] for a in (x0, y0, dx1, dy1, dx2, dy2, area)
-    )
-    z0, z1, z2 = zs[keep].T
-    left, top = min_x[keep], min_y[keep]
-    box_w = max_x[keep] - left
-    pairs = box_w * (max_y[keep] - top)
+    zbuffer = (_native.zbuffer if _zbuffer_tier() == "native"
+               else _pair_zbuffer)
+    owner = zbuffer(xy, depth, mesh.faces, (min_x, max_x, min_y, max_y),
+                    keep, width, height)
+    return np.take(table, owner, axis=0).reshape(height, width, 3)
+
+
+def _pair_zbuffer(xy, depth, faces, box, keep, width, height) -> np.ndarray:
+    """numpy twin of :func:`repro.accel.native.zbuffer`: the owning face
+    of each pixel, row-major, ``len(faces)`` for the background.
+
+    Each kept face's box is expanded into (face, pixel) candidate
+    pairs, in face order and at most ``_PAIR_BUDGET`` at a time; the
+    barycentric inside test and the depth run on a whole chunk of pairs
+    at once, operation for operation as a per-face loop computes them.
+    Among equally near pairs the earliest face wins, so the image does
+    not depend on the chunk size.
+    """
+    n_faces = len(faces)
+    corners = faces[keep].T
+    xs, ys = xy[:, 0][corners], xy[:, 1][corners]
+    z0, z1, z2 = depth[corners]
+    x0, y0 = xs[0], ys[0]
+    dx1, dy1 = xs[1] - x0, ys[1] - y0
+    dx2, dy2 = xs[2] - x0, ys[2] - y0
+    area = dx1 * dy2 - dx2 * dy1
+    left, right, top, bottom = (b[keep] for b in box)
+    box_w = right - left
+    pairs = box_w * (bottom - top)
     ends = np.cumsum(pairs)
     starts = ends - pairs
 
@@ -152,7 +196,7 @@ def render_mesh(
         pixel = pixel[won]
         owner[pixel] = n_faces
         np.minimum.at(owner, pixel, keep[f[won]])
-    return table[owner.reshape(height, width)]
+    return owner
 
 
 def node_colors_from_item_values(
@@ -227,8 +271,9 @@ def render_terrain(
         mesh = build_mesh(hf, node_colors, z_scale=z_scale)
     with obs_trace.span(
         "stage.render", faces=mesh.n_faces, width=width, height=height
-    ):
+    ) as sp:
         image = render_mesh(mesh, camera=camera, width=width, height=height)
+        sp.set(tier=_zbuffer_tier())
     if path is not None:
         path = Path(path)
         with obs_trace.span("stage.encode"):

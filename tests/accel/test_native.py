@@ -106,23 +106,68 @@ class TestLifecycle:
         assert "load-failed" in native.info()["error"]
         assert not bad.exists(), "poisoned .so should be deleted"
 
+    @staticmethod
+    def _cache_wrong_kernel(cache, guard, replacement, name):
+        """Compile C_SOURCE with ``guard`` replaced into the cache slot
+        the next load will open; returns its path."""
+        assert guard in native.C_SOURCE
+        cache.mkdir(parents=True, exist_ok=True)
+        cc = native._compiler()
+        bad = cache / f"repro_native_{native._digest(cc)}.so"
+        source = cache / f"{name}.c"
+        source.write_text(native.C_SOURCE.replace(guard, replacement))
+        subprocess.run(
+            cc + [*native.CFLAGS, "-o", str(bad), str(source)], check=True,
+        )
+        return bad
+
     def test_wrong_truss_answer_is_rejected(self, fresh_native):
         """A cached .so whose truss peel is wrong (stale source, corrupt
         build) fails the known-answer self-test and is deleted."""
-        guard = "if (s <= k)"
-        assert guard in native.C_SOURCE
-        fresh_native.mkdir(parents=True, exist_ok=True)
-        cc = native._compiler()
-        bad = fresh_native / f"repro_native_{native._digest(cc)}.so"
-        source = fresh_native / "no_decrements.c"
-        source.write_text(native.C_SOURCE.replace(guard, "if (1)"))
-        subprocess.run(
-            cc + ["-O2", "-shared", "-fPIC", "-o", str(bad), str(source)],
-            check=True,
+        bad = self._cache_wrong_kernel(
+            fresh_native, "if (s <= k)", "if (1)", "no_decrements"
         )
         assert not native.available()
         assert "self-test" in native.info()["error"]
         assert not bad.exists(), "a wrong-answer .so should be deleted"
+
+    def test_wrong_zbuffer_answer_is_rejected(self, fresh_native):
+        """A z-buffer that lets the later of two tied faces win (``<=``
+        for ``<``) fails the self-test, and its .so is deleted."""
+        bad = self._cache_wrong_kernel(
+            fresh_native, "if (z < zrow[px])", "if (z <= zrow[px])",
+            "later_tie_wins",
+        )
+        assert not native.available()
+        assert "self-test" in native.info()["error"]
+        assert not bad.exists(), "a wrong-answer .so should be deleted"
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("box", (1, 0), 5),      # max_x past the 4-pixel width
+        ("box", (2, 1), -1),     # min_y above the image
+        ("faces", (2, 0), 6),    # a corner past the 6 vertices
+        ("keep", (0,), 3),       # a face past the 3 faces
+        ("xy", None, None),      # one vertex short
+    ])
+    def test_zbuffer_rejects_out_of_range_input(self, field, index, value):
+        """The C z-buffer trusts its indices, so the wrapper checks them."""
+        corners = [(0, 0), (4, 0), (0, 4), (0, 0), (4, 0), (4, 4)]
+        args = {
+            "xy": np.array(corners, dtype=np.float64),
+            "depth": np.repeat([2.0, 1.0], 3),
+            "faces": np.array([(0, 1, 2), (3, 4, 5), (0, 1, 2)]),
+            "box": np.array([[0] * 3, [4] * 3, [0] * 3, [4] * 3]),
+            "keep": np.arange(3),
+        }
+        assert native.zbuffer(**args, width=4, height=4).tolist() == (
+            native._ZBUFFER_OWNERS
+        )
+        if index is None:
+            args[field] = args[field][:-1]
+        else:
+            args[field][index] = value
+        with pytest.raises(ValueError, match="zbuffer"):
+            native.zbuffer(**args, width=4, height=4)
 
     def test_kernel_output_matches_python_scan(self, fresh_native):
         rng = np.random.default_rng(7)

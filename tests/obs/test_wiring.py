@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from repro import accel
+from repro.accel import native
 from repro.engine import ArtifactCache, EdgeListSource, Pipeline
 from repro.graph import from_edges
 from repro.graph.io import write_edge_list
@@ -15,6 +17,7 @@ from repro.obs import trace
 from repro.serve import ServeApp, ServerThread
 from repro.serve import app as serve_app
 from repro.serve.http import HTTPError, Request, Response, Router, HTTPServer
+from repro.terrain import render as terrain_render
 
 
 def toy_graph():
@@ -113,14 +116,29 @@ class TestPipelineSpans:
         }
         assert set(sink) == {"stage.mesh", "stage.render", "stage.encode"}
         assert all(r["parent"] == caller.span_id for r in sink.values())
-        # A 32x32 heightfield has 31x31 quads of two faces each.
+        # A 32x32 heightfield has 31x31 quads of two faces each; the
+        # tier names the z-buffer that ran.
         assert sink["stage.render"]["attrs"] == {
             "faces": 2 * 31 * 31, "width": 64, "height": 48,
+            "tier": terrain_render._zbuffer_tier(),
         }
         assert np.array_equal(plain, traced)
         assert (tmp_path / "plain.png").read_bytes() == (
             tmp_path / "traced.png"
         ).read_bytes()
+
+    @pytest.mark.parametrize("tier", ["native", "vector"])
+    def test_render_span_names_the_zbuffer_that_ran(
+        self, ring, edge_list_file, tier
+    ):
+        if tier == "native" and not native.available():
+            pytest.skip("native z-buffer unavailable")
+        with accel.using(tier):
+            Pipeline(
+                EdgeListSource(edge_list_file), "kcore", cache=ArtifactCache()
+            ).render(resolution=16, width=32, height=24)
+        (span,) = [r for r in ring.snapshot() if r["name"] == "stage.render"]
+        assert span["attrs"]["tier"] == tier
 
     def test_cache_stats_dict_unchanged_by_tracing(self, ring, edge_list_file):
         cache = ArtifactCache()

@@ -42,6 +42,14 @@ def _fault_specs(draw):
     return draw(st.sampled_from([";", "; "])).join(rules)
 
 
+def _parses(spec):
+    try:
+        FaultSchedule.parse(spec)
+    except ValueError:
+        return False
+    return True
+
+
 class TestParsing:
     def test_single_occurrence(self):
         schedule = FaultSchedule.parse("task_fail:3")
@@ -95,6 +103,10 @@ class TestParsing:
         ("task_delay:1:-1", "has param -1"),
         ("task_delay:1:inf", "has param inf"),
         ("task_delay:1:1e10", "has param 1"),
+        ("task_fail:x", "'task_fail' has occurrences 'x'"),
+        ("task_fail:-1-3", "'task_fail' has occurrences '-1-3'"),
+        ("task_fail:1,y", "'task_fail' has occurrences '1,y'"),
+        ("task_delay:1:abc", "'task_delay' has param 'abc'"),
     ])
     def test_rejects_rules_that_cannot_fire_or_sleep(self, spec, message):
         with pytest.raises(ValueError, match=message):
@@ -105,7 +117,15 @@ class TestParsing:
     def test_parse_yields_firing_rules_or_value_error(self, spec):
         try:
             schedule = FaultSchedule.parse(spec)
-        except ValueError:
+        except ValueError as exc:
+            # The error names the first rule whose prefix of the spec
+            # does not parse.
+            chunks = [c.strip() for c in spec.split(";") if c.strip()]
+            offending = next(
+                chunk for i, chunk in enumerate(chunks)
+                if not _parses(";".join(chunks[: i + 1]))
+            )
+            assert repr(offending) in str(exc)
             return
         for rule in schedule.rules.values():
             first = 1 if rule.all else min(rule.chosen or (rule.low,))
@@ -122,6 +142,7 @@ class TestCLI:
         "task_delay:1:nan",
         "task_delay:1:-1",
         "task_delay:1:inf",
+        "task_fail:x",
     ])
     def test_bad_rule_is_a_one_line_exit(self, spec, fault_spec, monkeypatch):
         # fault_spec and monkeypatch undo what main() installs and
@@ -130,7 +151,7 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(["peaks", "--dataset", "amazon", "--faults", spec])
         message = str(exc.value.code)
-        assert message.startswith("--faults: ")
+        assert message.startswith(f"--faults: bad fault rule {spec!r}: ")
         assert "\n" not in message
 
 

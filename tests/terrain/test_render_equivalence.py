@@ -1,15 +1,21 @@
-"""The batched rasterizer against a fixed oracle: the original
-face-by-face scanline loop, kept here verbatim.
+"""The rasterizer against a fixed oracle: the original face-by-face
+scanline loop, kept here verbatim.
 
 ``render_mesh`` must return the loop's image byte for byte: same
 culling, same barycentric and depth arithmetic, and on an exact depth
-tie the earliest face, whatever the chunk size.  The scenes cover exact
-ties (duplicated and coplanar faces), zero-area faces, faces behind the
-camera, off-screen faces, the empty mesh, and 1-pixel and odd image
-sizes; the chunk budget is forced down to 1 and 7 pairs so that ties
-straddle chunk boundaries.
+tie the earliest face.  Both z-buffer tiers are held to it: the numpy
+pair pass (``vector``, which ``naive`` and hosts without a compiler run
+too) by the module-level tests, and the C kernel by
+:class:`TestNativeTier`, skipped where it cannot load.  The scenes cover
+exact ties (duplicated and coplanar faces), zero-area faces, faces
+behind the camera, off-screen faces, the empty mesh, and 1-pixel and
+odd image sizes; the pair pass's chunk budget is also forced down to 1
+and 7 pairs so that ties straddle chunk boundaries.  The grqc stand-in's
+images at the CLI defaults are pinned by digest.
 """
 
+import hashlib
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -17,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import accel
+from repro.accel import native
 from repro.engine import DatasetSource, Pipeline
 from repro.terrain import Camera, build_mesh, intensity_ramp, render
 from repro.terrain.mesh import TerrainMesh
@@ -141,6 +149,21 @@ def scenes(draw, max_faces, max_size):
     return make_mesh(vertices, faces, seed=n_faces), camera, width, height
 
 
+@contextmanager
+def on_tier(tier):
+    """Run ``render_mesh`` on ``tier``, and check that it does."""
+    with accel.using(tier):
+        assert render._zbuffer_tier() == tier
+        yield
+
+
+@pytest.fixture(autouse=True)
+def tier():
+    """The pair pass, unless a class pins another tier."""
+    with on_tier("vector"):
+        yield
+
+
 # (chunk budget, faces, image side): budgets of 1 and 7 pairs split
 # faces and their ties across chunks, so their scenes stay small.
 _BUDGETS = [(1, 10, 6), (7, 24, 12), (render._PAIR_BUDGET, 60, 33)]
@@ -235,12 +258,68 @@ class TestEdgeCases:
             render.render_mesh(small_terrain, width=width, height=height)
 
 
-@pytest.mark.parametrize("measure", ["kcore", "ktruss"])
-def test_grqc_stand_in_matches_the_loop(measure):
-    pipeline = Pipeline(DatasetSource("grqc"), measure)
-    mesh = build_mesh(
-        pipeline.heightfield(64),
+def terrain_mesh(pipeline, resolution):
+    return build_mesh(
+        pipeline.heightfield(resolution),
         intensity_ramp(pipeline.display_tree.scalars),
         z_scale=0.55,
     )
-    assert_same_image(mesh, Camera(), 320, 240)
+
+
+@pytest.fixture(scope="module", params=["kcore", "ktruss"])
+def grqc(request):
+    """The grqc stand-in's pipeline for one measure, and the loop's
+    320x240 image of its resolution-64 mesh (drawn once per module)."""
+    pipeline = Pipeline(DatasetSource("grqc"), request.param)
+    mesh = terrain_mesh(pipeline, 64)
+    return pipeline, mesh, loop_render_mesh(mesh, Camera(), 320, 240)
+
+
+def test_grqc_stand_in_matches_the_loop(grqc):
+    _, mesh, expected = grqc
+    image = render.render_mesh(mesh, Camera(), 320, 240)
+    assert np.array_equal(image, expected)
+
+
+# sha256 of the image bytes that ``repro terrain --dataset grqc`` renders
+# at its defaults: 640x480, resolution 160, azimuth 35, elevation 38.
+_PINNED = {
+    "kcore": "11ed6a910d425b07c358321b8a0895a39f867715da5771aad8eb9f4a4f04a0d7",
+    "ktruss": "d4bf44c4a2bbceb23e2c1864705a348a4047911a6d4a0499dafad83765f85886",
+}
+
+
+def test_grqc_stand_in_images_are_pinned(grqc):
+    pipeline, _, _ = grqc
+    camera = Camera(azimuth=35.0, elevation=38.0).zoomed(1.0)
+    image = render.render_mesh(terrain_mesh(pipeline, 160), camera, 640, 480)
+    digest = hashlib.sha256(image.tobytes()).hexdigest()
+    assert digest == _PINNED[pipeline.measure]
+
+
+@pytest.mark.skipif(native.load() is None,
+                    reason="native z-buffer unavailable")
+class TestNativeTier(TestEdgeCases):
+    """Every case above again, on the C z-buffer (which has no chunks)."""
+
+    @pytest.fixture(autouse=True)
+    def tier(self):
+        with on_tier("native"):
+            yield
+
+    def test_duplicated_face_ties_go_to_the_earliest(self, monkeypatch):
+        super().test_duplicated_face_ties_go_to_the_earliest(
+            render._PAIR_BUDGET, monkeypatch
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_meshes_match_the_loop(self, data):
+        mesh, camera, width, height = data.draw(scenes(60, 33))
+        assert_same_image(mesh, camera, width, height)
+
+    def test_grqc_stand_in_matches_the_loop(self, grqc):
+        test_grqc_stand_in_matches_the_loop(grqc)
+
+    def test_grqc_stand_in_images_are_pinned(self, grqc):
+        test_grqc_stand_in_images_are_pinned(grqc)
