@@ -4,11 +4,12 @@ Every hot stage of the pipeline (tree construction, traversal-based
 measures, layout relaxation, heightfield rasterization) has two
 implementations: the *naive* reference code that lives next to the
 algorithm it implements, and a numpy-vectorized *kernel* in this
-package.  The sequential union-find merge scan, the k-truss peel and
-the terrain renderer's z-buffer have a third, *native* tier compiled at
-first use from embedded C and loaded with ctypes
-(:mod:`repro.accel.native`); the truss peel has no vector kernel, and
-the z-buffer's numpy pair pass serves both ``naive`` and ``vector``.
+package.  The sequential union-find merge scan, the k-truss peel, the
+terrain renderer's z-buffer and the super-tree walk of Algorithm 2
+have a third, *native* tier compiled at first use from embedded C and
+loaded with ctypes (:mod:`repro.accel.native`); the truss peel has no
+vector kernel, and the z-buffer's numpy pair pass and the super tree's
+Python walk each serve both ``naive`` and ``vector``.
 The contract is strict across all tiers: for any input, every backend
 produces the **same arrays** — identical ``parent`` pointers, identical
 integer measure vectors, identical layouts, heightfields and images
@@ -29,7 +30,8 @@ Backend selection is a process-global setting:
 * ``naive`` — always the pure-Python reference path;
 * ``vector`` — always the numpy kernels;
 * ``native`` — the compiled C kernels (merge scans, truss peel,
-  z-buffer) where they exist, the vector kernels everywhere else.
+  z-buffer, super tree) where they exist, the vector kernels
+  everywhere else.
   **Soft fallback**: when no toolchain exists or compilation fails,
   native degrades to vector with one logged warning and a
   ``repro_accel_native_fallbacks_total`` increment — never an error.

@@ -1,13 +1,16 @@
-"""Self-compiled C kernels: union-find merge scans, k-truss, z-buffer.
+"""Self-compiled C kernels: union-find merge scans, k-truss, z-buffer,
+super trees.
 
-Three sequential loops resist numpy: the union-find scan of Algorithms 1
+Four sequential loops resist numpy: the union-find scan of Algorithms 1
 and 3 (:func:`repro.accel.tree.merge_scan`), the k-truss peel behind
-Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`), and
-the terrain renderer's face-by-face z-buffer
-(:func:`repro.terrain.render.render_mesh`).  This module compiles the
-scan (path-halving find, union by size, group-root caching, in two
-flavours), the bin-sort truss peel of Wang & Cheng (PVLDB 2012) and the
-z-buffer **at first use** from the embedded C source below, using
+Algorithm 3's input (:func:`repro.measures.ktruss.truss_numbers`), the
+terrain renderer's face-by-face z-buffer
+(:func:`repro.terrain.render.render_mesh`), and the chain walk of
+Algorithm 2 (:func:`repro.core.super_tree.build_super_tree`).  This
+module compiles the scan (path-halving find, union by size, group-root
+caching, in two flavours), the bin-sort truss peel of Wang & Cheng
+(PVLDB 2012), the z-buffer and the super-tree walk **at first use**
+from the embedded C source below, using
 whatever system compiler is around (``$CC``, else ``cc``/``gcc``/
 ``clang``), and loads it with stdlib :mod:`ctypes`.  No build system,
 no wheels, no new dependencies.
@@ -40,10 +43,11 @@ Design points:
 
 The kernels are semantically *identical* to their Python counterparts —
 same tie-breaks, same union-by-size swaps, same journal entry order,
-truss numbers that no peel order changes, and z-buffer depths computed
+truss numbers that no peel order changes, z-buffer depths computed
 with the numpy pass's exact double operations in the same order (the
-flags forbid fused multiply-adds) — which keeps the backend out of
-every cache key.  Known-answer self-tests run right after each load,
+flags forbid fused multiply-adds), and super nodes numbered and filled
+in the Python walk's order — which keeps the backend out of every
+cache key.  Known-answer self-tests run right after each load,
 and a poisoned or stale cached ``.so`` is deleted, not trusted.
 """
 
@@ -74,6 +78,7 @@ __all__ = [
     "replay_scan",
     "truss_peel",
     "zbuffer",
+    "super_tree",
     "cache_dir",
     "info",
     "reset",
@@ -275,6 +280,71 @@ void repro_truss_peel(i64 m, const i64 *indptr, const i64 *indices,
     }
 }
 
+/* repro.core.super_tree's Algorithm 2 over a forest of n items given by
+ * parent pointers (a negative parent is a root; the caller checks that
+ * none reaches n).  The chain heads, roots and items whose parent's
+ * scalar is strictly lower, are numbered in the stack order of
+ * ScalarTree.iter_topological: roots pushed ascending, then the
+ * children of each popped item pushed ascending, popped from the top.
+ * Each head's super node is a breadth-first walk over equal-valued
+ * children, and its slice of members is the walk's queue.
+ * child_off (n + 1), child and stack (n each): scratch for the
+ * children table, ascending within each parent as _children_table has
+ * them; stack is the fill cursor per parent before the walk.
+ * node_of (n): each item's super node, -1 where no walk reached it.
+ * Super node s holds members[offsets[s] .. offsets[s + 1]), has scalar
+ * super_scalars[s] and parent super_parent[s]; every buffer has room
+ * for n super nodes.  Returns the number k of super nodes; offsets[k]
+ * is the number of items placed, below n when some item is reached by
+ * no walk: it or an ancestor lies below its parent's scalar, or it
+ * hangs off a cycle. */
+i64 repro_super_tree(i64 n, const i64 *parent, const double *scalars,
+                     i64 *child_off, i64 *child, i64 *stack,
+                     i64 *node_of, i64 *members, i64 *offsets,
+                     double *super_scalars, i64 *super_parent) {
+    i64 i, c, top = 0, k = 0, placed = 0;
+    for (i = 0; i <= n; i++)
+        child_off[i] = 0;
+    for (i = 0; i < n; i++)
+        if (parent[i] >= 0)
+            child_off[parent[i] + 1]++;
+    for (i = 0; i < n; i++) {
+        child_off[i + 1] += child_off[i];
+        stack[i] = child_off[i];
+        node_of[i] = -1;
+    }
+    for (i = 0; i < n; i++)
+        if (parent[i] >= 0)
+            child[stack[parent[i]]++] = i;
+    for (i = 0; i < n; i++)
+        if (parent[i] < 0)
+            stack[top++] = i;
+    /* Each item is placed at most once, so placed < n holds before
+     * every placement; testing it keeps a wrong build of this source,
+     * which the self-test must survive running, inside members. */
+    while (top > 0 && placed < n) {
+        i64 v = stack[--top], p = parent[v], r;
+        for (c = child_off[v]; c < child_off[v + 1]; c++)
+            stack[top++] = child[c];
+        if (p >= 0 && !(scalars[p] < scalars[v]))
+            continue;
+        offsets[k] = placed;
+        super_scalars[k] = scalars[v];
+        super_parent[k] = p < 0 ? -1 : node_of[p];
+        members[placed++] = v;
+        for (r = offsets[k]; r < placed; r++) {
+            i64 u = members[r];
+            node_of[u] = k;
+            for (c = child_off[u]; c < child_off[u + 1] && placed < n; c++)
+                if (scalars[child[c]] == scalars[u])
+                    members[placed++] = child[c];
+        }
+        k++;
+    }
+    offsets[k] = placed;
+    return k;
+}
+
 /* repro.terrain.render's z-buffer.  The n_keep faces in keep are drawn
  * in order; every pixel of a face's clipped box [min_x, max_x) x
  * [min_y, max_y) is tested with the numpy pair pass's double arithmetic,
@@ -413,6 +483,8 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
     d = ctypes.POINTER(ctypes.c_double)
     lib.repro_zbuffer.argtypes = [i, i, p, p, d, d, p, p, p, p, d, p]
     lib.repro_zbuffer.restype = None
+    lib.repro_super_tree.argtypes = [i, p, d] + [p] * 6 + [d, p]
+    lib.repro_super_tree.restype = i
     return lib
 
 
@@ -421,14 +493,24 @@ def _configure(lib: ctypes.CDLL) -> ctypes.CDLL:
 #: and a copy of face 0 (face 2) that ties it exactly and must lose.
 _ZBUFFER_OWNERS = [1, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 0, 3, 3, 1]
 
+#: The super-tree self-test's forest, ``(parent, scalars)``, and its
+#: answer ``(scalars, parent, members)``: root 5 is numbered first, root
+#: 0's group is a two-level walk in breadth-first order, and items 2 and
+#: 4 sit above their parents' scalars, so they head groups of their own.
+_SUPER_TREE_CASE = ([-1, 0, 0, 2, 1, -1, 0, 1], [1, 1, 2, 2, 3, 0, 1, 1])
+_SUPER_TREE_ANSWER = (
+    [0.0, 1.0, 2.0, 3.0], [-1, -1, 1, 1], [[5], [0, 1, 6, 7], [2, 3], [4]],
+)
+
 
 def _self_test(lib: ctypes.CDLL) -> bool:
     """Known answers against a stale or corrupt cached .so: chain 0-1-2
     merge-scanned as 1, 2 gives parents [1, 2, -1]; K4 on 0..3 plus a
     pendant (3, 4) and a fin triangle 0-1-5 gives truss 2 on the clique,
     0 on the pendant and 1 on the fin, which takes (0, 1) down from 3;
-    and the z-buffer gives a pixel to the nearest face, to the earliest
-    of two exactly tied ones, and to none outside every face."""
+    the z-buffer gives a pixel to the nearest face, to the earliest
+    of two exactly tied ones, and to none outside every face; and the
+    super tree of ``_SUPER_TREE_CASE`` is ``_SUPER_TREE_ANSWER``."""
     cur = np.array([1, 2], dtype=np.int64)
     prev = np.array([0, 1], dtype=np.int64)
     parent = np.empty(3, dtype=np.int64)
@@ -451,10 +533,15 @@ def _self_test(lib: ctypes.CDLL) -> bool:
         np.array([(0, 1, 2), (3, 4, 5), (0, 1, 2)]), (lo, hi, lo, hi),
         np.arange(3), 4, 4, lib=lib,
     )
+    sup_scalars, sup_parent, members, _ = super_tree(
+        *_SUPER_TREE_CASE, lib=lib
+    )
     return (
         parent.tolist() == [1, 2, -1]
         and truss.tolist() == expected
         and owner.tolist() == _ZBUFFER_OWNERS
+        and (sup_scalars.tolist(), sup_parent.tolist(),
+             [m.tolist() for m in members]) == _SUPER_TREE_ANSWER
     )
 
 
@@ -723,3 +810,36 @@ def zbuffer(
         _dptr(zbuf), _ptr(owner),
     )
     return owner
+
+
+def super_tree(parent, scalars, lib=None) -> Optional[tuple]:
+    """Algorithm 2 over the forest ``parent`` with item ``scalars``: the
+    super nodes' ``(scalars, parent, members)`` and each item's super
+    node, -1 for an item that no chain reaches (see the C comment);
+    None when unavailable.  ``members`` is a list of slices of one
+    array.  Shapes and parent ids are checked here, since the kernel
+    trusts them (``ValueError``); a negative parent is a root."""
+    lib = load() if lib is None else lib
+    if lib is None:
+        return None
+    parent = _as_i64(parent)
+    scalars = np.ascontiguousarray(scalars, dtype=np.float64)
+    if parent.ndim != 1 or scalars.shape != parent.shape:
+        raise ValueError("super_tree: mismatched array shapes")
+    n = len(parent)
+    if n and parent.max() >= n:
+        raise ValueError("super_tree: a parent id is out of range")
+    child_off = np.empty(n + 1, dtype=np.int64)
+    offsets = np.empty(n + 1, dtype=np.int64)
+    child, stack, node_of, members, sup_parent = (
+        np.empty(n, dtype=np.int64) for _ in range(5)
+    )
+    sup_scalars = np.empty(n)
+    k = lib.repro_super_tree(
+        n, _ptr(parent), _dptr(scalars), _ptr(child_off), _ptr(child),
+        _ptr(stack), _ptr(node_of), _ptr(members), _ptr(offsets),
+        _dptr(sup_scalars), _ptr(sup_parent),
+    )
+    bounds = offsets[: k + 1].tolist()
+    groups = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    return sup_scalars[:k].copy(), sup_parent[:k].copy(), groups, node_of

@@ -26,7 +26,7 @@ from .serialize import (
 )
 from .scalar_tree import ScalarTree, attach_vertex, build_vertex_tree
 from .simplify import discretize_quantile, discretize_uniform, simplify_tree
-from .super_tree import SuperTree, build_super_tree, splice_super_tree
+from .super_tree import SuperTree, build_super_tree
 from .union_find import NaiveUnionFind, RollbackUnionFind, UnionFind
 
 __all__ = [
@@ -61,5 +61,4 @@ __all__ = [
     "NaiveUnionFind",
     "RollbackUnionFind",
     "attach_vertex",
-    "splice_super_tree",
 ]

@@ -9,6 +9,10 @@ items, so Property 1 is relaxed).
 
 The super tree is also the structure the terrain layout consumes, and
 the structure reported in Table II (``Nt`` = number of super nodes).
+:func:`build_super_tree` runs the walk in C on the native tier
+(:func:`repro.accel.native.super_tree`) and in Python otherwise; both
+tiers give the same arrays, and both refuse a malformed tree whose
+items are not all reached from a root.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .. import accel
+from ..accel import native as _native
 from .scalar_tree import ScalarTree, _children_table
 
-__all__ = ["SuperTree", "build_super_tree", "splice_super_tree"]
+__all__ = ["SuperTree", "build_super_tree"]
 
 
 class SuperTree:
@@ -220,10 +226,10 @@ class SuperTree:
                 raise ValueError(
                     "parent scalar must be strictly below child scalar"
                 )
-        counts = np.zeros(self.n_items, dtype=np.int64)
-        for member in self.members:
-            counts[member] += 1
-        if not np.all(counts == 1):
+        items = np.concatenate(self.members or [np.empty(0, np.int64)])
+        if len(items) and (items.min() < 0 or items.max() >= len(items)):
+            raise ValueError("member ids must lie in 0..n_items-1")
+        if np.any(np.bincount(items, minlength=len(items)) != 1):
             raise ValueError("members must partition the items")
 
     def __repr__(self) -> str:
@@ -239,7 +245,33 @@ def build_super_tree(tree: ScalarTree) -> SuperTree:
     Breadth-first from each chain head (a node whose parent is absent or
     strictly lower), absorb all descendants reachable through equal-valued
     children into one super node.  Single pass, O(n).
+
+    The C kernel of :mod:`repro.accel.native` runs it when
+    ``accel.resolve(None, native=True)`` says native (the default on a
+    host with a compiler); the Python walk :func:`_chain_bfs` runs it
+    otherwise.  Both give the same arrays.  Raises ``ValueError`` when
+    some item is reached by no chain from a root, which happens only in
+    a malformed tree: a child below its parent, or a cycle.
     """
+    if accel.resolve(None, native=True) == "native":
+        scalars, parent, members, node_of = _native.super_tree(
+            tree.parent, tree.scalars
+        )
+    else:
+        scalars, parent, members, node_of = _chain_bfs(tree)
+    missed = np.flatnonzero(node_of < 0)
+    if len(missed):
+        raise ValueError(
+            f"item {missed[0]} is not reached from a root through "
+            "non-decreasing scalars (a child below its parent, or a cycle)"
+        )
+    return SuperTree(scalars, parent, members, kind=tree.kind)
+
+
+def _chain_bfs(tree: ScalarTree):
+    """Python twin of :func:`repro.accel.native.super_tree`: the super
+    nodes' ``(scalars, parent, members)`` and each item's super node,
+    -1 where no chain reaches it."""
     n = tree.n_nodes
     scalars = tree.scalars
     children = tree.children()
@@ -274,69 +306,9 @@ def build_super_tree(tree: ScalarTree) -> SuperTree:
                     queue.append(child)
         members.append(group)
 
-    return SuperTree(
+    return (
         np.array(super_scalars, dtype=np.float64),
         np.array(super_parent, dtype=np.int64),
         [np.array(g, dtype=np.int64) for g in members],
-        kind=tree.kind,
-    )
-
-
-def splice_super_tree(
-    tree: ScalarTree, old: SuperTree, clean_above: float
-) -> SuperTree:
-    """Algorithm 2 with structural reuse after a localized tree update.
-
-    Contract (provided by the suffix replay in
-    :mod:`repro.stream.incremental`): every equal-value chain of ``tree``
-    whose scalar is strictly greater than ``clean_above`` has exactly the
-    same membership it had in the tree that ``old`` was built from — only
-    the chain's *parent* may differ.  Such chains reuse their member
-    arrays from ``old`` (one vectorised ``node_of`` assignment instead of
-    a Python BFS); chains at or below ``clean_above`` are rebuilt as in
-    :func:`build_super_tree`.
-
-    Super-node ids follow the same topological head order as
-    :func:`build_super_tree`, so the result is array-identical to a full
-    rebuild on ``tree``.
-    """
-    n = tree.n_nodes
-    scalars = tree.scalars
-    children = tree.children()
-    parent = tree.parent
-
-    old_node_of = old.node_of_item()
-    node_of = -np.ones(n, dtype=np.int64)
-    super_scalars: List[float] = []
-    super_parent: List[int] = []
-    members: List[np.ndarray] = []
-
-    for head in tree.iter_topological():
-        p = parent[head]
-        if p >= 0 and scalars[p] >= scalars[head]:
-            continue  # not a chain head
-        sid = len(super_scalars)
-        super_scalars.append(float(scalars[head]))
-        super_parent.append(-1 if p < 0 else int(node_of[p]))
-        if scalars[head] > clean_above:
-            group = old.members[int(old_node_of[head])]
-            node_of[group] = sid
-            members.append(group)
-        else:
-            collected: List[int] = []
-            queue = deque([int(head)])
-            while queue:
-                node = queue.popleft()
-                node_of[node] = sid
-                collected.append(node)
-                for child in children[node]:
-                    if scalars[child] == scalars[node]:
-                        queue.append(child)
-            members.append(np.array(collected, dtype=np.int64))
-
-    return SuperTree(
-        np.array(super_scalars, dtype=np.float64),
-        np.array(super_parent, dtype=np.int64),
-        members,
-        kind=tree.kind,
+        node_of,
     )

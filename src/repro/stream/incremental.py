@@ -27,9 +27,10 @@ plus the journal length), and on each batch:
    :func:`~repro.core.scalar_tree.attach_vertex` step the full build
    uses;
 4. splices the re-derived parent pointers into the previous tree
-   (:meth:`~repro.core.scalar_tree.ScalarTree.spliced`) and lazily
-   patches the super tree
-   (:func:`~repro.core.super_tree.splice_super_tree`).
+   (:meth:`~repro.core.scalar_tree.ScalarTree.spliced`) and drops the
+   cached super tree, which the next call of
+   :meth:`~StreamingScalarTree.super_tree` rebuilds in one pass of
+   :func:`~repro.core.super_tree.build_super_tree`.
 
 When the suffix exceeds ``rebuild_threshold`` of the vertices the whole
 tree is rebuilt instead — replay would cost as much as a build.
@@ -52,7 +53,7 @@ from ..accel import native as _accel_native
 from ..core.scalar_graph import ScalarGraph
 from ..core.scalar_tree import ScalarTree, attach_vertex
 from ..core.simplify import simplify_tree
-from ..core.super_tree import SuperTree, build_super_tree, splice_super_tree
+from ..core.super_tree import SuperTree, build_super_tree
 from ..core.union_find import RollbackUnionFind
 from ..graph.csr import CSRGraph
 from .delta import DeltaGraph
@@ -131,8 +132,6 @@ class StreamingScalarTree:
             "replayed_vertices": 0,
         }
         self._super: Optional[SuperTree] = None
-        self._super_stale = True
-        self._super_dirty_above = -_INF
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -157,16 +156,10 @@ class StreamingScalarTree:
         return ScalarGraph(self.delta.compact(), self.delta.scalars.copy())
 
     def super_tree(self) -> SuperTree:
-        """Super tree of the current snapshot (spliced lazily)."""
-        if self._super_stale:
-            if self._super is None:
-                self._super = build_super_tree(self._tree)
-            else:
-                self._super = splice_super_tree(
-                    self._tree, self._super, self._super_dirty_above
-                )
-            self._super_stale = False
-            self._super_dirty_above = -_INF
+        """Super tree of the current snapshot (built lazily, then
+        cached until the next batch changes the tree)."""
+        if self._super is None:
+            self._super = build_super_tree(self._tree)
         return self._super
 
     def display_tree(
@@ -212,8 +205,6 @@ class StreamingScalarTree:
             np.array(self._parent, dtype=np.int64), scalars.copy()
         )
         self._super = None
-        self._super_stale = True
-        self._super_dirty_above = -_INF
 
     def _rebuild_native(self, order: np.ndarray, scalars) -> bool:
         """Full journalled build through the compiled replay kernel.
@@ -478,6 +469,5 @@ class StreamingScalarTree:
             [self._parent[c] for c in changed],
             scalars=scalars,
         )
-        self._super_stale = True
-        self._super_dirty_above = max(self._super_dirty_above, theta)
+        self._super = None
         return self._tree

@@ -53,3 +53,33 @@ def scalar_fields(draw, graph_strategy=None):
         )
     )
     return graph, np.array(values, dtype=np.float64)
+
+
+@st.composite
+def forests(draw, max_nodes=60):
+    """``(parent, scalars)`` of a valid forest, no child below its
+    parent: many roots (any negative parent), heavy ties and deep
+    equal-valued chains, with ids shuffled so that a parent's id may
+    exceed its child's."""
+    n = draw(st.integers(min_value=0, max_value=max_nodes))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    root_p = draw(st.sampled_from([0.02, 0.2, 0.6]))
+    tie_p = draw(st.sampled_from([0.3, 0.7, 0.95]))
+    parent = np.full(n, -1, dtype=np.int64)
+    scalars = np.zeros(n)
+    for i in range(n):
+        if i and rng.random() >= root_p:
+            # Half the time extend the newest node, for deep chains.
+            p = i - 1 if rng.random() < 0.5 else int(rng.integers(0, i))
+            parent[i] = p
+            tie = rng.random() < tie_p
+            scalars[i] = scalars[p] + (0 if tie else int(rng.integers(1, 3)))
+        else:
+            parent[i] = -int(rng.integers(1, 4))
+            scalars[i] = int(rng.integers(0, 4))
+    perm = rng.permutation(n)  # item i is renamed perm[i]
+    shuffled = np.empty(n, dtype=np.int64)
+    shuffled[perm] = np.where(parent >= 0, perm[np.maximum(parent, 0)], parent)
+    values = np.empty(n)
+    values[perm] = scalars
+    return shuffled, values

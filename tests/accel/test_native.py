@@ -5,7 +5,8 @@ Covers the compile/cache/load machinery of :mod:`repro.accel.native`
 fallback when the toolchain is missing or broken (``CC=/bin/false`` →
 vector, one warning, a counter), the resolution semantics of the
 ``native`` mode, the property-wise naive ≡ vector ≡ native contract,
-the streaming replay kernel's state reconstruction, and the
+the super-tree kernel against the Python walk of Algorithm 2, the
+streaming replay kernel's state reconstruction, and the
 ``rank_order`` memoization (once-per-build regression).
 """
 
@@ -14,16 +15,19 @@ import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro import accel
 from repro.accel import native
 from repro.accel import tree as accel_tree
-from repro.core import ScalarGraph, build_vertex_tree
+from repro.core import (
+    EdgeScalarGraph, ScalarGraph, ScalarTree, build_vertex_tree,
+)
 from repro.core.edge_tree import build_edge_tree
+from repro.core.super_tree import _chain_bfs
 from repro.graph.generators import erdos_renyi
 
-from accel_strategies import scalar_fields
+from accel_strategies import forests, scalar_fields
 
 # A real probe, not just "some compiler name resolves": hosts where the
 # toolchain is present but broken (CI masks it with CC=/bin/false) must
@@ -137,6 +141,17 @@ class TestLifecycle:
         bad = self._cache_wrong_kernel(
             fresh_native, "if (z < zrow[px])", "if (z <= zrow[px])",
             "later_tie_wins",
+        )
+        assert not native.available()
+        assert "self-test" in native.info()["error"]
+        assert not bad.exists(), "a wrong-answer .so should be deleted"
+
+    def test_wrong_super_tree_answer_is_rejected(self, fresh_native):
+        """A super-tree walk that also merges a child above its parent
+        (``>=`` for ``==``) fails the self-test, and its .so is deleted."""
+        bad = self._cache_wrong_kernel(
+            fresh_native, "if (scalars[child[c]] == scalars[u])",
+            "if (scalars[child[c]] >= scalars[u])", "merges_rising_child",
         )
         assert not native.available()
         assert "self-test" in native.info()["error"]
@@ -287,6 +302,68 @@ class TestEquivalence:
         naive = build_edge_tree(eg, backend="naive").parent
         nat = build_edge_tree(eg, backend="native").parent
         assert np.array_equal(naive, nat)
+
+
+# ----------------------------------------------------------------------
+# Super trees (Algorithm 2): C kernel ≡ Python walk
+# ----------------------------------------------------------------------
+def _assert_same_super_tree(tree):
+    """Both tiers give ``tree`` the same super tree: scalars, parent,
+    every member array in order, and each item's super node."""
+    scalars, parent, members, node_of = _chain_bfs(tree)
+    got = native.super_tree(tree.parent, tree.scalars)
+    assert np.array_equal(scalars, got[0])
+    assert np.array_equal(parent, got[1])
+    assert len(members) == len(got[2])
+    assert all(np.array_equal(a, b) for a, b in zip(members, got[2]))
+    assert np.array_equal(node_of, got[3])
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler on this host")
+class TestSuperTree:
+    @settings(max_examples=40, deadline=None)
+    @given(scalar_fields())
+    def test_vertex_trees(self, field):
+        _assert_same_super_tree(build_vertex_tree(ScalarGraph(*field)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(scalar_fields())
+    def test_edge_trees(self, field):
+        graph, __ = field
+        rng = np.random.default_rng(graph.n_edges % 97)
+        edge_scalars = rng.integers(0, 4, graph.n_edges).astype(np.float64)
+        eg = EdgeScalarGraph(graph, edge_scalars)
+        _assert_same_super_tree(build_edge_tree(eg))
+
+    @settings(max_examples=80, deadline=None)
+    @given(forests())
+    @example(([], []))
+    def test_forests(self, forest):
+        _assert_same_super_tree(ScalarTree(*forest))
+
+
+def test_super_tree_self_test_answer_is_the_python_walk():
+    scalars, parent, members, __ = _chain_bfs(
+        ScalarTree(*native._SUPER_TREE_CASE)
+    )
+    assert (
+        scalars.tolist(), parent.tolist(), [m.tolist() for m in members]
+    ) == native._SUPER_TREE_ANSWER
+
+
+@pytest.mark.parametrize("parent, scalars", [
+    ([-1, 0, 3], [0.0, 1.0, 2.0]),   # parent id 3 past the 3 items
+    ([-1, 0, 1], [0.0, 1.0]),        # one scalar short
+], ids=["parent-past-end", "scalar-short"])
+def test_super_tree_rejects_bad_input_before_the_call(parent, scalars):
+    """The C walk trusts its parent ids, so the wrapper checks them."""
+
+    class _NoKernel:
+        def repro_super_tree(self, *args):
+            raise AssertionError("the kernel was called")
+
+    with pytest.raises(ValueError, match="super_tree"):
+        native.super_tree(parent, scalars, lib=_NoKernel())
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import accel
 from repro.core import (
     ScalarGraph,
+    ScalarTree,
     SuperTree,
     build_super_tree,
     build_vertex_tree,
@@ -46,6 +48,26 @@ class TestBuildSuperTree:
 
     def test_n_items(self, tied_tree):
         assert build_super_tree(tied_tree).n_items == 5
+
+    @pytest.mark.parametrize("backend", ["vector", "native"])
+    @pytest.mark.parametrize("parent, scalars, item", [
+        ([-1, 0], [2.0, 1.0], 1),
+        ([-1, 0, 1], [2.0, 1.0, 3.0], 1),
+        ([1, 0], [1.0, 1.0], 0),
+        ([-1, 2, 1], [0.0, 1.0, 1.0], 1),
+    ], ids=[
+        "child-below-parent", "head-under-child-below-parent", "cycle",
+        "cycle-beside-root",
+    ])
+    def test_malformed_tree_raises(self, backend, parent, scalars, item):
+        """Every item must land in a super node: an item that no root
+        reaches through non-decreasing scalars is an error on both tiers
+        (``native`` is the vector tier on a host without a compiler)."""
+        tree = ScalarTree(parent, scalars)
+        with accel.using(backend), pytest.raises(
+            ValueError, match=f"item {item} is not reached"
+        ):
+            build_super_tree(tree)
 
 
 class TestSubtreeQueries:
@@ -117,6 +139,15 @@ class TestValidate:
             [np.array([0]), np.array([0])],
         )
         with pytest.raises(ValueError, match="partition"):
+            st.validate()
+
+    @pytest.mark.parametrize("members", [
+        [[0], [-1]],   # -1 would count as the last item
+        [[0], [2]],    # past the two items
+    ], ids=["negative", "past-end"])
+    def test_detects_out_of_range_member(self, members):
+        st = SuperTree(np.array([0.0, 1.0]), np.array([-1, 0]), members)
+        with pytest.raises(ValueError, match="member ids"):
             st.validate()
 
     def test_alignment_required(self):

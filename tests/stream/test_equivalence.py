@@ -91,7 +91,7 @@ def test_replay_matches_static_build(scenario):
 
 @settings(max_examples=25, deadline=None)
 @given(_scenario())
-def test_spliced_super_tree_matches_static_build(scenario):
+def test_maintained_super_tree_matches_static_build(scenario):
     n, gen, seed, scalars, batches, threshold = scenario
     graph = gen(n, seed)
     field = ScalarGraph(graph, np.array(scalars, dtype=np.float64))
@@ -99,7 +99,7 @@ def test_spliced_super_tree_matches_static_build(scenario):
 
     for batch in batches:
         stream.apply(batch)
-        stream.super_tree()  # force the splice path every batch
+        stream.super_tree()  # build (and cache) it after every batch
 
     sup = stream.super_tree()
     ref = build_super_tree(build_vertex_tree(stream.snapshot()))

@@ -126,7 +126,7 @@ class TestStreamingBasics:
 
 
 class TestSuperTreeMaintenance:
-    def test_spliced_super_tree_matches_full(self, field):
+    def test_super_tree_after_batch_matches_full(self, field):
         stream = StreamingScalarTree(field, rebuild_threshold=1.0)
         first = stream.super_tree()  # prime the cache
         assert first.n_nodes == 5
