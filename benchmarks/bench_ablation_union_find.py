@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import accel
 from repro.accel import native as accel_native
 from repro.core import NaiveUnionFind, ScalarGraph, UnionFind
 from repro.core.scalar_tree import ScalarTree, build_vertex_tree
@@ -59,9 +60,10 @@ def test_ablation_compression(benchmark, report, report_json, kcore_field):
         assert np.array_equal(fast_tree.parent, naive_tree.parent)
         native = float("nan")
         if have_native:
-            t0 = time.perf_counter()
-            native_tree = build_vertex_tree(field, backend="native")
-            native = time.perf_counter() - t0
+            with accel.using("native"):
+                t0 = time.perf_counter()
+                native_tree = build_vertex_tree(field)
+                native = time.perf_counter() - t0
             assert np.array_equal(fast_tree.parent, native_tree.parent)
         return fast, naive, native
 
@@ -110,4 +112,5 @@ def test_bench_uncompressed(benchmark, kcore_field):
 )
 def test_bench_native(benchmark, kcore_field):
     field = kcore_field("grqc")
-    benchmark(lambda: build_vertex_tree(field, backend="native"))
+    with accel.using("native"):
+        benchmark(lambda: build_vertex_tree(field))

@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import accel
 from repro.core import (
     EdgeScalarGraph,
     ScalarGraph,
@@ -30,6 +31,7 @@ from repro.graph import generators
 from repro.terrain import layout_tree, rasterize, render_terrain
 
 from conftest import best_of
+from oracles import oracle_edge_tree, oracle_vertex_tree
 
 _TINY = os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0")
 
@@ -130,17 +132,23 @@ def test_bench_large_edge_tree(benchmark, ktruss_field):
     )
 
 
-def test_accel_tree_construction_speedup(report, report_json):
-    """Naive vs vector vs native Algorithm 1/3 on a ≥1e5-edge graph.
+def _on(tier, fn, *args):
+    """``fn(*args)`` with the accel tier pinned to ``tier``."""
+    with accel.using(tier):
+        return fn(*args)
 
-    The floors established by PRs 4 and 7: at 1e5+ edges the
-    edge-ordered merge-scan kernel must build the vertex scalar tree
-    ≥2× faster than the naive adjacency walk, and the self-compiled C
-    scan must be ≥10× over naive and ≥4× over vector — with identical
-    parents across all three tiers.  Tiny mode keeps the equivalence
-    cross-checks but skips the timing assertions (small graphs don't
-    amortize the presort), and the native floors are additionally
-    host-gated on a working toolchain.
+
+def test_accel_tree_construction_speedup(report, report_json):
+    """Loop oracle vs vector vs native Algorithm 1/3 on a ≥1e5-edge graph.
+
+    The floors: at 1e5+ edges the edge-ordered merge-scan kernel must
+    build the vertex scalar tree ≥2× faster than the adjacency-walk
+    oracle (the ``naive`` columns), and the self-compiled C scan must be
+    ≥10× over the oracle and ≥4× over vector — with identical parents
+    across all three.  Tiny mode
+    keeps the equivalence cross-checks but skips the timing assertions
+    (small graphs don't amortize the presort), and the native floors
+    are additionally host-gated on a working toolchain.
     """
     from repro.accel import native as accel_native
 
@@ -151,40 +159,40 @@ def test_accel_tree_construction_speedup(report, report_json):
     edge_field = EdgeScalarGraph(graph, rng.uniform(0.0, 1.0, graph.n_edges))
     have_native = accel_native.available()
 
-    naive_parent = build_vertex_tree(field, backend="naive").parent
+    naive_parent = oracle_vertex_tree(field).parent
     assert np.array_equal(
-        naive_parent, build_vertex_tree(field, backend="vector").parent
+        naive_parent, _on("vector", build_vertex_tree, field).parent
     )
-    naive_eparent = build_edge_tree(edge_field, backend="naive").parent
+    naive_eparent = oracle_edge_tree(edge_field).parent
     assert np.array_equal(
-        naive_eparent, build_edge_tree(edge_field, backend="vector").parent
+        naive_eparent, _on("vector", build_edge_tree, edge_field).parent
     )
     if have_native:
         assert np.array_equal(
-            naive_parent, build_vertex_tree(field, backend="native").parent
+            naive_parent, _on("native", build_vertex_tree, field).parent
         )
         assert np.array_equal(
-            naive_eparent, build_edge_tree(edge_field, backend="native").parent
+            naive_eparent, _on("native", build_edge_tree, edge_field).parent
         )
 
     # The faster the tier, the more min-of-k rounds it takes for the
     # minimum to converge on the true cost (a single GC pause is a large
-    # fraction of a ~10 ms native build, negligible against naive).
-    t_naive = best_of(lambda: build_vertex_tree(field, backend="naive"))
+    # fraction of a ~10 ms native build, negligible against the oracle).
+    t_naive = best_of(lambda: oracle_vertex_tree(field))
     t_vector = best_of(
-        lambda: build_vertex_tree(field, backend="vector"), rounds=5
+        lambda: _on("vector", build_vertex_tree, field), rounds=5
     )
-    te_naive = best_of(lambda: build_edge_tree(edge_field, backend="naive"))
+    te_naive = best_of(lambda: oracle_edge_tree(edge_field))
     te_vector = best_of(
-        lambda: build_edge_tree(edge_field, backend="vector"), rounds=5
+        lambda: _on("vector", build_edge_tree, edge_field), rounds=5
     )
     t_native = te_native = float("nan")
     if have_native:
         t_native = best_of(
-            lambda: build_vertex_tree(field, backend="native"), rounds=9
+            lambda: _on("native", build_vertex_tree, field), rounds=9
         )
         te_native = best_of(
-            lambda: build_edge_tree(edge_field, backend="native"), rounds=9
+            lambda: _on("native", build_edge_tree, edge_field), rounds=9
         )
     speedup = t_naive / t_vector
     e_speedup = te_naive / te_vector
@@ -254,9 +262,9 @@ def test_paper_scale_ktruss(report, report_json):
     A generated 1e6-edge ``powerlaw_cluster(200000, 5, 0.3)`` graph
     stands in for the paper's million-edge datasets.  Both k-truss
     tiers start from the same array supports; the dict-adjacency peel
-    (``naive``) and the compiled bin-sort peel (``native``) must return
-    identical truss numbers, and the native call must be ≥4× faster
-    end to end.  Tiny mode runs a 1e4-edge graph and skips the floor,
+    (the ``vector`` tier) and the compiled bin-sort peel (``native``)
+    must return identical truss numbers, and the native call must be
+    ≥4× faster end to end.  Tiny mode runs a 1e4-edge graph and skips the floor,
     which is also gated on a working toolchain.
     """
     from repro.accel import native as accel_native
@@ -267,12 +275,12 @@ def test_paper_scale_ktruss(report, report_json):
     have_native = accel_native.available()
 
     t0 = time.perf_counter()
-    kt = truss_numbers(graph, backend="naive")
+    kt = _on("vector", truss_numbers, graph)
     t_dict = time.perf_counter() - t0
     t_native = float("nan")
     if have_native:
-        assert np.array_equal(kt, truss_numbers(graph, backend="native"))
-        t_native = best_of(lambda: truss_numbers(graph, backend="native"))
+        assert np.array_equal(kt, _on("native", truss_numbers, graph))
+        t_native = best_of(lambda: _on("native", truss_numbers, graph))
     field = EdgeScalarGraph(graph, kt.astype(np.float64))
     t_tree = best_of(lambda: build_super_tree(build_edge_tree(field)))
     speedup = t_dict / t_native if have_native else float("nan")

@@ -4,11 +4,16 @@ Every benchmark writes its reproduced table/series to
 ``benchmarks/out/<name>.txt`` (and echoes it to stdout) so the numbers
 survive pytest's output capture; EXPERIMENTS.md summarises them against
 the paper.
+
+The loop oracles of ``tests/accel/oracles.py`` are the baselines the
+kernel benches time the accel tiers against; this file puts that
+directory on ``sys.path`` so a bench can ``from oracles import ...``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +31,7 @@ from repro.graph import datasets
 from repro.measures import core_numbers, truss_numbers
 
 OUT_DIR = Path(__file__).parent / "out"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests" / "accel"))
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,10 @@ are captured without any bench opting in.  Results land in
 ``BENCH_PR10.json``:
 
 * ``benches`` — per-file wall time and exit status;
-* ``speedups`` — the naive/vector/native kernel speedup columns (merged
-  from ``benchmarks/out/accel_*.json``); the native columns carry the
-  tree-build floors (≥10× over naive, ≥4× over vector at 1e5 edges),
+* ``speedups`` — the kernel speedup columns over the loop oracles
+  (``naive``) and between the vector and native tiers (merged from
+  ``benchmarks/out/accel_*.json``); the native columns carry the
+  tree-build floors (≥10× over the oracle, ≥4× over vector at 1e5 edges),
   asserted inside ``bench_table2_construction.py`` when a toolchain
   exists;
 * ``span_rollups`` — per-span-name p50/p95/max/total ms over all spans
@@ -211,7 +212,7 @@ def main(argv=None) -> int:
         "span_rollups": obs_trace.rollup(records),
         "env": {
             "tiny": os.environ.get("REPRO_BENCH_TINY", "") not in ("", "0"),
-            "accel": os.environ.get("REPRO_ACCEL", "auto") or "auto",
+            "accel": os.environ.get("REPRO_ACCEL", "native") or "native",
             "native_available": _native_available(),
             "python": sys.version.split()[0],
             "host": host_fingerprint(),

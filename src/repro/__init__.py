@@ -62,10 +62,10 @@ Subpackages
 ``repro.accel``
     Vectorized compute kernels for the hot stages — tree construction,
     traversal measures, k-core peeling, layout relaxation,
-    rasterization; C kernels for the merge scans and the k-truss peel —
-    equivalence-tested to produce the same arrays as the naive
-    reference code, selected via ``repro --accel``, the
-    ``REPRO_ACCEL`` environment variable or per call.
+    rasterization; C kernels for the merge scans, the k-truss peel,
+    the super tree and the renderer's z-buffer — equivalence-tested
+    against the per-item loops they replaced.  ``REPRO_ACCEL=vector``
+    keeps the C kernels off.
 """
 
 from .core import (

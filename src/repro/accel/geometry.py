@@ -1,28 +1,20 @@
-"""Batched sibling-relaxation kernels for the nested-disc layout.
+"""Sibling relaxation for the nested-disc layout.
 
 The layout's overlap-relaxation step pushes overlapping sibling discs
-apart and clamps every disc back inside its parent.  Both backends
-implement the *same* accumulate-then-apply sweep (a Jacobi iteration):
-all pairwise pushes of a sweep are computed against the sweep's
-starting positions, summed per disc in ascending partner order, applied
-at once, and then the parent clamp runs per disc on the pushed
-positions.  That definition is what makes a vectorized version possible
-at all — a Gauss-Seidel sweep that mutates positions pair by pair is
-inherently sequential — and both implementations follow it with the
-same floating-point operations in the same order, so naive and vector
-results are **byte-identical** (``tests/accel/test_geometry_equivalence``):
+apart and clamps every disc back inside its parent, as an
+accumulate-then-apply sweep (a Jacobi iteration): all pairwise pushes
+of a sweep are computed against the sweep's starting positions, summed
+per disc in ascending partner order, applied at once, and then the
+parent clamp runs per disc on the pushed positions.
 
-* :func:`relax_siblings_naive` — the reference nested Python loop,
-  O(k²) pairs per sweep;
-* :func:`relax_siblings_vector` — one k×k broadcast per sweep
-  (pairwise differences, distances, overlap mask and push magnitudes
-  all at once); the per-disc sums are folded column by column, which
-  both preserves the reference's ascending-partner accumulation order
-  bit-for-bit and keeps the fold a cheap O(k) vector op per partner.
+:func:`relax_siblings` runs the sweep as a nested Python loop, O(k²)
+pairs per sweep.  The layout only relaxes groups of 2–24 siblings
+(larger groups are ring-packed), and on those the loop matches or
+beats a k×k numpy broadcast of the same sweep, which pays its array
+set-up on every one of the many small groups.
 
 Overlapping pairs at effectively zero distance separate along +x, with
-the reference's historical ``d = 1`` substitution in the push magnitude
-kept as-is in both backends.
+a ``d = 1`` substitution in the push magnitude.
 """
 
 from __future__ import annotations
@@ -31,13 +23,13 @@ import math
 
 import numpy as np
 
-__all__ = ["relax_siblings_naive", "relax_siblings_vector"]
+__all__ = ["relax_siblings"]
 
 _PAD = 1.02  # target separation: sum of radii plus a 2% breathing gap
 _EPS = 1e-12
 
 
-def relax_siblings_naive(
+def relax_siblings(
     xs: np.ndarray,
     ys: np.ndarray,
     radii: np.ndarray,
@@ -46,7 +38,7 @@ def relax_siblings_naive(
     available: float,
     iters: int,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Reference accumulate-then-apply relaxation (returns new arrays)."""
+    """Accumulate-then-apply relaxation (returns new arrays)."""
     xs = np.array(xs, dtype=np.float64)
     ys = np.array(ys, dtype=np.float64)
     radii = np.asarray(radii, dtype=np.float64)
@@ -94,74 +86,6 @@ def relax_siblings_naive(
                     xs[i] = cx + dx * scale
                     ys[i] = cy + dy * scale
                 moved = True
-        if not moved:
-            break
-    return xs, ys
-
-
-def relax_siblings_vector(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    radii: np.ndarray,
-    cx: float,
-    cy: float,
-    available: float,
-    iters: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Broadcast relaxation, bit-identical to the naive sweep."""
-    xs = np.array(xs, dtype=np.float64)
-    ys = np.array(ys, dtype=np.float64)
-    radii = np.asarray(radii, dtype=np.float64)
-    k = len(xs)
-    idx = np.arange(k)
-    limit = available - radii
-    # Iteration-invariant: target separation per pair; −1 on the
-    # diagonal so a disc never "overlaps" itself (distance 0 ≮ −1).
-    need = (radii[:, None] + radii[None, :]) * _PAD
-    need[idx, idx] = -1.0
-    for __ in range(iters):
-        # diff[t, s] = position[t] - position[s]: the push direction the
-        # pair {t, s} exerts on t.
-        diff_x = xs[:, None] - xs[None, :]
-        diff_y = ys[:, None] - ys[None, :]
-        d = np.sqrt(diff_x * diff_x + diff_y * diff_y)
-        overlap = d < need
-        moved = bool(overlap.any())
-        push_x = np.zeros(k)
-        push_y = np.zeros(k)
-        if moved:
-            # Only overlapping pairs contribute.  np.nonzero yields them
-            # in row-major order — for each disc, partners ascending —
-            # and np.add.at applies the additions in exactly that order,
-            # reproducing the reference accumulation bit-for-bit.
-            ti, si = np.nonzero(overlap)
-            dv = d[ti, si]
-            nv = need[ti, si]
-            dxv = diff_x[ti, si]
-            dyv = diff_y[ti, si]
-            degenerate = dv < _EPS
-            if degenerate.any():
-                dxv = np.where(degenerate, np.sign(ti - si).astype(np.float64), dxv)
-                dyv = np.where(degenerate, 0.0, dyv)
-                dv = np.where(degenerate, 1.0, dv)
-            push = (nv - dv) / 2
-            np.add.at(push_x, ti, (dxv / dv) * push)
-            np.add.at(push_y, ti, (dyv / dv) * push)
-        xs = xs + push_x
-        ys = ys + push_y
-        dxc = xs - cx
-        dyc = ys - cy
-        dc = np.sqrt(dxc * dxc + dyc * dyc)
-        outside = dc > limit
-        if outside.any():
-            moved = True
-            pin = outside & (dc < _EPS)
-            scaled = np.flatnonzero(outside & ~pin)
-            scale = limit[scaled] / dc[scaled]
-            xs[scaled] = cx + dxc[scaled] * scale
-            ys[scaled] = cy + dyc[scaled] * scale
-            xs[pin] = cx
-            ys[pin] = cy
         if not moved:
             break
     return xs, ys

@@ -5,19 +5,19 @@ level-major order (all depth-0 discs, then depth-1, ...; see its
 docstring for why that order is canonical).  Within a level the
 expensive population is the *sub-pixel* discs — real trees carry
 thousands of leaf nodes whose discs cover less than one grid cell, and
-the naive path pays a Python iteration per leaf just to stamp a single
+a per-node loop pays a Python iteration per leaf just to stamp a single
 cell.  The kernels here batch that work:
 
 * :func:`forest_depths` — per-node depth of a parent-pointer forest by
   whole-level propagation (no per-node parent chasing);
 * :func:`stamp_points` — one level's sub-pixel stamps as a single
   sort-and-scatter: group the stamps by target cell, pick each cell's
-  winner (the stamp the naive sequential rule would leave in place:
+  winner (the stamp the sequential rule would leave in place:
   highest scalar, latest position among equals), and apply the
   surviving stamps with one fancy-indexed compare-and-set.
 
-Both produce exactly the arrays the naive per-node loop produces
-(``tests/accel/test_raster_equivalence.py``).
+Both produce exactly the arrays the per-node loop produces (the oracle
+in ``tests/accel/oracles.py``; ``tests/accel/test_raster_equivalence.py``).
 """
 
 from __future__ import annotations

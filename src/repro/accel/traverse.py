@@ -1,7 +1,8 @@
 """Frontier-at-a-time traversal kernels over CSR arrays.
 
-The naive centrality code runs one Python ``deque`` BFS per source and
-the naive k-core peel removes one vertex at a time.  The kernels here
+Textbook centrality code runs one Python ``deque`` BFS per source, and
+the textbook k-core peel removes one vertex at a time (both kept as
+oracles in ``tests/accel/oracles.py``).  The kernels here
 process a whole BFS frontier (or a whole peel level) per step with
 numpy gathers: neighbour lists of the entire frontier are pulled in one
 ``indptr``-arithmetic gather (``np.repeat`` over degree counts), the
@@ -13,7 +14,7 @@ Everything takes flat ``indptr``/``indices`` arrays (not a
 an explicit source list, so :mod:`repro.measures.centrality` calls
 them directly on its graph's arrays and its own sources.
 
-Equivalence to the naive code (``tests/accel/``): BFS distances, and
+Equivalence to the oracles (``tests/accel/``): BFS distances, and
 hence harmonic/closeness values, are byte-identical (same masked-sum
 expression over the same integer distances); k-core numbers are
 identical (the decomposition is peel-order-independent); Brandes
@@ -121,8 +122,7 @@ def betweenness_accumulate(
     Level-synchronous: the forward pass grows whole BFS levels
     (shortest-path counts ``sigma`` scattered per level with
     ``np.add.at``), the backward pass folds dependencies level by level.
-    The caller applies pair-count/sampling scaling, exactly as the
-    naive accumulation expects.
+    The caller applies pair-count/sampling scaling.
     """
     n = len(indptr) - 1
     bc = np.zeros(n)
@@ -173,8 +173,8 @@ def core_numbers_vector(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     ``np.add.at`` scatter and are the only candidates for the next
     batch — cascade rounds touch O(frontier edges), not O(n), so long
     peel chains stay linear overall.  Core numbers are
-    peel-order-independent, so the output matches the naive
-    Batagelj–Zaversnik peel exactly.
+    peel-order-independent, so the output matches the
+    one-vertex-at-a-time Batagelj–Zaversnik peel exactly.
     """
     n = len(indptr) - 1
     if n == 0:

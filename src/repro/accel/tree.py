@@ -1,16 +1,15 @@
 """Edge-ordered scalar-tree construction kernels (Algorithms 1 and 3).
 
-The naive builds (:func:`repro.core.scalar_tree.build_vertex_tree`,
-:func:`repro.core.edge_tree.build_edge_tree`) walk the full adjacency of
-every item through :func:`~repro.core.scalar_tree.attach_vertex`,
-visiting each undirected edge **twice** and paying a Python-level rank
-comparison per visit.  The kernels here restructure the same
-computation around the edges:
+The textbook builds (kept as oracles in ``tests/accel/oracles.py``)
+walk the full adjacency of every item through
+:func:`~repro.core.scalar_tree.attach_vertex`, visiting each undirected
+edge **twice** and paying a Python-level rank comparison per visit.
+The kernels here restructure the same computation around the edges:
 
 1. every undirected edge is attributed, vectorized, to the endpoint
-   processed *later* (larger rank) — exactly the visits the naive scan
-   acts on, so each edge is visited **once** and the rank test vanishes
-   from the inner loop;
+   processed *later* (larger rank) — exactly the visits the adjacency
+   scan acts on, so each edge is visited **once** and the rank test
+   vanishes from the inner loop;
 2. the edges are pre-sorted once (stable argsort on the later
    endpoint's rank) so a single flat :func:`merge_scan` replays them in
    processing order;
@@ -22,22 +21,21 @@ computation around the edges:
    :mod:`repro.accel.native`, which removes the interpreter from the
    one loop vectorization cannot reach.
 
-The result is **byte-identical** to the naive build: within one item's
-merge group, every distinct already-built subtree root gets the current
-item as parent exactly once regardless of the order the group's edges
-are replayed in (the roots were fixed before the group started, and
-re-encounters of an already-merged subtree are skipped), so attributing
-edges instead of scanning adjacency cannot change a single parent
-pointer.  ``tests/accel/test_tree_equivalence.py`` enforces this
-property-wise — naive ≡ vector ≡ native — including disconnected
-graphs and duplicate scalars.
+The result is **byte-identical** to the adjacency scan: within one
+item's merge group, every distinct already-built subtree root gets the
+current item as parent exactly once regardless of the order the
+group's edges are replayed in (the roots were fixed before the group
+started, and re-encounters of an already-merged subtree are skipped),
+so attributing edges instead of scanning adjacency cannot change a
+single parent pointer.  ``tests/accel/test_tree_equivalence.py``
+enforces this property-wise — oracle ≡ vector ≡ native — including
+disconnected graphs and duplicate scalars.
 """
 
 from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Optional
 
 import numpy as np
 
@@ -82,10 +80,9 @@ def rank_order(scalars: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Processing order and rank permutation for a scalar vector.
 
     Items are processed in decreasing scalar order, ties broken by
-    ascending item id — the same ``np.lexsort`` the naive builds use,
-    so both backends agree bit-for-bit on ties.  Results are memoized
-    per scalars buffer (see above); callers must treat the returned
-    arrays as read-only.
+    ascending item id (``np.lexsort``), so every build agrees
+    bit-for-bit on ties.  Results are memoized per scalars buffer (see
+    above); callers must treat the returned arrays as read-only.
     """
     arr = np.asarray(scalars)
     key = id(arr)
@@ -120,25 +117,7 @@ def rank_order_cache_clear() -> None:
 # ----------------------------------------------------------------------
 # The merge scans
 # ----------------------------------------------------------------------
-def _native_selected(backend: Optional[str], size: int) -> bool:
-    """Whether this scan should run the compiled kernel.
-
-    ``backend`` is a caller's already-resolved tier when given; None
-    asks the global switch (``auto``/``native`` prefer the compiled
-    scan at any size — the caller reaching a flat scan has already
-    cleared the naive threshold).
-    """
-    if backend is None:
-        backend = _resolve(None, size=size, threshold=0, native=True)
-    return backend == "native" and _native.available()
-
-
-def merge_scan(
-    n_items: int,
-    cur: np.ndarray,
-    prev: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def merge_scan(n_items: int, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Replay pre-ordered merge steps; return the forest's parent array.
 
     ``cur[i]`` is the item being processed at step ``i`` and ``prev[i]``
@@ -146,11 +125,10 @@ def merge_scan(
     processing order of ``cur``.  Each step that joins two distinct
     subtrees re-roots the older one under ``cur[i]`` — one flat scan
     shared by the vertex-tree (Algorithm 1) and edge-tree (Algorithm 3)
-    builds.  ``backend`` picks the scan implementation (``"native"``
-    runs the compiled C kernel when available; anything else, or a
-    failed compile, runs the Python scan below — byte-identical).
+    builds.  The ``native`` tier runs the compiled C kernel; ``vector``,
+    or a failed compile, runs the Python scan below — byte-identical.
     """
-    if _native_selected(backend, len(cur)):
+    if _resolve(native=True) == "native":
         parent = _native.merge_scan(n_items, cur, prev)
         if parent is not None:
             return parent
@@ -184,16 +162,12 @@ def merge_scan(
 
 
 def vertex_tree_parents(
-    n_vertices: int,
-    edge_pairs: np.ndarray,
-    rank: np.ndarray,
-    backend: Optional[str] = None,
+    n_vertices: int, edge_pairs: np.ndarray, rank: np.ndarray
 ) -> np.ndarray:
     """Algorithm 1 parents via the edge-ordered merge scan.
 
     ``edge_pairs`` is an ``(m, 2)`` array of undirected edges and
     ``rank`` the processing rank per vertex (see :func:`rank_order`).
-    ``backend`` selects the scan tier (see :func:`merge_scan`).
     """
     if len(edge_pairs) == 0:
         return np.full(n_vertices, -1, dtype=np.int64)
@@ -206,14 +180,11 @@ def vertex_tree_parents(
     # Stability is unnecessary: the merge result is invariant to the
     # order of one item's edges (see the module docstring).
     eorder = np.argsort(np.maximum(ra, rb))
-    return merge_scan(n_vertices, cur[eorder], prev[eorder], backend)
+    return merge_scan(n_vertices, cur[eorder], prev[eorder])
 
 
 def edge_tree_parents(
-    n_vertices: int,
-    edge_pairs: np.ndarray,
-    rank: np.ndarray,
-    backend: Optional[str] = None,
+    n_vertices: int, edge_pairs: np.ndarray, rank: np.ndarray
 ) -> np.ndarray:
     """Algorithm 3 parents via the same merge scan.
 
@@ -242,4 +213,4 @@ def edge_tree_parents(
     keep = rank[cand_rows] < rank[rows][:, None]
     cur = np.repeat(rows, 2)[keep.ravel()]
     prev = cand_rows.ravel()[keep.ravel()]
-    return merge_scan(m, cur, prev, backend)
+    return merge_scan(m, cur, prev)

@@ -46,7 +46,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel
 from .core import global_correlation_index, outlier_score
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
@@ -169,7 +168,6 @@ def _add_common(
         help="persist pipeline artifacts here (default: $REPRO_CACHE_DIR "
              "if set, else in-memory only)",
     )
-    _add_accel(parser)
     _add_obs(parser)
     _add_resil(parser)
 
@@ -197,17 +195,6 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
         "--metrics", action="store_true",
         help="print the repro.obs metrics registry (Prometheus text "
              "format) to stderr on exit",
-    )
-
-
-def _add_accel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--accel", choices=accel.BACKENDS, default=None,
-        help="compute-kernel backend for tree construction, measures, "
-             "layout and rasterization; all backends produce identical "
-             "results ('native' self-compiles a C merge-scan kernel at "
-             "first use and falls back to 'vector' without a toolchain; "
-             "default: $REPRO_ACCEL if set, else 'auto')",
     )
 
 
@@ -907,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="write the full window/event/diff report as JSON",
     )
-    _add_accel(evolve)
     _add_obs(evolve)
     _add_resil(evolve)
     evolve.set_defaults(func=_cmd_evolve)
@@ -1010,7 +996,6 @@ def build_parser() -> argparse.ArgumentParser:
              "requests, end SSE streams with a terminal 'shutdown' "
              "event, then exit (default: %(default)s)",
     )
-    _add_accel(serve)
     _add_obs(serve)
     _add_resil(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -1021,8 +1006,6 @@ def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "accel", None):
-        accel.set_backend(args.accel)
     if getattr(args, "faults", None):
         import os
 

@@ -15,26 +15,15 @@ Two constructions are provided:
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
-from .. import accel
 from ..accel import tree as _accel_tree
 from ..graph.dual import line_graph
 from .scalar_graph import EdgeScalarGraph, ScalarGraph
 from .scalar_tree import ScalarTree, build_vertex_tree
-from .union_find import UnionFind
 
 __all__ = ["build_edge_tree", "build_edge_tree_naive"]
 
-# ``--accel auto`` switch-over point, matching the vertex-tree build.
-_VECTOR_MIN_EDGES = 2048
 
-
-def build_edge_tree(
-    edge_graph: EdgeScalarGraph, backend: Optional[str] = None
-) -> ScalarTree:
+def build_edge_tree(edge_graph: EdgeScalarGraph) -> ScalarTree:
     """Algorithm 3: edge scalar tree in O(E log E).
 
     Edges are processed in decreasing scalar order (ties by edge id).
@@ -46,62 +35,16 @@ def build_edge_tree(
     inspected.
 
     Returns a :class:`ScalarTree` whose items are dense edge ids (the
-    order of :attr:`EdgeScalarGraph.edge_pairs`).  ``backend`` picks the
-    merge kernel exactly as in
-    :func:`~repro.core.scalar_tree.build_vertex_tree` (byte-identical
-    results either way).
+    order of :attr:`EdgeScalarGraph.edge_pairs`), built by the same
+    merge scan as :func:`~repro.core.scalar_tree.build_vertex_tree`.
     """
-    m = edge_graph.n_edges
     scalars = edge_graph.scalars
-    pairs = edge_graph.edge_pairs
     # Decreasing scalar, ties by ascending edge id.
-    order, rank = _accel_tree.rank_order(scalars)
-
-    chosen = accel.resolve(
-        backend, size=m, threshold=_VECTOR_MIN_EDGES, native=True
+    __, rank = _accel_tree.rank_order(scalars)
+    parent = _accel_tree.edge_tree_parents(
+        edge_graph.n_vertices, edge_graph.edge_pairs, rank
     )
-    if chosen != "naive":
-        parent = _accel_tree.edge_tree_parents(
-            edge_graph.n_vertices, pairs, rank, chosen
-        )
-        return ScalarTree(parent, scalars.copy(), kind="edge")
-
-    # min_id_edge per vertex: incident edge with minimum rank.
-    n = edge_graph.n_vertices
-    INF = m + 1
-    min_id_edge = np.full(n, -1, dtype=np.int64)
-    best_rank = np.full(n, INF, dtype=np.int64)
-    for eid in range(m):
-        u, v = pairs[eid]
-        r = rank[eid]
-        if r < best_rank[u]:
-            best_rank[u] = r
-            min_id_edge[u] = eid
-        if r < best_rank[v]:
-            best_rank[v] = r
-            min_id_edge[v] = eid
-
-    parent = [-1] * m
-    uf = UnionFind(m)
-    tree_root = list(range(m))
-    rank_list = rank.tolist()
-    min_edge_list = min_id_edge.tolist()
-    pairs_list = pairs.tolist()
-
-    for eid in order.tolist():
-        rank_e = rank_list[eid]
-        u, v = pairs_list[eid]
-        for em in (min_edge_list[u], min_edge_list[v]):
-            if em >= 0 and rank_list[em] < rank_e:
-                root_e, root_m = uf.find(eid), uf.find(em)
-                if root_e != root_m:
-                    parent[tree_root[root_m]] = eid
-                    merged = uf.union(root_e, root_m)
-                    tree_root[merged] = eid
-
-    return ScalarTree(
-        np.array(parent, dtype=np.int64), scalars.copy(), kind="edge"
-    )
+    return ScalarTree(parent, scalars.copy(), kind="edge")
 
 
 def build_edge_tree_naive(edge_graph: EdgeScalarGraph) -> ScalarTree:

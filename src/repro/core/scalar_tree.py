@@ -20,16 +20,10 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .. import accel
 from ..accel import tree as _accel_tree
 from .scalar_graph import ScalarGraph
-from .union_find import UnionFind
 
 __all__ = ["ScalarTree", "build_vertex_tree", "attach_vertex"]
-
-# Below this many edges the vectorized build's presort does not pay for
-# itself; ``--accel auto`` stays on the naive path.
-_VECTOR_MIN_EDGES = 2048
 
 
 def _children_table(parent: np.ndarray, n: int) -> List[List[int]]:
@@ -215,9 +209,7 @@ def attach_vertex(v, neighbors, rank, uf, parent, tree_root, journal=None):
                 tree_root[merged] = v
 
 
-def build_vertex_tree(
-    scalar_graph: ScalarGraph, backend: Optional[str] = None
-) -> ScalarTree:
+def build_vertex_tree(scalar_graph: ScalarGraph) -> ScalarTree:
     """Algorithm 1: construct the vertex scalar tree of a scalar graph.
 
     Vertices are processed in decreasing scalar order (ties broken by
@@ -225,50 +217,20 @@ def build_vertex_tree(
     vertex meets an already-processed subtree it is attached as that
     subtree's new root.  Disconnected graphs yield a forest.
 
-    ``backend`` picks the construction kernel (default: the global
-    :mod:`repro.accel` setting): the naive path replays the adjacency
-    through :func:`attach_vertex`, the vector and native paths run the
-    edge-ordered merge scan of :mod:`repro.accel.tree` (the latter
-    through the compiled C kernel of :mod:`repro.accel.native`) — all
-    produce byte-identical parent arrays.
+    The merges run as the edge-ordered merge scan of
+    :mod:`repro.accel.tree` (through the compiled C kernel of
+    :mod:`repro.accel.native` on the ``native`` tier), which gives the
+    parent array the per-vertex :func:`attach_vertex` replay gives.
 
     When scalar values repeat, apply
     :func:`repro.core.super_tree.build_super_tree` to restore the
     subtree ↔ component correspondence (paper's Algorithm 2).
     """
     graph = scalar_graph.graph
-    n = graph.n_vertices
     scalars = scalar_graph.scalars
     # Decreasing scalar, ties by ascending vertex id.
-    order, rank = _accel_tree.rank_order(scalars)
-
-    chosen = accel.resolve(
-        backend, size=graph.n_edges, threshold=_VECTOR_MIN_EDGES,
-        native=True,
+    __, rank = _accel_tree.rank_order(scalars)
+    parent = _accel_tree.vertex_tree_parents(
+        graph.n_vertices, graph.edge_array(), rank
     )
-    if chosen != "naive":
-        parent = _accel_tree.vertex_tree_parents(
-            n, graph.edge_array(), rank, chosen
-        )
-        return ScalarTree(parent, scalars.copy(), kind="vertex")
-
-    parent = [-1] * n
-    uf = UnionFind(n)
-    tree_root = list(range(n))  # union-find root -> current subtree root node
-    # List conversions are the naive scan's price of admission (numpy
-    # element access is several times slower than list access from
-    # Python); they live behind the backend switch so the vector path
-    # never pays them.
-    indptr = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    rank_list = rank.tolist()
-
-    for v in order.tolist():
-        attach_vertex(
-            v, indices[indptr[v]: indptr[v + 1]],
-            rank_list, uf, parent, tree_root,
-        )
-
-    return ScalarTree(
-        np.array(parent, dtype=np.int64), scalars.copy(), kind="vertex"
-    )
+    return ScalarTree(parent, scalars.copy(), kind="vertex")

@@ -76,15 +76,19 @@ def super_tree_to_json(tree: SuperTree) -> str:
 
 
 def super_tree_from_json(text: str) -> SuperTree:
-    """Inverse of :func:`super_tree_to_json`."""
+    """Inverse of :func:`super_tree_to_json`; the loaded tree is
+    validated (:meth:`SuperTree.validate`), so a malformed document
+    raises ``ValueError`` here rather than reaching layout."""
     doc = json.loads(text)
     _check(doc, "super_tree")
-    return SuperTree(
+    tree = SuperTree(
         np.array(doc["scalars"], dtype=np.float64),
         np.array(doc["parent"], dtype=np.int64),
         [np.array(m, dtype=np.int64) for m in doc["members"]],
         kind=doc["kind"],
     )
+    tree.validate()
+    return tree
 
 
 def save_tree(tree, path: PathLike) -> Path:

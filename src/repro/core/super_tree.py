@@ -220,12 +220,24 @@ class SuperTree:
         return self.subtree_items(self.node_of_item(item))
 
     def validate(self) -> None:
-        """Check super-tree invariants; raise ``ValueError`` on violation."""
-        for i, p in enumerate(self.parent):
-            if p >= 0 and not self.scalars[p] < self.scalars[i]:
-                raise ValueError(
-                    "parent scalar must be strictly below child scalar"
-                )
+        """Check super-tree invariants; raise ``ValueError`` on violation.
+
+        A negative parent marks a root; a parent id past the last super
+        node, a parent scalar not strictly below its child's, or members
+        that do not partition ``0..n_items-1`` are errors.
+        """
+        kids = np.flatnonzero(self.parent >= 0)
+        parents = self.parent[kids]
+        past = np.flatnonzero(parents >= self.n_nodes)
+        if len(past):
+            raise ValueError(
+                f"super node {kids[past[0]]} has parent {parents[past[0]]}, "
+                f"past the last of {self.n_nodes} super nodes"
+            )
+        if not np.all(self.scalars[parents] < self.scalars[kids]):
+            raise ValueError(
+                "parent scalar must be strictly below child scalar"
+            )
         items = np.concatenate(self.members or [np.empty(0, np.int64)])
         if len(items) and (items.min() < 0 or items.max() >= len(items)):
             raise ValueError("member ids must lie in 0..n_items-1")
@@ -247,13 +259,13 @@ def build_super_tree(tree: ScalarTree) -> SuperTree:
     children into one super node.  Single pass, O(n).
 
     The C kernel of :mod:`repro.accel.native` runs it when
-    ``accel.resolve(None, native=True)`` says native (the default on a
-    host with a compiler); the Python walk :func:`_chain_bfs` runs it
+    ``accel.resolve(native=True)`` says native (the default on a host
+    with a compiler); the Python walk :func:`_chain_bfs` runs it
     otherwise.  Both give the same arrays.  Raises ``ValueError`` when
     some item is reached by no chain from a root, which happens only in
     a malformed tree: a child below its parent, or a cycle.
     """
-    if accel.resolve(None, native=True) == "native":
+    if accel.resolve(native=True) == "native":
         scalars, parent, members, node_of = _native.super_tree(
             tree.parent, tree.scalars
         )

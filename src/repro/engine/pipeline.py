@@ -10,15 +10,11 @@ by a content hash of its inputs and parameters and looked up in an
 :class:`~repro.engine.cache.ArtifactCache` before it is computed, so a
 repeated build (same dataset, measure, bins) skips straight to render.
 
-Stage *computation* honours the :mod:`repro.accel` backend setting
-(measures via their registry spec's ``backend`` declaration, tree
-construction / layout / rasterization via their builders' dispatch).
-Because the backends are equivalence-tested to produce identical
-arrays (betweenness: equal to ~1e-9, different float summation order),
-the choice never enters a cache key: a warm cache hit bypasses both
-kernels, and artifacts built under either backend are interchangeable
-— a cached betweenness field is reused as-is rather than recomputed to
-the other backend's 1e-9 variant.
+Stage *computation* runs on the :mod:`repro.accel` tier in force
+(``native`` C kernels where they load, else ``vector``).  Both tiers
+are equivalence-tested to produce identical arrays, so the tier never
+enters a cache key: a warm cache hit bypasses both, and artifacts
+built under either are interchangeable.
 
 :class:`StreamingPipeline` swaps the tree stage for a
 :class:`~repro.stream.incremental.StreamingScalarTree` over a

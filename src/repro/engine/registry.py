@@ -9,12 +9,6 @@ vector`` (one value per vertex or per edge) plus declared metadata:
 * ``cost`` — ``"cheap"`` / ``"moderate"`` / ``"expensive"``, a hint the
   artifact cache uses to decide whether persisting the field to disk is
   worth the I/O (degrees are cheaper to recompute than to reload);
-* ``backend`` — ``"naive"`` (a single implementation) or ``"accel"``
-  (the function takes a ``backend=`` keyword and dispatches through
-  :mod:`repro.accel`'s naive/vector kernels).  Accelerated measures are
-  equivalence-tested against their naive path — identical vectors, save
-  betweenness which agrees to ~1e-9 — so the choice never enters a
-  cache key;
 * ``description`` — one line for ``--help`` and docs.
 
 Built-in measures are registered *lazily*: the registry knows their
@@ -51,7 +45,6 @@ __all__ = [
 
 _KINDS = ("vertex", "edge")
 _COSTS = ("cheap", "moderate", "expensive")
-_BACKENDS = ("naive", "accel")
 
 
 @dataclass(frozen=True)
@@ -63,7 +56,6 @@ class MeasureSpec:
     func: Callable = field(repr=False)
     cost: str = "moderate"
     description: str = ""
-    backend: str = "naive"
 
 
 _REGISTRY: Dict[str, MeasureSpec] = {}
@@ -91,22 +83,13 @@ def register_measure(
     kind: str,
     cost: str = "moderate",
     description: str = "",
-    backend: str = "naive",
     replace: bool = False,
 ):
-    """Decorator: register ``func`` as the measure called ``name``.
-
-    ``backend="accel"`` declares that ``func`` accepts a ``backend=``
-    keyword and dispatches through :mod:`repro.accel`.
-    """
+    """Decorator: register ``func`` as the measure called ``name``."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if cost not in _COSTS:
         raise ValueError(f"cost must be one of {_COSTS}, got {cost!r}")
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"backend must be one of {_BACKENDS}, got {backend!r}"
-        )
 
     def decorator(func: Callable) -> Callable:
         # Not-yet-imported built-ins count as taken too: without this, a
@@ -117,7 +100,7 @@ def register_measure(
             raise ValueError(f"measure {name!r} is already registered")
         _REGISTRY[name] = MeasureSpec(
             name=name, kind=kind, func=func, cost=cost,
-            description=description, backend=backend,
+            description=description,
         )
         return func
 
@@ -172,16 +155,6 @@ def measure_names(kind: Optional[str] = None) -> List[str]:
     return sorted(names)
 
 
-def compute(name: str, graph, backend: Optional[str] = None) -> np.ndarray:
-    """Evaluate measure ``name`` on ``graph`` as a float64 vector.
-
-    ``backend`` is forwarded to measures registered with
-    ``backend="accel"`` (others have a single implementation); ``None``
-    defers to the process-global :mod:`repro.accel` setting.
-    """
-    spec = get_measure(name)
-    if spec.backend == "accel":
-        values = spec.func(graph, backend=backend)
-    else:
-        values = spec.func(graph)
-    return np.asarray(values, dtype=np.float64)
+def compute(name: str, graph) -> np.ndarray:
+    """Evaluate measure ``name`` on ``graph`` as a float64 vector."""
+    return np.asarray(get_measure(name).func(graph), dtype=np.float64)

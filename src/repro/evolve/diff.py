@@ -62,14 +62,12 @@ class DiffTiler:
         cache: Optional[ArtifactCache] = None,
         resolution: int = 256,
         tile_size: int = 64,
-        backend: Optional[str] = None,
     ) -> None:
         if resolution % tile_size != 0:
             raise ValueError("resolution must be a multiple of tile_size")
         self.cache = cache if cache is not None else ArtifactCache()
         self.resolution = int(resolution)
         self.tile_size = int(tile_size)
-        self.backend = backend
         self._fields: Dict[int, Heightfield] = {}
         self._fps: Dict[int, str] = {}
 
@@ -79,8 +77,8 @@ class DiffTiler:
 
     def add_frame(self, frame) -> Heightfield:
         """Rasterize one window frame; keep its field for diffing."""
-        layout = layout_tree(frame.super, backend=self.backend)
-        hf = rasterize(layout, self.resolution, backend=self.backend)
+        layout = layout_tree(frame.super)
+        hf = rasterize(layout, self.resolution)
         self._fields[frame.index] = hf
         self._fps[frame.index] = fingerprint_array(hf.height)
         return hf

@@ -151,7 +151,6 @@ class Timeline:
         bins: Optional[int] = None,
         scheme: str = "quantile",
         rebuild_threshold: float = 0.5,
-        backend: Optional[str] = None,
     ) -> None:
         if horizon <= 0:
             raise ValueError("horizon must be positive")
@@ -169,9 +168,8 @@ class Timeline:
         self.origin = origin
         self.bins = bins
         self.scheme = scheme
-        self.backend = backend
         graph = empty_graph(self.n_vertices)
-        scalars = registry.compute(measure, graph, backend=backend)
+        scalars = registry.compute(measure, graph)
         self.stream = StreamingScalarTree(
             ScalarGraph(graph, scalars), rebuild_threshold=rebuild_threshold
         )
@@ -224,9 +222,7 @@ class Timeline:
                 graph = from_edge_array(
                     np.column_stack(np.divmod(keys, n)), n_vertices=n
                 )
-                values = registry.compute(
-                    self.measure, graph, backend=self.backend
-                )
+                values = registry.compute(self.measure, graph)
                 if len(gone) or len(new) or (
                     values != self.stream.scalars
                 ).any():
@@ -255,9 +251,7 @@ class Timeline:
                 n_new_edges = len(edits)
 
                 graph = self.stream.delta.compact()
-                values = registry.compute(
-                    self.measure, graph, backend=self.backend
-                )
+                values = registry.compute(self.measure, graph)
                 changed = np.flatnonzero(values != self.stream.scalars)
                 if len(changed):
                     self.stream.apply(

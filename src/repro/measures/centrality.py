@@ -4,28 +4,23 @@ Degree, closeness, harmonic, PageRank and Brandes betweenness (exact and
 sampled-pivot).  Degree and betweenness are the two fields compared in
 the paper's §III-C / Fig 10 / user-study Task 3.
 
-The traversal-based measures (closeness, harmonic, betweenness) carry a
-``backend`` switch: the naive path is the per-source Python BFS below,
-the vector path the frontier-at-a-time kernels of
-:mod:`repro.accel.traverse` (identical distances, hence identical
-closeness/harmonic values; betweenness agrees to 1e-9).  Both paths
-walk the same source list in the calling thread.
+The traversal-based measures (closeness, harmonic, betweenness) run
+the frontier-at-a-time kernels of :mod:`repro.accel.traverse` over the
+given sources in the calling thread.  Against one ``deque`` BFS per
+source (the oracle in ``tests/accel/oracles.py``) the distances, hence
+closeness and harmonic values, are identical; betweenness sums its
+dependencies in another order and agrees to 1e-9.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .. import accel
 from ..accel import traverse as _traverse
 from ..graph.csr import CSRGraph
 from ..engine.registry import vertex_measure
-
-# ``--accel auto``: per-source Python BFS wins only on very small graphs.
-_VECTOR_MIN_VERTICES = 256
 
 __all__ = [
     "degree_centrality",
@@ -45,69 +40,26 @@ def degree_centrality(graph: CSRGraph, normalized: bool = True) -> np.ndarray:
     return deg
 
 
-def _bfs_distances(graph: CSRGraph, source: int) -> np.ndarray:
-    dist = np.full(graph.n_vertices, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = du + 1
-                queue.append(int(v))
-    return dist
-
-
 def closeness_centrality(
-    graph: CSRGraph,
-    backend: Optional[str] = None,
-    sources: Optional[Sequence[int]] = None,
+    graph: CSRGraph, sources: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Closeness with the Wasserman–Faust component correction
     (matches networkx): ``((r-1)/(n-1)) * (r-1)/Σd`` where ``r`` is the
     size of v's reachable set.  ``sources`` restricts the computation to
     those vertices (zeros elsewhere).
     """
-    n = graph.n_vertices
-    chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
-    if chosen == "vector":
-        return _traverse.closeness_values(
-            graph.indptr, graph.indices, sources
-        )
-    out = np.zeros(n)
-    for v in range(n) if sources is None else sources:
-        dist = _bfs_distances(graph, int(v))
-        reach = dist >= 0
-        r = int(reach.sum())
-        total = int(dist[reach].sum())
-        if total > 0 and n > 1:
-            out[v] = ((r - 1) / (n - 1)) * ((r - 1) / total)
-    return out
+    return _traverse.closeness_values(graph.indptr, graph.indices, sources)
 
 
 def harmonic_centrality(
-    graph: CSRGraph,
-    backend: Optional[str] = None,
-    sources: Optional[Sequence[int]] = None,
+    graph: CSRGraph, sources: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Harmonic centrality: ``Σ_{u != v} 1 / d(u, v)`` (0 for unreachable).
 
     ``sources`` restricts the computation to those vertices (zeros
     elsewhere).
     """
-    n = graph.n_vertices
-    chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
-    if chosen == "vector":
-        return _traverse.harmonic_values(
-            graph.indptr, graph.indices, sources
-        )
-    out = np.zeros(n)
-    for v in range(n) if sources is None else sources:
-        dist = _bfs_distances(graph, int(v))
-        pos = dist > 0
-        out[v] = float((1.0 / dist[pos]).sum())
-    return out
+    return _traverse.harmonic_values(graph.indptr, graph.indices, sources)
 
 
 def pagerank(
@@ -176,7 +128,6 @@ def betweenness_centrality(
     normalized: bool = True,
     samples: Optional[int] = None,
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Brandes betweenness centrality (unweighted).
 
@@ -190,15 +141,15 @@ def betweenness_centrality(
         needed to keep the larger stand-in graphs tractable.
     seed:
         Pivot-sampling seed.
-    backend:
-        Accumulation kernel (see :mod:`repro.accel`); both backends use
-        the same pivots, and agree to ~1e-9 (the level-synchronous
-        vector pass sums dependencies in a different order).
+
+    The level-synchronous accumulation of
+    :func:`repro.accel.traverse.betweenness_accumulate` sums
+    dependencies in another order than a per-source Brandes pass, so
+    the two agree to ~1e-9, not bit for bit.
     """
     n = graph.n_vertices
-    bc = np.zeros(n)
     if n < 3:
-        return bc
+        return np.zeros(n)
     if samples is not None and samples < n:
         rng = np.random.default_rng(seed)
         sources = rng.choice(n, size=samples, replace=False)
@@ -206,48 +157,7 @@ def betweenness_centrality(
     else:
         sources = np.arange(n)
         scale_samples = 1.0
-
-    chosen = accel.resolve(backend, size=n, threshold=_VECTOR_MIN_VERTICES)
-    if chosen == "vector":
-        bc = _traverse.betweenness_accumulate(
-            graph.indptr, graph.indices, sources
-        )
-        bc *= scale_samples / 2.0  # each undirected pair counted twice
-        if normalized:
-            bc /= (n - 1) * (n - 2) / 2.0
-        return bc
-
-    indptr = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    for s in sources.tolist():
-        # BFS computing shortest-path counts (sigma) and predecessors.
-        dist = [-1] * n
-        sigma = [0.0] * n
-        preds = [[] for __ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for p in range(indptr[u], indptr[u + 1]):
-                v = indices[p]
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    queue.append(v)
-                    order.append(v)
-                if dist[v] == du + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        # Dependency accumulation in reverse BFS order.
-        delta = [0.0] * n
-        for v in reversed(order):
-            coeff = (1.0 + delta[v]) / sigma[v]
-            for u in preds[v]:
-                delta[u] += sigma[u] * coeff
-            if v != s:
-                bc[v] += delta[v]
+    bc = _traverse.betweenness_accumulate(graph.indptr, graph.indices, sources)
     bc *= scale_samples / 2.0  # each undirected pair counted twice
     if normalized:
         bc /= (n - 1) * (n - 2) / 2.0
@@ -276,19 +186,19 @@ def _pagerank_field(graph: CSRGraph) -> np.ndarray:
 
 
 @vertex_measure(
-    "closeness", cost="expensive", replace=True, backend="accel",
+    "closeness", cost="expensive", replace=True,
     description="closeness centrality (all-pairs BFS)",
 )
-def _closeness_field(graph: CSRGraph, backend=None) -> np.ndarray:
-    return closeness_centrality(graph, backend=backend)
+def _closeness_field(graph: CSRGraph) -> np.ndarray:
+    return closeness_centrality(graph)
 
 
 @vertex_measure(
-    "harmonic", cost="expensive", replace=True, backend="accel",
+    "harmonic", cost="expensive", replace=True,
     description="harmonic centrality (all-pairs BFS)",
 )
-def _harmonic_field(graph: CSRGraph, backend=None) -> np.ndarray:
-    return harmonic_centrality(graph, backend=backend)
+def _harmonic_field(graph: CSRGraph) -> np.ndarray:
+    return harmonic_centrality(graph)
 
 
 @vertex_measure(
@@ -300,10 +210,10 @@ def _eigenvector_field(graph: CSRGraph) -> np.ndarray:
 
 
 @vertex_measure(
-    "betweenness", cost="expensive", replace=True, backend="accel",
+    "betweenness", cost="expensive", replace=True,
     description="betweenness centrality (sampled pivots, seed 0)",
 )
-def _betweenness_field(graph: CSRGraph, backend=None) -> np.ndarray:
+def _betweenness_field(graph: CSRGraph) -> np.ndarray:
     return betweenness_centrality(
-        graph, samples=min(256, graph.n_vertices), seed=0, backend=backend
+        graph, samples=min(256, graph.n_vertices), seed=0
     )

@@ -8,82 +8,28 @@ maximal α-connected component of the KC field is a K-core with K = α.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .. import accel
 from ..accel import traverse as _traverse
 from ..graph.csr import CSRGraph
 from ..engine.registry import vertex_measure
 
 __all__ = ["core_numbers", "k_core_subgraph", "degeneracy"]
 
-# ``--accel auto``: below this many edges the per-batch numpy scatters
-# cost more than the naive bucket walk.
-_VECTOR_MIN_EDGES = 2048
 
-
-def core_numbers(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
+def core_numbers(graph: CSRGraph) -> np.ndarray:
     """``KC(v)`` for every vertex, via bucket peeling in O(m).
 
     Repeatedly removes a minimum-degree vertex; a vertex's core number
     is its degree at removal time (made monotone over the peel).  The
-    vector backend peels whole degree levels at a time
+    peel removes whole degree levels at a time
     (:func:`repro.accel.traverse.core_numbers_vector`); core numbers
-    are peel-order-independent, so both backends return identical
-    vectors.
+    are peel-order-independent, so this equals the one-vertex-at-a-time
+    peel exactly.
     """
-    n = graph.n_vertices
-    degree = graph.degree().astype(np.int64)
-    if n == 0:
+    if graph.n_vertices == 0:
         return np.zeros(0, dtype=np.int64)
-    chosen = accel.resolve(
-        backend, size=graph.n_edges, threshold=_VECTOR_MIN_EDGES
-    )
-    if chosen == "vector":
-        return _traverse.core_numbers_vector(graph.indptr, graph.indices)
-    max_deg = int(degree.max())
-
-    # Bucket sort vertices by degree.
-    bin_start = np.zeros(max_deg + 2, dtype=np.int64)
-    for d in degree:
-        bin_start[d + 1] += 1
-    bin_start = np.cumsum(bin_start)
-    pos = np.empty(n, dtype=np.int64)
-    vert = np.empty(n, dtype=np.int64)
-    fill = bin_start[:-1].copy()
-    for v in range(n):
-        pos[v] = fill[degree[v]]
-        vert[pos[v]] = v
-        fill[degree[v]] += 1
-
-    core = degree.copy()
-    bin_ptr = bin_start[:-1].copy()  # start index of each degree bucket
-    indptr = graph.indptr.tolist()
-    indices = graph.indices.tolist()
-    core_list = core.tolist()
-    pos_list = pos.tolist()
-    vert_list = vert.tolist()
-    bin_list = bin_ptr.tolist()
-
-    for i in range(n):
-        v = vert_list[i]
-        dv = core_list[v]
-        for p in range(indptr[v], indptr[v + 1]):
-            u = indices[p]
-            du = core_list[u]
-            if du > dv:
-                # Move u to the front of its bucket, then shrink it.
-                pu = pos_list[u]
-                front = bin_list[du]
-                w = vert_list[front]
-                if u != w:
-                    vert_list[front], vert_list[pu] = u, w
-                    pos_list[u], pos_list[w] = front, pu
-                bin_list[du] += 1
-                core_list[u] = du - 1
-    return np.array(core_list, dtype=np.int64)
+    return _traverse.core_numbers_vector(graph.indptr, graph.indices)
 
 
 def k_core_subgraph(graph: CSRGraph, k: int) -> np.ndarray:
@@ -102,8 +48,8 @@ def degeneracy(graph: CSRGraph) -> int:
 # Registry adapter (repro.engine): KC(v) as a float scalar field.
 # ----------------------------------------------------------------------
 @vertex_measure(
-    "kcore", cost="moderate", replace=True, backend="accel",
+    "kcore", cost="moderate", replace=True,
     description="K-core number KC(v) (peeling, Table II's field)",
 )
-def _kcore_field(graph: CSRGraph, backend=None) -> np.ndarray:
-    return core_numbers(graph, backend=backend).astype(np.float64)
+def _kcore_field(graph: CSRGraph) -> np.ndarray:
+    return core_numbers(graph).astype(np.float64)

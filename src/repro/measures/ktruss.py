@@ -7,13 +7,11 @@ not the k = support+2 convention of some libraries).  By Proposition 5,
 maximal α-edge connected components of the KT field are K-trusses.
 
 The native tier runs the C bin-sort peel of :mod:`repro.accel.native`;
-``naive``, ``vector`` and hosts without a C compiler run the bucket-queue
-peel below.  Truss numbers are peel-order-independent, so both agree.
+``vector`` and hosts without a C compiler run the bucket-queue peel
+below.  Truss numbers are peel-order-independent, so both agree.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .triangles import edge_supports
 __all__ = ["truss_numbers", "k_truss_edges", "max_truss"]
 
 
-def truss_numbers(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
+def truss_numbers(graph: CSRGraph) -> np.ndarray:
     """``KT(e)`` per dense edge id, via support peeling.
 
     Repeatedly removes an edge of minimum remaining support; its truss
@@ -35,7 +33,7 @@ def truss_numbers(graph: CSRGraph, backend: Optional[str] = None) -> np.ndarray:
     surviving common neighbour w.
     """
     support = edge_supports(graph)
-    if accel.resolve(backend, native=True) == "native":
+    if accel.resolve(native=True) == "native":
         return _native.truss_peel(graph.indptr, graph.indices, support)
     pairs = graph.edge_array()
     m = len(pairs)
@@ -101,8 +99,8 @@ def max_truss(graph: CSRGraph) -> int:
 # Registry adapter (repro.engine): KT(e) as a float edge scalar field.
 # ----------------------------------------------------------------------
 @edge_measure(
-    "ktruss", cost="expensive", replace=True, backend="accel",
+    "ktruss", cost="expensive", replace=True,
     description="K-truss number KT(e) (support peeling, Algorithm 3 input)",
 )
-def _ktruss_field(graph: CSRGraph, backend=None) -> np.ndarray:
-    return truss_numbers(graph, backend=backend).astype(np.float64)
+def _ktruss_field(graph: CSRGraph) -> np.ndarray:
+    return truss_numbers(graph).astype(np.float64)

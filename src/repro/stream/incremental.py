@@ -63,10 +63,6 @@ __all__ = ["StreamingScalarTree", "impact_level"]
 
 _INF = float("inf")
 
-# Below this many edges the native rebuild's CSR materialisation does
-# not pay for itself; the journalled Python replay stays.
-_NATIVE_REBUILD_MIN_EDGES = 2048
-
 
 def impact_level(
     scalars: np.ndarray,
@@ -187,11 +183,10 @@ class StreamingScalarTree:
         self._pos: List[int] = [0] * n
         for i, v in enumerate(self._order):
             self._pos[v] = i
-        chosen = accel.resolve(
-            None, size=self.delta.n_edges,
-            threshold=_NATIVE_REBUILD_MIN_EDGES, native=True,
-        )
-        if chosen != "native" or not self._rebuild_native(order, scalars):
+        if (
+            accel.resolve(native=True) != "native"
+            or not self._rebuild_native(order, scalars)
+        ):
             self._uf = RollbackUnionFind(n)
             self._parent: List[int] = [-1] * n
             self._tree_root: List[int] = list(range(n))

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .. import accel
 from ..accel.raster import forest_depths, stamp_points
 from .layout2d import TerrainLayout
 
@@ -39,10 +38,6 @@ _TILE_MAGIC = b"RPTILE1\n"
 # DFS subtree order; version 2: level-major (deepest boundary always
 # wins, full discs before sub-pixel stamps within a level).
 RASTER_ORDER_VERSION = 2
-
-# ``--accel auto``: batching tiny-disc stamps needs enough nodes to
-# matter.
-_VECTOR_MIN_NODES = 256
 
 
 class Heightfield:
@@ -268,7 +263,7 @@ class Tile:
 
 
 def _paint_disc(height, node, xs, ys, cx, cy, j_lo, j_hi, i_lo, i_hi, r, h, nid):
-    """Overwrite one disc's cells (shared by both rasterize backends)."""
+    """Overwrite one disc's cells."""
     sub_x = xs[j_lo:j_hi] - cx
     sub_y = ys[i_lo:i_hi] - cy
     mask = (sub_x[None, :] ** 2 + sub_y[:, None] ** 2) <= r * r
@@ -276,11 +271,7 @@ def _paint_disc(height, node, xs, ys, cx, cy, j_lo, j_hi, i_lo, i_hi, r, h, nid)
     node[i_lo:i_hi, j_lo:j_hi][mask] = nid
 
 
-def rasterize(
-    layout: TerrainLayout,
-    resolution: int = 160,
-    backend: Optional[str] = None,
-) -> Heightfield:
+def rasterize(layout: TerrainLayout, resolution: int = 160) -> Heightfield:
     """Paint the layout's discs in level-major order.
 
     Discs paint one tree level at a time, shallowest first, so a deeper
@@ -290,11 +281,10 @@ def rasterize(
     Within a level, full discs paint in ascending node id, then the
     level's sub-pixel discs stamp their nearest cell (conditioned on
     the standing height, so tiny leaves register without burying a
-    taller stamp).  O(nodes × disc pixels), vectorised per disc; the
-    vector backend (:mod:`repro.accel.raster`) additionally batches a
-    level's sub-pixel stamps — typically the *bulk* of a real tree's
-    nodes — into one sort-and-scatter.  Both backends produce
-    byte-identical grids.
+    taller stamp).  O(nodes × disc pixels), vectorised per disc, with
+    a level's sub-pixel stamps — typically the *bulk* of a real tree's
+    nodes — batched into one sort-and-scatter (:mod:`repro.accel.raster`)
+    that leaves the grid a per-node stamp loop leaves.
     """
     if resolution < 4:
         raise ValueError("resolution must be >= 4")
@@ -318,62 +308,28 @@ def rasterize(
     order = np.lexsort((np.arange(tree.n_nodes), depth))
     level_starts = np.searchsorted(depth[order], np.arange(depth.max() + 2))
 
-    chosen = accel.resolve(
-        backend, size=tree.n_nodes, threshold=_VECTOR_MIN_NODES
-    )
-    if chosen == "vector":
-        cxs, cys, rs = layout.cx, layout.cy, layout.r
-        j_lo = np.searchsorted(xs, cxs - rs)
-        j_hi = np.searchsorted(xs, cxs + rs)
-        i_lo = np.searchsorted(ys, cys - rs)
-        i_hi = np.searchsorted(ys, cys + rs)
-        tiny = (j_lo >= j_hi) | (i_lo >= i_hi)
-        # Sub-pixel stamp cells, truncated toward zero then clamped
-        # exactly like the naive int()+clip.
-        t_i = np.clip(((cys - ymin) / span_y * res).astype(np.int64), 0, res - 1)
-        t_j = np.clip(((cxs - xmin) / span_x * res).astype(np.int64), 0, res - 1)
-        for lo, hi in zip(level_starts[:-1], level_starts[1:]):
-            nodes = order[lo:hi]
-            for nid in nodes[~tiny[nodes]].tolist():
-                _paint_disc(
-                    height, node, xs, ys, cxs[nid], cys[nid],
-                    int(j_lo[nid]), int(j_hi[nid]),
-                    int(i_lo[nid]), int(i_hi[nid]),
-                    rs[nid], scalars[nid], nid,
-                )
-            points = nodes[tiny[nodes]]
-            stamp_points(
-                height, node, t_i[points], t_j[points], points,
-                scalars[points],
-            )
-        return Heightfield(height, node, layout.extent, base)
-
+    cxs, cys, rs = layout.cx, layout.cy, layout.r
+    j_lo = np.searchsorted(xs, cxs - rs)
+    j_hi = np.searchsorted(xs, cxs + rs)
+    i_lo = np.searchsorted(ys, cys - rs)
+    i_hi = np.searchsorted(ys, cys + rs)
+    tiny = (j_lo >= j_hi) | (i_lo >= i_hi)
+    # Sub-pixel stamp cells, truncated toward zero then clamped
+    # exactly like an int() + clip per node.
+    t_i = np.clip(((cys - ymin) / span_y * res).astype(np.int64), 0, res - 1)
+    t_j = np.clip(((cxs - xmin) / span_x * res).astype(np.int64), 0, res - 1)
     for lo, hi in zip(level_starts[:-1], level_starts[1:]):
-        deferred = []
-        for nid in order[lo:hi].tolist():
-            cx, cy, r = layout.cx[nid], layout.cy[nid], layout.r[nid]
-            j_lo = int(np.searchsorted(xs, cx - r))
-            j_hi = int(np.searchsorted(xs, cx + r))
-            i_lo = int(np.searchsorted(ys, cy - r))
-            i_hi = int(np.searchsorted(ys, cy + r))
-            if j_lo >= j_hi or i_lo >= i_hi:
-                # Sub-pixel disc: stamp its nearest cell (after the
-                # level's full discs) so tiny leaves still register
-                # (the paper draws them as points).
-                deferred.append(nid)
-                continue
+        nodes = order[lo:hi]
+        for nid in nodes[~tiny[nodes]].tolist():
             _paint_disc(
-                height, node, xs, ys, cx, cy,
-                j_lo, j_hi, i_lo, i_hi, r, scalars[nid], nid,
+                height, node, xs, ys, cxs[nid], cys[nid],
+                int(j_lo[nid]), int(j_hi[nid]),
+                int(i_lo[nid]), int(i_hi[nid]),
+                rs[nid], scalars[nid], nid,
             )
-        for nid in deferred:
-            cx, cy = layout.cx[nid], layout.cy[nid]
-            i, j = np.clip(
-                [int((cy - ymin) / span_y * res), int((cx - xmin) / span_x * res)],
-                0,
-                res - 1,
-            )
-            if scalars[nid] >= height[i, j]:
-                height[i, j] = scalars[nid]
-                node[i, j] = nid
+        points = nodes[tiny[nodes]]
+        stamp_points(
+            height, node, t_i[points], t_j[points], points,
+            scalars[points],
+        )
     return Heightfield(height, node, layout.extent, base)

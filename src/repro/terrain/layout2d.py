@@ -19,15 +19,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .. import accel
-from ..accel.geometry import relax_siblings_naive, relax_siblings_vector
+from ..accel.geometry import relax_siblings
 from ..core.super_tree import SuperTree
 
 __all__ = ["TerrainLayout", "layout_tree"]
-
-# ``--accel auto``: the k×k broadcast only pays off once a sibling group
-# is big enough to amortize the array setup.
-_VECTOR_MIN_SIBLINGS = 8
 
 
 class TerrainLayout:
@@ -107,7 +102,6 @@ def _place_children(
     inner: float,
     fill: float,
     relax_iters: int,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place child discs inside a parent disc.
 
@@ -116,8 +110,9 @@ def _place_children(
     nodes shrinks only marginally per level and deep hierarchies keep
     their summit area.  Children are seeded at weight-proportional
     sector angles, then relaxed apart to remove sibling overlap with
-    the accumulate-then-apply sweep of :mod:`repro.accel.geometry`
-    (both backends of which are bit-identical).
+    the accumulate-then-apply sweep of :mod:`repro.accel.geometry`.
+    Groups of more than 24 siblings are ring-packed instead, so the
+    O(k²) sweep only ever sees small groups.
     """
     k = len(weights)
     available = radius * inner
@@ -147,11 +142,7 @@ def _place_children(
     ys = cy + dist * np.sin(angles)
     # Deterministic relaxation: push overlapping siblings apart, keep
     # each child inside the parent.
-    chosen = accel.resolve(backend, size=k, threshold=_VECTOR_MIN_SIBLINGS)
-    relax = (
-        relax_siblings_vector if chosen == "vector" else relax_siblings_naive
-    )
-    xs, ys = relax(xs, ys, radii, cx, cy, available, relax_iters)
+    xs, ys = relax_siblings(xs, ys, radii, cx, cy, available, relax_iters)
     return xs, ys, radii
 
 
@@ -199,7 +190,6 @@ def layout_tree(
     fill: float = 0.8,
     leaf_radius: float = 0.012,
     relax_iters: int = 40,
-    backend: Optional[str] = None,
 ) -> TerrainLayout:
     """Compute the nested-disc layout of a super tree.
 
@@ -217,9 +207,6 @@ def layout_tree(
         the paper draws as degenerate points.
     relax_iters:
         Iterations of the sibling-overlap relaxation.
-    backend:
-        Relaxation kernel (see :mod:`repro.accel`); the layouts are
-        bit-identical either way.
     """
     n = tree.n_nodes
     cx = np.zeros(n)
@@ -268,7 +255,7 @@ def layout_tree(
         kid_weights = weights[kids]
         xs, ys, radii = _place_children(
             cx[node], cy[node], r[node], kid_weights, weights[node],
-            inner, fill, relax_iters, backend=backend,
+            inner, fill, relax_iters,
         )
         for kid, x, y, radius in zip(kids, xs, ys, radii):
             cx[kid] = x

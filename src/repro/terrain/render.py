@@ -69,7 +69,7 @@ def _shade_faces(mesh: TerrainMesh, ambient: float) -> np.ndarray:
 def _zbuffer_tier() -> str:
     """``native`` when the C z-buffer is loaded and the accel mode
     allows it, else ``vector`` (the numpy pair pass)."""
-    if accel.resolve(None, native=True) == "native":
+    if accel.resolve(native=True) == "native":
         return "native"
     return "vector"
 

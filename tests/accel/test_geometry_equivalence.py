@@ -1,15 +1,18 @@
-"""Property: vector sibling relaxation ≡ naive sweep, bit-for-bit.
+"""Sibling relaxation and whole layouts.
 
-Both kernels implement the same accumulate-then-apply sweep with the
-same float operations in the same order, so entire layouts must come
-out byte-identical — not merely close.
+The relaxation is one accumulate-then-apply loop
+(:func:`repro.accel.geometry.relax_siblings`); it must separate
+overlapping siblings and keep them inside their parent.  Whole layouts
+must come out byte-identical whichever accel tier built the tree they
+lay out.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.geometry import relax_siblings_naive, relax_siblings_vector
+from repro import accel
+from repro.accel.geometry import relax_siblings
 from repro.core import ScalarGraph, build_super_tree, build_vertex_tree
 from repro.terrain import layout_tree
 
@@ -34,23 +37,13 @@ def sibling_sets(draw):
     return xs, ys, radii, iters
 
 
-@settings(max_examples=60, deadline=None)
-@given(sibling_sets())
-def test_relax_bit_identical(case):
-    xs, ys, radii, iters = case
-    nx, ny = relax_siblings_naive(xs, ys, radii, 0.0, 0.0, 1.0, iters)
-    vx, vy = relax_siblings_vector(xs, ys, radii, 0.0, 0.0, 1.0, iters)
-    assert np.array_equal(nx, vx)
-    assert np.array_equal(ny, vy)
-
-
 @settings(max_examples=20, deadline=None)
 @given(sibling_sets())
 def test_relax_resolves_overlap_and_containment(case):
-    """Behavioral sanity shared by both backends: after enough sweeps,
-    siblings barely overlap and stay inside the parent."""
+    """After enough sweeps, siblings barely overlap and stay inside the
+    parent."""
     xs, ys, radii, __ = case
-    vx, vy = relax_siblings_vector(xs, ys, radii, 0.0, 0.0, 1.0, 60)
+    vx, vy = relax_siblings(xs, ys, radii, 0.0, 0.0, 1.0, 60)
     k = len(vx)
     for i in range(k):
         assert np.sqrt(vx[i] ** 2 + vy[i] ** 2) <= (1.0 - radii[i]) * 1.0001
@@ -65,10 +58,15 @@ def test_relax_resolves_overlap_and_containment(case):
 @given(scalar_fields())
 def test_layout_tree_identical_across_backends(field):
     graph, scalars = field
-    tree = build_super_tree(build_vertex_tree(ScalarGraph(graph, scalars)))
-    naive = layout_tree(tree, backend="naive")
-    vector = layout_tree(tree, backend="vector")
-    assert np.array_equal(naive.cx, vector.cx)
-    assert np.array_equal(naive.cy, vector.cy)
-    assert np.array_equal(naive.r, vector.r)
-    assert naive.extent == vector.extent
+    layouts = []
+    for tier in ("vector", "native"):
+        with accel.using(tier):
+            tree = build_super_tree(
+                build_vertex_tree(ScalarGraph(graph, scalars))
+            )
+            layouts.append(layout_tree(tree))
+    a, b = layouts
+    assert np.array_equal(a.cx, b.cx)
+    assert np.array_equal(a.cy, b.cy)
+    assert np.array_equal(a.r, b.r)
+    assert a.extent == b.extent

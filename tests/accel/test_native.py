@@ -4,7 +4,7 @@ Covers the compile/cache/load machinery of :mod:`repro.accel.native`
 (first use compiles, second load reuses the cached ``.so``), the soft
 fallback when the toolchain is missing or broken (``CC=/bin/false`` →
 vector, one warning, a counter), the resolution semantics of the
-``native`` mode, the property-wise naive ≡ vector ≡ native contract,
+``native`` mode, the property-wise oracle ≡ vector ≡ native contract,
 the super-tree kernel against the Python walk of Algorithm 2, the
 streaming replay kernel's state reconstruction, and the
 ``rank_order`` memoization (once-per-build regression).
@@ -28,6 +28,7 @@ from repro.core.super_tree import _chain_bfs
 from repro.graph.generators import erdos_renyi
 
 from accel_strategies import forests, scalar_fields
+from oracles import oracle_edge_tree, oracle_vertex_tree
 
 # A real probe, not just "some compiler name resolves": hosts where the
 # toolchain is present but broken (CI masks it with CC=/bin/false) must
@@ -190,7 +191,8 @@ class TestLifecycle:
         cur_raw = rng.integers(0, n, 900)
         cur = np.sort(cur_raw).astype(np.int64)
         prev = rng.integers(0, n, 900).astype(np.int64)
-        expected = accel_tree.merge_scan(n, cur, prev, backend="vector")
+        with accel.using("vector"):
+            expected = accel_tree.merge_scan(n, cur, prev)
         got = native.merge_scan(n, cur, prev)
         assert np.array_equal(expected, got)
 
@@ -226,7 +228,6 @@ class TestFallback:
         monkeypatch.setenv("CC", "/bin/false")
         accel.set_backend("native")
         assert accel.resolve(native=True) == "vector"
-        assert accel.resolve(size=10**6, threshold=0, native=True) == "vector"
 
     def test_builds_still_work_without_toolchain(
         self, fresh_native, monkeypatch
@@ -235,9 +236,7 @@ class TestFallback:
         sg = _field(seed=3)
         with accel.using("native"):
             tree = build_vertex_tree(sg)
-        assert np.array_equal(
-            tree.parent, build_vertex_tree(sg, backend="naive").parent
-        )
+        assert np.array_equal(tree.parent, oracle_vertex_tree(sg).parent)
 
 
 # ----------------------------------------------------------------------
@@ -250,32 +249,26 @@ class TestResolveNative:
         assert accel.resolve(native=True) == "native"
 
     def test_native_mode_is_vector_at_plain_sites(self):
-        """Call sites without a compiled kernel (measures, layout,
-        raster) must quietly get the vector tier."""
+        """A call site that declares no compiled kernel gets the vector
+        tier."""
         accel.set_backend("native")
         assert accel.resolve() == "vector"
-        assert accel.resolve(size=10**6, threshold=0) == "vector"
-
-    def test_auto_prefers_native_above_threshold(self):
-        accel.set_backend("auto")
-        assert native.available()
-        assert accel.resolve(size=10**6, threshold=100, native=True) == "native"
-        assert accel.resolve(size=10, threshold=100, native=True) == "naive"
 
     def test_backend_stays_out_of_results(self):
         """Byte-identical outputs are what keep the backend out of
-        cache keys; spot-check a real build across all three tiers."""
+        cache keys; spot-check a real build on both tiers against the
+        loop oracle."""
         sg = _field(n=400, m=1100, seed=11)
-        parents = [
-            build_vertex_tree(sg, backend=b).parent
-            for b in ("naive", "vector", "native")
-        ]
+        parents = [oracle_vertex_tree(sg).parent]
+        for tier in ("vector", "native"):
+            with accel.using(tier):
+                parents.append(build_vertex_tree(sg).parent)
         assert np.array_equal(parents[0], parents[1])
         assert np.array_equal(parents[1], parents[2])
 
 
 # ----------------------------------------------------------------------
-# Property equivalence: naive ≡ vector ≡ native
+# Property equivalence: oracle ≡ vector ≡ native
 # ----------------------------------------------------------------------
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler on this host")
 class TestEquivalence:
@@ -284,10 +277,12 @@ class TestEquivalence:
     def test_vertex_tree_three_way(self, field):
         graph, scalars = field
         sg = ScalarGraph(graph, scalars)
-        naive = build_vertex_tree(sg, backend="naive").parent
-        vector = build_vertex_tree(sg, backend="vector").parent
-        nat = build_vertex_tree(sg, backend="native").parent
-        assert np.array_equal(naive, vector)
+        oracle = oracle_vertex_tree(sg).parent
+        with accel.using("vector"):
+            vector = build_vertex_tree(sg).parent
+        with accel.using("native"):
+            nat = build_vertex_tree(sg).parent
+        assert np.array_equal(oracle, vector)
         assert np.array_equal(vector, nat)
 
     @settings(max_examples=25, deadline=None)
@@ -299,9 +294,9 @@ class TestEquivalence:
         rng = np.random.default_rng(graph.n_edges % 97)
         edge_scalars = rng.integers(0, 4, graph.n_edges).astype(np.float64)
         eg = EdgeScalarGraph(graph, edge_scalars)
-        naive = build_edge_tree(eg, backend="naive").parent
-        nat = build_edge_tree(eg, backend="native").parent
-        assert np.array_equal(naive, nat)
+        with accel.using("native"):
+            nat = build_edge_tree(eg).parent
+        assert np.array_equal(oracle_edge_tree(eg).parent, nat)
 
 
 # ----------------------------------------------------------------------
@@ -375,7 +370,7 @@ class TestStreamReplay:
         from repro.stream.incremental import StreamingScalarTree
 
         sg = _field(n=800, m=2600, seed=seed)
-        with accel.using("naive"):
+        with accel.using("vector"):
             py = StreamingScalarTree(sg)
         with accel.using("native"):
             nat = StreamingScalarTree(sg)
@@ -417,8 +412,7 @@ class TestStreamReplay:
             a = py.apply(edits)
             b = nat.apply(edits)
             assert np.array_equal(a.parent, b.parent)
-            with accel.using("naive"):
-                oracle = build_vertex_tree(nat.snapshot())
+            oracle = oracle_vertex_tree(nat.snapshot())
             assert np.array_equal(b.parent, oracle.parent)
 
     def test_incremental_path_survives_native_rebuild(self):
@@ -432,8 +426,7 @@ class TestStreamReplay:
         tree = nat.apply([SetScalar(low, float(nat.scalars.min()) + 0.25)])
         assert nat.stats["incremental"] == 1
         assert nat.stats["full_rebuilds"] == 0
-        with accel.using("naive"):
-            oracle = build_vertex_tree(nat.snapshot())
+        oracle = oracle_vertex_tree(nat.snapshot())
         assert np.array_equal(tree.parent, oracle.parent)
 
 
@@ -447,11 +440,11 @@ class TestRankMemo:
         sg = _field(n=300, m=900, seed=21)
         accel_tree.rank_order_cache_clear()
         base = dict(accel_tree.RANK_STATS)
-        build_vertex_tree(sg, backend="vector")
+        build_vertex_tree(sg)
         misses_after_first = accel_tree.RANK_STATS["misses"] - base["misses"]
         assert misses_after_first == 1
-        build_vertex_tree(sg, backend="vector")
-        build_vertex_tree(sg, backend="naive")
+        build_vertex_tree(sg)
+        oracle_vertex_tree(sg)
         assert accel_tree.RANK_STATS["misses"] - base["misses"] == 1
         assert accel_tree.RANK_STATS["hits"] - base["hits"] >= 2
 

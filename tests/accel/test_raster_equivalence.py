@@ -1,35 +1,45 @@
-"""Property: vector rasterization ≡ naive level-major painting.
+"""Property: rasterization ≡ the per-node level-major painting oracle.
 
-Both backends paint the same canonical order (level-major, node id
-within a level, full discs before sub-pixel stamps), so height and node
-grids must be byte-identical — the point-stamp batching in particular
-must reproduce the sequential compare-and-set winner per cell.
+Both paint the same canonical order (level-major, node id within a
+level, full discs before sub-pixel stamps), so height and node grids
+must be byte-identical — the point-stamp batching in particular must
+reproduce the sequential compare-and-set winner per cell.  Each case
+runs on both tiers (rasterization itself has one path; the layout and
+tree it consumes come from the tier in force).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import accel
 from repro.accel.raster import forest_depths, stamp_points
 from repro.core import ScalarGraph, build_super_tree, build_vertex_tree
 from repro.graph.builders import from_edge_array
 from repro.terrain import layout_tree, rasterize
 
 from accel_strategies import scalar_fields
+from oracles import oracle_rasterize
+
+TIERS = ("vector", "native")
 
 
 @settings(max_examples=30, deadline=None)
 @given(scalar_fields(), st.sampled_from([16, 40, 96]))
 def test_rasterize_identical_across_backends(field, resolution):
     graph, scalars = field
-    tree = build_super_tree(build_vertex_tree(ScalarGraph(graph, scalars)))
-    layout = layout_tree(tree)
-    naive = rasterize(layout, resolution=resolution, backend="naive")
-    vector = rasterize(layout, resolution=resolution, backend="vector")
-    assert np.array_equal(naive.height, vector.height)
-    assert np.array_equal(naive.node, vector.node)
-    assert naive.extent == vector.extent
-    assert naive.base == vector.base
+    for tier in TIERS:
+        with accel.using(tier):
+            tree = build_super_tree(
+                build_vertex_tree(ScalarGraph(graph, scalars))
+            )
+            layout = layout_tree(tree)
+            got = rasterize(layout, resolution=resolution)
+        naive = oracle_rasterize(layout, resolution=resolution)
+        assert np.array_equal(naive.height, got.height), tier
+        assert np.array_equal(naive.node, got.node), tier
+        assert naive.extent == got.extent
+        assert naive.base == got.base
 
 
 def test_star_of_point_leaves_identical():
@@ -43,8 +53,8 @@ def test_star_of_point_leaves_identical():
     tree = build_super_tree(build_vertex_tree(ScalarGraph(graph, scalars)))
     layout = layout_tree(tree)
     for resolution in (8, 16, 64):
-        naive = rasterize(layout, resolution=resolution, backend="naive")
-        vector = rasterize(layout, resolution=resolution, backend="vector")
+        naive = oracle_rasterize(layout, resolution=resolution)
+        vector = rasterize(layout, resolution=resolution)
         assert np.array_equal(naive.height, vector.height)
         assert np.array_equal(naive.node, vector.node)
 

@@ -1,5 +1,7 @@
 """Unit tests for tree (de)serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ class TestSuperTreeRoundtrip:
             np.array_equal(a, b) for a, b in zip(back.members, st.members)
         )
         back.validate()
+
+    @pytest.mark.parametrize("parent, scalars, match", [
+        ([-1, 5], [0.0, 1.0], "past the last"),
+        ([-1, 0], [1.0, 1.0], "strictly below"),
+    ], ids=["parent-past-end", "parent-not-below"])
+    def test_malformed_document_is_rejected(self, parent, scalars, match):
+        text = json.dumps({
+            "format": "repro-scalar-tree/1", "type": "super_tree",
+            "kind": "vertex", "parent": parent, "scalars": scalars,
+            "members": [[0], [1]],
+        })
+        with pytest.raises(ValueError, match=match):
+            super_tree_from_json(text)
 
     def test_queries_survive(self, trees):
         __, st = trees

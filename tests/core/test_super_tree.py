@@ -150,6 +150,16 @@ class TestValidate:
         with pytest.raises(ValueError, match="member ids"):
             st.validate()
 
+    @pytest.mark.parametrize("parent", [[-1, 5], [-1, 2], [2, -1]],
+                             ids=["far-past-end", "at-end", "root-past-end"])
+    def test_detects_parent_out_of_range(self, parent):
+        st = SuperTree(np.array([0.0, 1.0]), np.array(parent), [[0], [1]])
+        with pytest.raises(ValueError, match="past the last of 2 super"):
+            st.validate()
+
+    def test_any_negative_parent_is_a_root(self):
+        SuperTree(np.array([0.0, 1.0]), np.array([-3, 0]), [[0], [1]]).validate()
+
     def test_alignment_required(self):
         with pytest.raises(ValueError, match="align"):
             SuperTree(np.array([1.0]), np.array([-1, 0]), [np.array([0])])

@@ -5,7 +5,7 @@ The timeline maintains one :class:`StreamingScalarTree` across windows
 that each emitted frame's vertex tree and display tree are
 node-identical to running Algorithm 1 + the super-tree pass from
 scratch on the window's own edge set — for ANY timestamped edge
-sequence, and under every accel backend.
+sequence, and under every accel tier.
 """
 
 import numpy as np
@@ -21,9 +21,7 @@ from repro.evolve import frames_from_rows
 from repro.graph.builders import from_edge_array
 from repro.graph.generators import dynamic_planted_partition
 
-BACKENDS = ["naive", "vector"] + (
-    ["native"] if accel_native.available() else []
-)
+BACKENDS = ["vector"] + (["native"] if accel_native.available() else [])
 
 
 @st.composite
@@ -57,10 +55,9 @@ def _window_edges(rows, t_start, t_end, first=False):
     return np.unique(np.column_stack([u[keep], v[keep]]), axis=0)
 
 
-def _assert_frames_match_scratch(n, rows, horizon, backend):
+def _assert_frames_match_scratch(n, rows, horizon):
     frames = frames_from_rows(
         rows, n, measure="degree", horizon=horizon, origin=0.0,
-        backend=backend,
     )
     count = 0
     for frame in frames:
@@ -69,11 +66,9 @@ def _assert_frames_match_scratch(n, rows, horizon, backend):
             rows, frame.t_start, frame.t_end, first=frame.index == 0
         )
         graph = from_edge_array(edges.reshape(-1, 2), n_vertices=n)
-        scalars = registry.compute("degree", graph, backend=backend)
+        scalars = registry.compute("degree", graph)
         assert np.array_equal(frame.scalars, scalars)
-        ref = build_vertex_tree(
-            ScalarGraph(graph, scalars), backend=backend
-        )
+        ref = build_vertex_tree(ScalarGraph(graph, scalars))
         assert np.array_equal(frame.tree.parent, ref.parent)
         assert np.array_equal(frame.tree.scalars, ref.scalars)
         sup = build_super_tree(ref)
@@ -90,7 +85,7 @@ def _assert_frames_match_scratch(n, rows, horizon, backend):
 @given(_temporal_rows())
 def test_windowed_maintenance_matches_scratch_builds(scenario):
     n, rows, horizon = scenario
-    _assert_frames_match_scratch(n, rows, horizon, None)
+    _assert_frames_match_scratch(n, rows, horizon)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -99,9 +94,7 @@ def test_backends_agree_on_planted_log(backend):
     independent full builds under every available accel backend."""
     log = dynamic_planted_partition(n_windows=5, seed=4)
     with accel.using(backend):
-        _assert_frames_match_scratch(
-            log.n_vertices, log.rows, 1.0, backend
-        )
+        _assert_frames_match_scratch(log.n_vertices, log.rows, 1.0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -117,12 +110,11 @@ def test_backends_build_identical_frames(seed):
     ]).astype(np.float64)
     reference = None
     for backend in BACKENDS:
-        got = [
-            (f.tree.parent.copy(), f.super.parent.copy())
-            for f in frames_from_rows(
-                rows, n, horizon=1.0, origin=0.0, backend=backend
-            )
-        ]
+        with accel.using(backend):
+            got = [
+                (f.tree.parent.copy(), f.super.parent.copy())
+                for f in frames_from_rows(rows, n, horizon=1.0, origin=0.0)
+            ]
         if reference is None:
             reference = got
         else:

@@ -20,11 +20,9 @@ from repro.engine import registry
 from repro.graph import generators
 from repro.graph.builders import empty_graph, from_edge_array
 from repro.stream import AddEdge, RemoveEdge, SetScalar, StreamingScalarTree
-from repro.stream.incremental import _NATIVE_REBUILD_MIN_EDGES, impact_level
+from repro.stream.incremental import impact_level
 
-BACKENDS = ["naive", "vector"] + (
-    ["native"] if accel_native.available() else []
-)
+BACKENDS = ["vector"] + (["native"] if accel_native.available() else [])
 
 
 def _keys(graph):
@@ -170,12 +168,14 @@ def _core_and_fringe(rng, n, m):
     return from_edge_array(pairs, n_vertices=n)
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ["auto"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n, m", [(200, 1200), (700, 4200)])
 def test_native_rebuild_threshold_sizes(monkeypatch, backend, n, m):
-    """Graphs on both sides of the native rebuild's size floor: fringe
-    churn (incremental replay) and a batch that crosses the rebuild
-    threshold (a full rebuild from the snapshot's own CSR)."""
+    """Graphs on both sides of 2,048 edges, where a size floor once
+    kept small rebuilds in Python: fringe churn (incremental replay)
+    and a batch that crosses the rebuild threshold (a full rebuild
+    from the snapshot's own CSR).  The native rebuild runs at every
+    size under ``native`` and never under ``vector``."""
     calls = set()
     real = StreamingScalarTree._rebuild_native
 
@@ -191,7 +191,7 @@ def test_native_rebuild_threshold_sizes(monkeypatch, backend, n, m):
         for graph in [_core_and_fringe(rng, n, m) for _ in range(3)] + [
             generators.erdos_renyi(n, m, seed=n + 1)
         ]:
-            assert (graph.n_edges >= _NATIVE_REBUILD_MIN_EDGES) == (m > 2048)
+            assert (graph.n_edges >= 2048) == (m > 2048)
             _step(
                 by_array, by_edits, graph,
                 registry.compute("degree", graph),
@@ -199,11 +199,10 @@ def test_native_rebuild_threshold_sizes(monkeypatch, backend, n, m):
         # Window 0 and the re-drawn graph rebuild; the churn replays.
         assert by_array.stats["full_rebuilds"] == 2
         assert by_array.stats["incremental"] == 2
-    # The native rebuild runs when chosen, and after ``advance`` straight
-    # from the snapshot's CSR (empty overlay); ``apply`` compacts.
-    native = "native" in BACKENDS and (
-        backend == "native" or backend == "auto" and m > 2048
-    )
+    # The native rebuild runs under ``native``, and after ``advance``
+    # straight from the snapshot's CSR (empty overlay); ``apply``
+    # compacts.
+    native = backend == "native"
     assert calls == ({(True, True), (False, True)} if native else set())
 
 
