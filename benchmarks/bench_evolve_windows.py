@@ -1,34 +1,29 @@
-"""Per-window cost: incremental timeline vs from-scratch window builds.
+"""Per-window cost: the timeline against a per-window re-slicing pipeline.
 
-:class:`repro.evolve.Timeline` keeps ONE maintained scalar tree across
-a tumbling-window edge stream, applying only the symmetric difference
-between consecutive window edge sets (plus a scalar refresh) through
-the θ-bounded streaming machinery.  The alternative a dashboard would
-otherwise run is a full per-window pipeline: slice the log, build the
-CSR, recompute the measure, and run Algorithm 1 + the super-tree pass
-from scratch, every window.
+:class:`repro.evolve.Timeline` reads a tumbling-window edge stream once,
+in order: each frame's rows become the window's canonical pair keys,
+and the window is built from them (CSR, measure, Algorithm 1, super
+tree).  The alternative a dashboard would otherwise run is a pipeline
+that, for every window, slices that window's rows out of the whole log
+and then builds the CSR, recomputes the measure and runs Algorithm 1 +
+the super-tree pass.  Both build every window from scratch; the
+timeline saves the per-window pass over the whole log.
 
 The workload is the regime temporal terrains are built for: a stable
 high-degree core (the mountain range, identical in every window) plus
 a low-degree fringe whose edges churn window to window (≲2% of the
-window's edges — well under the ≤5% inter-window churn envelope this
-benchmark certifies).  Fringe churn keeps the batch impact level θ in
-the foothills, so the incremental path replays only the fringe while
-the from-scratch path re-sorts and re-merges the whole core each
-window.
+window's edges; the scenario asserts ≤5%).
 
-Frame 0 is a cold start for the incremental path (every edge enters
-the empty window at once) and is reported separately; the headline
-numbers — and the assertion — are the steady-state per-window
-medians over frames 1+.  Unlike the generic stream benchmark, the
-timing assertion here also holds under ``REPRO_BENCH_TINY=1``: the
-tiny workload keeps ≥10k edges per window, which is enough to
-amortize the maintenance machinery stably.
+Frame 0 is reported separately; the headline numbers — and the
+assertion — are the steady-state per-window medians over frames 1+.
+Unlike the generic stream benchmark, the timing assertion here also
+holds under ``REPRO_BENCH_TINY=1``: the tiny workload keeps ≥10k edges
+per window.
 
-Every frame of the timed incremental run is also cross-checked
-node-identical (vertex tree, display tree, scalars) against an
-independent full build of that window, so the speedup is never bought
-with drift.
+Every frame of the timed timeline run is also cross-checked
+node-identical (vertex tree, display tree, scalars) against the
+pipeline's build of that window, so the speedup is never bought with
+drift.
 """
 
 from __future__ import annotations
@@ -58,9 +53,7 @@ def _temporal_scenario(seed: int) -> Tuple[int, np.ndarray]:
     """Stable-core / churning-fringe temporal log, one window per unit.
 
     Core edges repeat in every window; fringe vertices re-pair among
-    themselves each window (both endpoints stay low-degree, so the
-    churn's impact level θ stays low — the regime where incremental
-    maintenance is supposed to win).
+    themselves each window (both endpoints stay low-degree).
     """
     rng = np.random.default_rng(seed)
     n = _N_CORE + _N_FRINGE
@@ -98,8 +91,8 @@ def _window_edges(rows: np.ndarray, frame) -> np.ndarray:
     return np.unique(np.column_stack([u[keep], v[keep]]), axis=0)
 
 
-def _incremental_pass(n: int, rows: np.ndarray) -> Tuple[List[float], list]:
-    """Per-frame wall times of one maintained-timeline run."""
+def _timeline_pass(n: int, rows: np.ndarray) -> Tuple[List[float], list]:
+    """Per-frame wall times of one timeline run."""
     timeline = Timeline(n, horizon=1.0, origin=0.0)
     per: List[float] = []
     frames = []
@@ -112,13 +105,14 @@ def _incremental_pass(n: int, rows: np.ndarray) -> Tuple[List[float], list]:
     return per, frames
 
 
-def _full_rebuild_pass(
+def _pipeline_pass(
     n: int, rows: np.ndarray, frames, check: bool
 ) -> List[float]:
-    """Per-frame wall times of independent from-scratch window builds.
+    """Per-frame wall times of the re-slicing pipeline: each window's
+    rows sliced out of the whole log, then built from scratch.
 
     With ``check=True`` this pass doubles as the node-identity
-    cross-check against the incremental frames (asserts outside the
+    cross-check against the timeline's frames (asserts outside the
     timed region).
     """
     per: List[float] = []
@@ -143,32 +137,31 @@ def _steady(per_frame: List[float]) -> float:
     return statistics.median(per_frame[1:])
 
 
-def test_evolve_window_maintenance_speedup(report, report_json):
+def test_evolve_timeline_speedup(report, report_json):
     n, rows = _temporal_scenario(_SEED)
 
     # One un-timed pass for the node-identity cross-check and the
     # workload shape numbers.
-    _, frames = _incremental_pass(n, rows)
-    _full_rebuild_pass(n, rows, frames, check=True)
+    _, frames = _timeline_pass(n, rows)
+    _pipeline_pass(n, rows, frames, check=True)
     m_window = frames[1].n_edges
     churn = statistics.median(f.n_new_edges for f in frames[1:])
     churn_frac = churn / m_window
     assert churn_frac <= 0.05, "scenario drifted out of the ≤5% envelope"
 
     # Timed passes: best-of-R medians, both pipelines interleaved.
-    inc_runs, full_runs = [], []
-    inc_first = full_first = float("inf")
+    timeline_runs, pipeline_runs = [], []
+    timeline_first = pipeline_first = float("inf")
     for _ in range(_ROUNDS):
-        per_inc, run_frames = _incremental_pass(n, rows)
-        per_full = _full_rebuild_pass(n, rows, run_frames, check=False)
-        inc_runs.append(_steady(per_inc))
-        full_runs.append(_steady(per_full))
-        inc_first = min(inc_first, per_inc[0])
-        full_first = min(full_first, per_full[0])
-    t_inc = min(inc_runs)
-    t_full = min(full_runs)
-    speedup = t_full / t_inc
-    stats = frames[-1].stream_stats
+        per_timeline, run_frames = _timeline_pass(n, rows)
+        per_pipeline = _pipeline_pass(n, rows, run_frames, check=False)
+        timeline_runs.append(_steady(per_timeline))
+        pipeline_runs.append(_steady(per_pipeline))
+        timeline_first = min(timeline_first, per_timeline[0])
+        pipeline_first = min(pipeline_first, per_pipeline[0])
+    t_timeline = min(timeline_runs)
+    t_pipeline = min(pipeline_runs)
+    speedup = t_pipeline / t_timeline
 
     report(
         "evolve_windows",
@@ -177,15 +170,12 @@ def test_evolve_window_maintenance_speedup(report, report_json):
             f"{n} vertices, {m_window} edges/window, "
             f"{_N_WINDOWS} windows, churn {churn_frac:.1%}"
             f"{' [tiny]' if _TINY else ''}",
-            f"{'pipeline':>24}{'frame0(ms)':>12}{'steady(ms)':>12}",
-            f"{'full rebuild':>24}{1e3 * full_first:>12.2f}"
-            f"{1e3 * t_full:>12.2f}",
-            f"{'incremental':>24}{1e3 * inc_first:>12.2f}"
-            f"{1e3 * t_inc:>12.2f}",
-            f"steady-state speedup: {speedup:.2f}x  "
-            f"(stream: {stats['incremental']} incremental, "
-            f"{stats['full_rebuilds']} rebuilds, "
-            f"{stats['replayed_vertices']} vertices replayed)",
+            f"{'pass':>24}{'frame0(ms)':>12}{'steady(ms)':>12}",
+            f"{'re-slicing pipeline':>24}{1e3 * pipeline_first:>12.2f}"
+            f"{1e3 * t_pipeline:>12.2f}",
+            f"{'timeline':>24}{1e3 * timeline_first:>12.2f}"
+            f"{1e3 * t_timeline:>12.2f}",
+            f"steady-state speedup: {speedup:.2f}x",
         ]),
     )
     report_json(
@@ -197,19 +187,21 @@ def test_evolve_window_maintenance_speedup(report, report_json):
             "n_windows": _N_WINDOWS,
             "churn_fraction": churn_frac,
             "frame0_ms": {
-                "full": 1e3 * full_first,
-                "incremental": 1e3 * inc_first,
+                "pipeline": 1e3 * pipeline_first,
+                "timeline": 1e3 * timeline_first,
             },
-            "steady_ms": {"full": 1e3 * t_full, "incremental": 1e3 * t_inc},
+            "steady_ms": {
+                "pipeline": 1e3 * t_pipeline,
+                "timeline": 1e3 * t_timeline,
+            },
             "steady_speedup": speedup,
-            "stream_stats": {k: int(v) for k, v in stats.items()},
         },
     )
 
     # The contract this benchmark certifies — and unlike the generic
     # stream benchmark, it must hold in tiny mode too.
     assert speedup > 1.0, (
-        f"incremental window maintenance ({1e3 * t_inc:.2f}ms/window) "
-        f"must beat per-window full rebuilds ({1e3 * t_full:.2f}ms/window) "
+        f"the timeline ({1e3 * t_timeline:.2f}ms/window) must beat the "
+        f"re-slicing pipeline ({1e3 * t_pipeline:.2f}ms/window) "
         f"at {churn_frac:.1%} churn"
     )

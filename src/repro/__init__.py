@@ -41,9 +41,14 @@ Subpackages
     overlay on the immutable CSR substrate, typed edit events with a
     JSONL log format, incremental scalar-tree maintenance
     (:class:`~repro.stream.incremental.StreamingScalarTree` — checkpoint
-    rollback + dirty-suffix replay, ≥5× faster than full rebuilds on
-    small-batch streams), and sliding-window expiry for temporal
-    networks.  Replayed from the CLI via ``repro stream``.
+    rollback + dirty-suffix replay for callers that hold only an edit
+    delta), and sliding-window expiry of edits.  Replayed from the CLI
+    via ``repro stream``.
+``repro.evolve``
+    Windowed terrain evolution over timestamped edge logs (``repro
+    evolve``): every window's terrain built from scratch from its own
+    edge set, peaks tracked across windows into lifecycle events, and
+    signed terrain-diff tiles between windows.
 ``repro.engine``
     The unified pipeline layer every driver runs through: a measure
     registry (named scalar fields with kind/cost metadata and lazy

@@ -378,8 +378,12 @@ def _cmd_evolve(args) -> int:
 
     if bool(args.log) == bool(args.synthetic):
         raise SystemExit("provide exactly one of --log or --synthetic")
-    if args.window <= 0:
-        raise SystemExit("--window must be a positive horizon")
+    if not 0 < args.window < math.inf:
+        raise SystemExit("--window must be a positive, finite horizon")
+    if args.stride is not None and not 0 < args.stride < math.inf:
+        raise SystemExit("--stride must be positive and finite")
+    if args.origin is not None and not math.isfinite(args.origin):
+        raise SystemExit("--origin must be finite")
     if args.resolution and args.resolution % args.tile_size != 0:
         raise SystemExit("--resolution must be a multiple of --tile-size")
 
@@ -591,10 +595,10 @@ def _cmd_serve(args) -> int:
             horizon = float(window)
         except ValueError:
             horizon = -1.0
-        if horizon <= 0:
+        if not 0 < horizon < math.inf:
             raise SystemExit(
-                f"--evolve-log {name}: WINDOW must be a positive "
-                f"horizon, got {window!r}"
+                f"--evolve-log {name}: WINDOW must be a positive, "
+                f"finite horizon, got {window!r}"
             )
         if not Path(log_path).exists():
             raise SystemExit(f"temporal edge log not found: {log_path}")
@@ -788,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="windowed terrain evolution over a timestamped edge log",
         description=(
             "Slice a timestamped 'src dst ts [w]' edge log into "
-            "tumbling (or sliding) windows, maintain the terrain "
-            "incrementally per window, track peaks across windows "
+            "tumbling (or sliding) windows, build each window's "
+            "terrain from scratch, track peaks across windows "
             "into trajectories with lifecycle events "
             "(birth/growth/shrink/merge/split/death), and summarize "
             "the signed terrain diff between consecutive windows.  "

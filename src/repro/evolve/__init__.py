@@ -1,13 +1,12 @@
 """Windowed terrain evolution over timestamped edge streams.
 
-The temporal subsystem the ROADMAP's community-evolution item calls
-for, layered on :mod:`repro.stream` and served by :mod:`repro.serve`:
+The temporal subsystem: the paper's static construction run once per
+window, and served by :mod:`repro.serve`:
 
 * :mod:`~repro.evolve.timeline` — timestamped edge streams → one
-  terrain frame per window, each exactly the last-``horizon`` edge
-  set: tumbling windows hand the maintained tree each transition as
-  arrays, overlapping ones go through
-  :class:`~repro.stream.window.SlidingWindow` edit batches;
+  terrain frame per window, each built from scratch from exactly the
+  last-``horizon`` edge set (tumbling windows: the frame's own edges;
+  overlapping ones: every edge touched within the horizon);
 * :mod:`~repro.evolve.tracker` — Jaccard matching of peaks across
   consecutive windows into trajectories with
   birth/growth/shrink/merge/split/death lifecycle events, scored by

@@ -4,27 +4,16 @@
 consumes a non-decreasing stream of ``(u, v, ts, w)`` rows (chunked,
 as produced by :func:`repro.graph.io.iter_temporal_edges_sorted`),
 groups them into frames at ``t_k = origin + horizon + k * stride``,
-and drives one :class:`~repro.stream.incremental.StreamingScalarTree`
-through a :class:`~repro.stream.window.SlidingWindow` so each frame's
-graph is exactly the edges observed in the last ``horizon`` time units
-(at frame granularity — edits enter the window at their frame's
-``t_end``, so expiry is quantized to frame boundaries; with the
-default tumbling stride ``stride == horizon`` this is *exact* window
-semantics, frame ``k`` holds precisely the edges with
-``t_{k-1} < ts <= t_k``).
+and builds each frame from scratch: the window's edge set as canonical
+pair keys, its CSR (``from_edge_array``), the measure on that graph,
+Algorithm 1 (``build_vertex_tree``) and the display tree.
 
-Scalars are refreshed per frame — the measure is recomputed on the
-window graph.  A tumbling frame reaches the tree as arrays, with no
-edit objects: one ``stream.advance`` call takes the frame's CSR, its
-field, and the removed and added pairs.  Overlapping frames patch the
-changed vertices through ``stream.apply`` *directly* (never through the
-window: windowed ``SetScalar`` edits would revert to stale baselines on
-expiry and corrupt later windows).
-
-Each emitted :class:`WindowFrame` carries the compacted window graph,
-its scalar field, and the vertex/super trees, and is asserted (in
-tier-1 tests) to be node-identical to a from-scratch build of the
-same window — the incremental path changes cost, never arrays.
+With the default tumbling stride (``stride == horizon``) a frame holds
+exactly the edges observed in it, frame ``k`` the edges with
+``t_{k-1} < ts <= t_k``.  With any other stride an edge stays in the
+window until ``horizon`` after the frame that last touched it, so
+expiry is quantized to frame boundaries: a stride below the horizon
+gives overlapping windows, one above it leaves gaps.
 """
 
 from __future__ import annotations
@@ -32,14 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from ..core.scalar_tree import ScalarTree
-from ..core.super_tree import SuperTree
+from ..core.scalar_graph import ScalarGraph
+from ..core.scalar_tree import ScalarTree, build_vertex_tree
+from ..core.simplify import simplify_tree
+from ..core.super_tree import SuperTree, build_super_tree
 from ..engine import registry
-from ..graph.builders import empty_graph, from_edge_array
+from ..graph.builders import from_edge_array
 from ..graph.csr import CSRGraph
 from ..graph.io import (
     DEFAULT_CHUNK_EDGES,
@@ -48,10 +39,6 @@ from ..graph.io import (
 )
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..core.scalar_graph import ScalarGraph
-from ..stream.editlog import AddEdge, SetScalar
-from ..stream.incremental import StreamingScalarTree
-from ..stream.window import SlidingWindow
 
 __all__ = [
     "WindowFrame",
@@ -65,7 +52,7 @@ _M_WINDOWS = obs_metrics.REGISTRY.counter(
     "repro_evolve_windows_total", "Terrain frames emitted by timelines."
 )
 _M_WINDOW_SECONDS = obs_metrics.REGISTRY.histogram(
-    "repro_evolve_window_seconds", "Per-window maintenance time."
+    "repro_evolve_window_seconds", "Per-window build time."
 )
 
 
@@ -73,11 +60,19 @@ _M_WINDOW_SECONDS = obs_metrics.REGISTRY.histogram(
 class WindowFrame:
     """One terrain frame: the window ending at ``t_end``.
 
-    ``graph``/``scalars`` are the compacted window snapshot (safe to
-    keep; later frames do not mutate them), ``tree`` the maintained
-    vertex scalar tree and ``super`` the display (super or simplified)
-    tree — what :mod:`repro.evolve.tracker` cuts peaks from and
-    :mod:`repro.evolve.diff` rasterizes.
+    ``graph``/``scalars`` are the window snapshot (safe to keep; later
+    frames do not mutate them), ``tree`` its vertex scalar tree and
+    ``super`` the display (super or simplified) tree — what
+    :mod:`repro.evolve.tracker` cuts peaks from and
+    :mod:`repro.evolve.diff` rasterizes.  ``n_new_edges`` counts, for
+    tumbling windows, the edges not in the previous window and, for
+    any other stride, the distinct edges observed in this frame.
+
+    ``stream_stats`` holds the counters that
+    :class:`~repro.stream.incremental.StreamingScalarTree` reports, for
+    callers that read them: every window is a full build, so after
+    window ``k`` ``batches`` and ``full_rebuilds`` are ``k + 1`` and
+    ``incremental`` and ``replayed_vertices`` are 0.
     """
 
     index: int
@@ -109,8 +104,6 @@ class WindowFrame:
             "n_edges": self.n_edges,
             "n_new_edges": self.n_new_edges,
             "super_nodes": int(self.super.n_nodes),
-            "incremental": int(self.stream_stats.get("incremental", 0)),
-            "full_rebuilds": int(self.stream_stats.get("full_rebuilds", 0)),
         }
 
 
@@ -127,14 +120,10 @@ class Timeline:
         Window length W.
     stride:
         Frame spacing S; default ``horizon`` (tumbling windows, the
-        exact-semantics case).  ``stride < horizon`` gives overlapping
-        windows with expiry quantized to frame boundaries.
-
-        Tumbling windows are maintained by *diffing* consecutive
-        window edge sets (vectorized symmetric difference of canonical
-        pair keys) so per-window tree work is proportional to the
-        churned edges, not the window size; overlapping windows go
-        through :class:`~repro.stream.window.SlidingWindow` leases.
+        exact-semantics case).  Otherwise an edge stays in the window
+        until ``horizon`` after the frame that last touched it:
+        ``stride < horizon`` gives overlapping windows with expiry
+        quantized to frame boundaries.
     origin:
         Time origin; frame ``k`` ends at ``origin + horizon +
         k * stride``.  Default: just below the first timestamp, so the
@@ -150,12 +139,15 @@ class Timeline:
         origin: Optional[float] = None,
         bins: Optional[int] = None,
         scheme: str = "quantile",
-        rebuild_threshold: float = 0.5,
     ) -> None:
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if stride is not None and stride <= 0:
-            raise ValueError("stride must be positive")
+        if not 0 < horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite: {horizon!r}"
+            )
+        if stride is not None and not 0 < stride < math.inf:
+            raise ValueError(f"stride must be positive and finite: {stride!r}")
+        if origin is not None and not math.isfinite(origin):
+            raise ValueError(f"origin must be finite: {origin!r}")
         spec = registry.get_measure(measure)
         if spec.kind != "vertex":
             raise ValueError(
@@ -168,33 +160,30 @@ class Timeline:
         self.origin = origin
         self.bins = bins
         self.scheme = scheme
-        graph = empty_graph(self.n_vertices)
-        scalars = registry.compute(measure, graph)
-        self.stream = StreamingScalarTree(
-            ScalarGraph(graph, scalars), rebuild_threshold=rebuild_threshold
-        )
-        self.window = SlidingWindow(self.stream, self.horizon)
         self._t_end: Optional[float] = None
         self._index = 0
         self._buffer: List[np.ndarray] = []
         self._last_ts = -math.inf
-        # Tumbling windows (stride == horizon) never overlap, so the
-        # next window's edge set replaces the current one wholesale —
-        # the transition is the vectorized symmetric difference of the
-        # two canonical pair sets, and only the churned edges touch the
-        # tree.  Overlapping windows go through the SlidingWindow's
-        # per-entry lease machinery instead.
+        # Tumbling windows (stride == horizon) never overlap: the
+        # frame's keys are the window.  Otherwise the window is every
+        # key whose last touch (the t_end of the frame that last saw
+        # it, kept alongside) is within the horizon.
         self._tumbling = self.stride == self.horizon
         self._live_keys = np.empty(0, dtype=np.int64)
+        self._last_touch = np.empty(0, dtype=np.float64)
 
     # ------------------------------------------------------------------
     def _window_keys(self, rows: np.ndarray) -> np.ndarray:
         """Sorted unique canonical pair keys (``u * n + v``, u < v)."""
-        uv = rows[:, :2].astype(np.int64)
-        u = np.minimum(uv[:, 0], uv[:, 1])
-        v = np.maximum(uv[:, 0], uv[:, 1])
+        a, b = rows[:, 0].astype(np.int64), rows[:, 1].astype(np.int64)
+        u, v = np.minimum(a, b), np.maximum(a, b)
         keep = u != v
-        return np.unique(u[keep] * self.n_vertices + v[keep])
+        # A sort and a mask over adjacent repeats: on a window's keys,
+        # np.unique takes over ten times as long.
+        keys = np.sort(u[keep] * self.n_vertices + v[keep])
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return keys[first]
 
     def _emit(self) -> WindowFrame:
         with obs_trace.span(
@@ -206,68 +195,56 @@ class Timeline:
                 else np.empty((0, 4), dtype=np.float64)
             )
             self._buffer = []
+            seen = self._window_keys(rows)
             if self._tumbling:
-                keys = self._window_keys(rows)
-                gone = np.setdiff1d(
-                    self._live_keys, keys, assume_unique=True
+                keys = seen
+                n_new_edges = len(
+                    np.setdiff1d(keys, self._live_keys, assume_unique=True)
                 )
-                new = np.setdiff1d(keys, self._live_keys, assume_unique=True)
-                n = self.n_vertices
-                # The key set IS the window edge set, so the frame
-                # graph comes straight from it, the measure is computed
-                # on that graph before touching the stream, and the
-                # edge diff and the scalar refresh reach the tree as
-                # arrays in ONE advance — a single theta-bounded
-                # rewind/replay per frame over the frame's own CSR.
-                graph = from_edge_array(
-                    np.column_stack(np.divmod(keys, n)), n_vertices=n
-                )
-                values = registry.compute(self.measure, graph)
-                if len(gone) or len(new) or (
-                    values != self.stream.scalars
-                ).any():
-                    self.stream.advance(
-                        graph,
-                        values,
-                        np.column_stack(np.divmod(gone, n)),
-                        np.column_stack(np.divmod(new, n)),
-                    )
-                self._live_keys = keys
-                n_new_edges = len(new)
             else:
-                # One AddEdge per distinct pair: duplicates within a
-                # frame are a single window touch anyway, and
-                # re-touching an edge already live is a no-op on the
-                # tree (theta stays -inf for it), so the incremental
-                # cost tracks actual churn.
-                seen: Dict[Tuple[int, int], None] = {}
-                for u, v in rows[:, :2].astype(np.int64):
-                    if u == v:
-                        continue
-                    pair = (int(u), int(v)) if u < v else (int(v), int(u))
-                    seen.setdefault(pair, None)
-                edits = [AddEdge(u, v) for u, v in seen]
-                self.window.push(self._t_end, edits)
-                n_new_edges = len(edits)
-
-                graph = self.stream.delta.compact()
-                values = registry.compute(self.measure, graph)
-                changed = np.flatnonzero(values != self.stream.scalars)
-                if len(changed):
-                    self.stream.apply(
-                        [SetScalar(int(v), float(values[v])) for v in changed]
-                    )
+                # Keys that are live now and not re-touched, plus this
+                # frame's; an edge expires once the frame that last
+                # touched it ended ``horizon`` or more ago.
+                kept = (
+                    self._last_touch > self._t_end - self.horizon
+                ) & ~np.isin(self._live_keys, seen, assume_unique=True)
+                keys = np.concatenate([self._live_keys[kept], seen])
+                touch = np.concatenate([
+                    self._last_touch[kept], np.full(len(seen), self._t_end)
+                ])
+                order = np.argsort(keys)
+                keys = keys[order]
+                self._last_touch = touch[order]
+                n_new_edges = len(seen)
+            self._live_keys = keys
+            n = self.n_vertices
+            graph = from_edge_array(
+                np.column_stack(np.divmod(keys, n)), n_vertices=n
+            )
+            scalars = registry.compute(self.measure, graph)
+            tree = build_vertex_tree(ScalarGraph(graph, scalars))
+            display = (
+                simplify_tree(tree, self.bins, scheme=self.scheme)
+                if self.bins
+                else build_super_tree(tree)
+            )
+            builds = self._index + 1
             frame = WindowFrame(
                 index=self._index,
                 t_end=self._t_end,
                 horizon=self.horizon,
                 graph=graph,
-                scalars=self.stream.scalars.copy(),
-                tree=self.stream.tree,
-                super=self.stream.display_tree(self.bins, self.scheme),
+                scalars=scalars,
+                tree=tree,
+                super=display,
                 n_edges=int(graph.n_edges),
                 n_new_edges=n_new_edges,
-                stream_stats=dict(self.stream.stats),
+                stream_stats={
+                    "batches": builds,
+                    "incremental": 0,
+                    "full_rebuilds": builds,
+                    "replayed_vertices": 0,
+                },
             )
         _M_WINDOWS.inc()
         self._index += 1
@@ -284,7 +261,8 @@ class Timeline:
         provides this for unsorted logs); out-of-order input raises.
         Quiet intervals still emit (empty) frames — expiry-driven
         deaths need them.  A trailing partial window is emitted last.
-        An endpoint outside ``0..n_vertices-1`` raises ``ValueError``.
+        A non-finite timestamp, and an endpoint that is not an integer
+        in ``0..n_vertices-1``, raise ``ValueError``.
         """
         emitted_any = False
         for chunk in chunks:
@@ -293,11 +271,26 @@ class Timeline:
                 raise ValueError("chunks must be (k, >=3) row arrays")
             if len(chunk) == 0:
                 continue
-            ids = chunk[:, :2]
+            # A contiguous copy: reductions over a (k, 2) column slice
+            # of the rows run several times slower.  NaN and ±inf
+            # surface in the min and max.
+            ids = np.ascontiguousarray(chunk[:, :2])
             lo, hi = ids.min(), ids.max()
+            if not -math.inf < lo <= hi < math.inf or (
+                ids != np.floor(ids)
+            ).any():
+                bad = ids[~np.isfinite(ids) | (ids != np.floor(ids))]
+                raise ValueError(
+                    f"vertex id {float(bad[0])!r} is not an integer"
+                )
             if lo < 0 or hi >= self.n_vertices:
                 raise _out_of_range(lo if lo < 0 else hi, self.n_vertices)
             ts_col = chunk[:, 2]
+            finite = np.isfinite(ts_col)
+            if not finite.all():
+                raise ValueError(
+                    f"timestamp {float(ts_col[~finite][0])!r} is not finite"
+                )
             if ts_col[0] < self._last_ts or np.any(np.diff(ts_col) < 0):
                 raise ValueError(
                     "timestamps must be non-decreasing; sort the log "
@@ -322,11 +315,6 @@ class Timeline:
                     emitted_any = True
         if self._buffer or not emitted_any and self._t_end is not None:
             yield self._emit()
-
-    # Convenience: the current window's edge set, for equivalence
-    # checks against from-scratch builds.
-    def window_graph(self) -> CSRGraph:
-        return self.stream.delta.compact()
 
 
 def _out_of_range(vertex, n_vertices: int) -> ValueError:

@@ -18,10 +18,10 @@ resolved into lifecycle events:
 * unmatched peak — ``birth``;  unmatched trajectory — ``death``.
 
 Matching is deterministic: candidate pairs are processed in
-``(-jaccard, trajectory id, peak index)`` order, which is only
-reproducible because window contents themselves are (the
-:class:`~repro.stream.window.SlidingWindow` equal-timestamp
-tie-break).  :func:`event_f1` scores a tracked event list against a
+``(-jaccard, trajectory id, peak index)`` order, and window contents
+are a pure function of the rows (a window is a set of edges, so rows
+with equal timestamps give the same window in any order).
+:func:`event_f1` scores a tracked event list against a
 scheduled ground truth (e.g. a
 :class:`~repro.graph.generators.DynamicCommunityLog`) with a ±1
 window tolerance.

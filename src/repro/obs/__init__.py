@@ -34,7 +34,6 @@ from .prof import ContinuousProfiler, SamplingProfiler, capture, flamegraph_svg
 from .trace import (
     JSONLExporter,
     RingBufferExporter,
-    RollupAccumulator,
     add_exporter,
     chrome_trace_from_jsonl,
     current_span_id,
@@ -66,7 +65,6 @@ __all__ = [
     "rollup",
     "RingBufferExporter",
     "JSONLExporter",
-    "RollupAccumulator",
     "SamplingProfiler",
     "ContinuousProfiler",
     "capture",

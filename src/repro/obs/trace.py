@@ -58,7 +58,6 @@ __all__ = [
     "Tracer",
     "RingBufferExporter",
     "JSONLExporter",
-    "RollupAccumulator",
     "traced_job",
     "adopt",
     "to_chrome_trace",
@@ -486,81 +485,11 @@ def rollup(
     return out
 
 
-class RollupAccumulator:
-    """Streaming rollup over an unbounded span feed in bounded memory.
-
-    Usable directly as an exporter (:meth:`export`).  ``total_ms``,
-    ``max_ms`` and ``count`` are exact; the percentiles come from a
-    per-name reservoir of the most recent ``window`` durations, so they
-    track current behaviour instead of averaging over the server's
-    whole lifetime.
-    """
-
-    def __init__(self, window: int = 512) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._window = window
-        self._lock = threading.Lock()
-        self._state: Dict[str, dict] = {}
-
-    def add(self, record: dict) -> None:
-        ms = float(record["dur_us"]) / 1000.0
-        name = record["name"]
-        with self._lock:
-            state = self._state.get(name)
-            if state is None:
-                state = {
-                    "count": 0,
-                    "total_ms": 0.0,
-                    "max_ms": 0.0,
-                    "recent": deque(maxlen=self._window),
-                }
-                self._state[name] = state
-            state["count"] += 1
-            state["total_ms"] += ms
-            if ms > state["max_ms"]:
-                state["max_ms"] = ms
-            state["recent"].append(ms)
-
-    # Exporter protocol, so an accumulator can sit on the tracer.
-    export = add
-
-    def summary(
-        self, top: Optional[int] = None
-    ) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            snapshot = [
-                (name, state["count"], state["total_ms"], state["max_ms"],
-                 list(state["recent"]))
-                for name, state in self._state.items()
-            ]
-        out: Dict[str, Dict[str, float]] = {}
-        for name, count, total, mx, recent in sorted(snapshot):
-            recent.sort()
-            n = len(recent)
-            out[name] = {
-                "count": count,
-                "p50_ms": round(recent[n // 2], 3) if n else 0.0,
-                "p95_ms": round(recent[min(n - 1, int(n * 0.95))], 3)
-                if n else 0.0,
-                "max_ms": round(mx, 3),
-                "total_ms": round(total, 3),
-            }
-        if top is not None and top >= 0 and len(out) > top:
-            keep = sorted(out.items(), key=lambda kv: -kv[1]["total_ms"])[:top]
-            out = dict(keep)
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._state.clear()
-
-
 # $REPRO_TRACE=<path> turns tracing on at import time — how benchmark
 # subprocesses and the obs-enabled CI tier inherit a trace sink without
 # every entry point growing plumbing.  $REPRO_TRACE_SAMPLE=<rate>
-# applies head-based sampling on top (serve sets 0.1 for always-on
-# tracing at affordable cost).
+# applies head-based sampling on top (for example 0.1 for always-on
+# tracing of a busy server at affordable cost).
 _env_path = os.environ.get("REPRO_TRACE")
 if _env_path:  # pragma: no cover - exercised via subprocess tests
     add_exporter(JSONLExporter(_env_path))

@@ -22,8 +22,8 @@ Modules
     Algorithm 1 that rewinds to the batch's impact level and replays
     only the dirty suffix.
 ``repro.stream.window``
-    :class:`SlidingWindow` — expire edits older than a horizon, for
-    temporal-network replay.
+    :class:`SlidingWindow` — expire edits older than a horizon
+    (``repro stream --window``).
 """
 
 from .delta import DeltaGraph

@@ -15,12 +15,9 @@ therefore records the build as a journal with checkpoints at scalar-level
 boundaries (a :class:`~repro.core.union_find.RollbackUnionFind` snapshot
 plus the journal length), and on each batch:
 
-1. brings the delta to the batch's graph and computes θ
-   (:func:`impact_level`): :meth:`~StreamingScalarTree.apply` runs
-   typed edits through a :class:`~repro.stream.delta.DeltaGraph`'s
-   overlay one at a time; :meth:`~StreamingScalarTree.advance` takes
-   the next snapshot whole — its CSR, its scalars and the churned
-   pairs as arrays — and bases a fresh delta on that CSR;
+1. applies the batch's typed edits to a
+   :class:`~repro.stream.delta.DeltaGraph` overlay one at a time and
+   computes θ (:func:`impact_level`);
 2. rewinds to the deepest checkpoint still strictly above θ;
 3. re-sorts and replays only the suffix (the dirty maximal
    α-components' worth of vertices at levels ≤ θ), via the same
@@ -40,6 +37,12 @@ compacted snapshot (the equivalence property test in
 ``tests/stream/test_equivalence.py`` checks exactly this), because the
 prefix order is preserved and the suffix is re-sorted with the same
 (-scalar, vertex id) key.
+
+Its callers hold only a delta: ``repro stream``,
+:class:`~repro.engine.pipeline.StreamingPipeline` and serve's SSE
+stream sessions.  :mod:`repro.evolve` timelines hold each window's
+whole edge set and build every window from scratch instead, which
+costs less there than a rewind and replay.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from ..core.scalar_tree import ScalarTree, attach_vertex
 from ..core.simplify import simplify_tree
 from ..core.super_tree import SuperTree, build_super_tree
 from ..core.union_find import RollbackUnionFind
-from ..graph.csr import CSRGraph
 from .delta import DeltaGraph
 from .editlog import AddEdge, Batch, RemoveEdge, SetScalar
 
@@ -207,9 +209,7 @@ class StreamingScalarTree:
         Produces the same rollback-capable state the Python replay
         maintains — parent/tree-root lists, the union-find with its
         undo history, the journal, and per-level checkpoints — from one
-        C pass over the compacted CSR adjacency (the delta's base
-        itself when its overlay is empty, as after :meth:`advance`).
-        The union-find's
+        C pass over the compacted CSR adjacency.  The union-find's
         internal forest may differ from the Python replay's when
         adjacency enumeration order differs, but the maintained
         invariant (``tree_root[find(x)]`` is x's current subtree root)
@@ -349,72 +349,6 @@ class StreamingScalarTree:
         self._validate_edits(edits)
         self.stats["batches"] += 1
         theta = impact_level(self.delta.scalars, *self._apply_edits(edits))
-        return self._settle(theta)
-
-    def advance(
-        self, graph: CSRGraph, scalars, removed, added
-    ) -> ScalarTree:
-        """Move to the next snapshot, given whole, and return the tree.
-
-        ``graph`` and ``scalars`` are the next snapshot; ``removed`` and
-        ``added`` are ``(k, 2)`` endpoint arrays of the edges it drops
-        and gains against the current graph, each churned edge once.
-        The array counterpart of :meth:`apply` for callers that already
-        hold the next CSR (the tumbling
-        :class:`~repro.evolve.timeline.Timeline`): θ comes from array
-        ops over the churned pairs and the changed vertices, the delta
-        is replaced by one based on ``graph`` with an empty overlay,
-        and the same rewind, replay and splice run.
-
-        Like :meth:`apply` it validates first: a vertex-count mismatch,
-        a misshapen or non-finite field, an out-of-range endpoint
-        (``IndexError``), a self-loop, or an edge count that the churn
-        does not explain raises before any state changes.
-        """
-        n = self.delta.n_vertices
-        if graph.n_vertices != n:
-            raise ValueError(
-                f"graph has {graph.n_vertices} vertices, the stream {n}"
-            )
-        values = np.asarray(scalars, dtype=np.float64)
-        if values.shape != (n,):
-            raise ValueError("scalars must have one entry per vertex")
-        if not np.isfinite(values).all():
-            raise ValueError("scalar values must be finite")
-        churn = []
-        for name, pairs in (("removed", removed), ("added", added)):
-            pairs = np.asarray(pairs, dtype=np.int64)
-            if pairs.size == 0:
-                pairs = pairs.reshape(0, 2)
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise ValueError(f"{name} must be a (k, 2) endpoint array")
-            churn.append(pairs)
-        edges = np.concatenate(churn)
-        if len(edges):
-            lo, hi = int(edges.min()), int(edges.max())
-            if lo < 0 or hi >= n:
-                raise IndexError(
-                    f"vertex {lo if lo < 0 else hi} outside 0..{n - 1}"
-                )
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-        expected = self.delta.n_edges - len(churn[0]) + len(churn[1])
-        if graph.n_edges != expected:
-            raise ValueError(
-                f"graph has {graph.n_edges} edges, the churn implies {expected}"
-            )
-        old = self.delta.scalars
-        changed = np.flatnonzero(values != old)
-        theta = impact_level(values, changed, old[changed], edges)
-        self.stats["batches"] += 1
-        self.delta = DeltaGraph(graph, scalars=values)
-        return self._settle(theta)
-
-    def _settle(self, theta: float) -> ScalarTree:
-        """Bring the tree up to the already-applied batch with impact
-        level ``theta``: rewind to the deepest checkpoint above θ,
-        replay the suffix and splice it in — or rebuild, past the
-        threshold.  The tail :meth:`apply` and :meth:`advance` share."""
         if theta == -_INF:
             self.stats["last_suffix"] = 0
             return self._tree

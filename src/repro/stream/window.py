@@ -17,8 +17,7 @@ Expiry is **deterministic for equal timestamps**: every windowed edit
 gets a monotonically increasing sequence number, an item is kept alive
 by its highest-sequence touch (not merely its latest timestamp), and a
 batch of same-cutoff reverts is emitted in insertion order.  Window
-contents are therefore a pure function of the pushed edit sequence —
-the reproducibility :mod:`repro.evolve`'s peak tracker builds on.
+contents are therefore a pure function of the pushed edit sequence.
 """
 
 from __future__ import annotations

@@ -1,12 +1,71 @@
-"""Shared fixtures: paper worked examples and small reference graphs."""
+"""Shared fixtures: paper worked examples and small reference graphs.
+
+Also the session's seeded fault schedule.  With ``$REPRO_FAULTS`` set
+(CI runs tier-1 under ``worker_kill:1;task_fail:3;task_delay:5:0.02``),
+the schedule parsed at session start is put back after every test that
+installs its own, with its pass counters intact, so each rule still
+lands in a later job.  At session end a rule that never fired fails the
+run: a scheduled fault that cannot fire checks nothing.
+"""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import EdgeScalarGraph, ScalarGraph
 from repro.graph import from_edges
+from repro.resil import faults
+
+_SEEDED = None
+
+
+def _install(schedule) -> None:
+    with faults._GLOBAL_LOCK:
+        faults._ACTIVE = schedule
+        faults._LOADED = True
+
+
+def pytest_sessionstart(session):
+    global _SEEDED
+    spec = os.environ.get(faults.ENV_VAR, "").strip()
+    _SEEDED = faults.FaultSchedule.parse(spec) if spec else None
+    if _SEEDED is not None:
+        _install(_SEEDED)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    yield
+    if _SEEDED is not None and faults.schedule() is not _SEEDED:
+        _install(_SEEDED)
+
+
+def _never_fired():
+    snap = _SEEDED.snapshot()
+    return snap, [site for site in _SEEDED.rules if site not in snap["fired"]]
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if _SEEDED is not None and _never_fired()[1]:
+        if session.exitstatus == pytest.ExitCode.OK:
+            session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _SEEDED is None:
+        return
+    snap, never = _never_fired()
+    terminalreporter.write_sep("-", "seeded faults")
+    terminalreporter.write_line(
+        f"{snap['spec']!r}: passes {snap['passes']}, fired {snap['fired']}"
+    )
+    if never:
+        terminalreporter.write_line(
+            f"never fired: {', '.join(never)} (the session fails)", red=True
+        )
 
 
 @pytest.fixture

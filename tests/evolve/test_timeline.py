@@ -1,5 +1,7 @@
 """Windowed timeline: slicing, gaps, exactness, loader integration."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.evolve import (
 )
 from repro.graph.generators import dynamic_planted_partition
 from repro.graph.io import write_temporal_edge_list
-from repro.stream import StreamingScalarTree
 
 
 def _rows(triples):
@@ -79,6 +80,18 @@ class TestSlicing:
         with pytest.raises(ValueError):
             Timeline(4, measure="ktruss")  # edge measure
 
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon": np.nan}, {"horizon": np.inf},
+        {"stride": np.nan}, {"stride": np.inf},
+        {"origin": np.nan}, {"origin": -np.inf},
+    ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+    def test_non_finite_window_parameters_rejected(self, kwargs):
+        # Unchecked, an origin of -inf never reaches the first row and
+        # yields empty frames forever; the islice bounds that loop.
+        rows = _rows([(0, 1, 0.5)])
+        with pytest.raises(ValueError, match="finite"):
+            list(islice(frames_from_rows(rows, 2, **kwargs), 50))
+
 
 class TestLogIntegration:
     @pytest.fixture(scope="class")
@@ -126,37 +139,6 @@ class TestLogIntegration:
         assert {"t_start", "t_end", "super_nodes"} <= set(doc)
 
 
-class TestArrayTransitions:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"apply": 0, "advance": 0}
-        for name in calls:
-            real = getattr(StreamingScalarTree, name)
-
-            def spy(self, *args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(self, *args)
-
-            monkeypatch.setattr(StreamingScalarTree, name, spy)
-        return calls
-
-    def test_tumbling_timeline_never_calls_apply(self, calls):
-        log = dynamic_planted_partition(n_windows=4, seed=2)
-        frames = list(frames_from_rows(
-            log.rows, log.n_vertices, origin=log.origin
-        ))
-        assert calls["apply"] == 0
-        assert calls["advance"] == frames[-1].stream_stats["batches"] > 0
-
-    def test_sliding_timeline_still_applies(self, calls):
-        log = dynamic_planted_partition(n_windows=4, seed=2)
-        list(frames_from_rows(
-            log.rows, log.n_vertices, stride=0.5, origin=log.origin
-        ))
-        assert calls["apply"] > 0
-        assert calls["advance"] == 0
-
-
 class TestOutOfRangeIds:
     def test_tumbling_rejects_id_past_universe(self):
         rows = np.array([[3, 12, 0.5, 1.0], [1, 2, 0.6, 1.0]])
@@ -175,6 +157,29 @@ class TestOutOfRangeIds:
             frames_from_log(path, n_vertices=5)
         (frame,) = frames_from_log(path, n_vertices=10, origin=0.0)
         assert frame.n_edges == 2
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "vertex id nan"),
+        (1.5, "vertex id 1.5"),
+        (np.inf, "vertex id inf"),
+        (-np.inf, "vertex id -inf"),
+    ])
+    def test_non_integral_ids_rejected(self, bad, message):
+        # Unchecked, NaN and 1.5 cast to vertices 0 and 1, and inf
+        # overflows.
+        rows = np.array([[0, 1, 0.5, 1.0], [2, bad, 0.6, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            list(frames_from_rows(rows, 4, origin=0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_timestamps_rejected(self, bad):
+        # Unchecked, the row never joins a frame and every later frame
+        # comes out empty, forever; the islice bounds that loop.
+        rows = np.array([[0, 1, 0.5, 1.0], [1, 2, bad, 1.0]])
+        with pytest.raises(ValueError, match=f"timestamp {bad!r}"):
+            list(islice(frames_from_rows(rows, 3), 50))
 
 
 class TestReadOnce:

@@ -1,12 +1,16 @@
 """Property: every window frame ≡ a from-scratch build of that window.
 
-The timeline maintains one :class:`StreamingScalarTree` across windows
-(batch expiry + batch arrival per frame); the acceptance contract is
-that each emitted frame's vertex tree and display tree are
+Each emitted frame's vertex tree and display tree must be
 node-identical to running Algorithm 1 + the super-tree pass from
 scratch on the window's own edge set — for ANY timestamped edge
-sequence, and under every accel tier.
+sequence, and under every accel tier.  Overlapping and gapped windows
+(any stride other than the horizon) are also checked frame by frame
+against the edit-object oracle in ``oracles.py``, which carries one
+streaming tree through a sliding window instead.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,12 @@ from repro.graph.builders import from_edge_array
 from repro.graph.generators import dynamic_planted_partition
 
 BACKENDS = ["vector"] + (["native"] if accel_native.available() else [])
+
+_SPEC = importlib.util.spec_from_file_location(
+    "evolve_oracles", Path(__file__).with_name("oracles.py")
+)
+oracles = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracles)
 
 
 @st.composite
@@ -122,3 +132,48 @@ def test_backends_build_identical_frames(seed):
             for (tp, sp), (rtp, rsp) in zip(got, reference):
                 assert np.array_equal(tp, rtp)
                 assert np.array_equal(sp, rsp)
+
+
+@st.composite
+def _overlapping_timeline(draw):
+    n, rows, horizon = draw(_temporal_rows())
+    # Below, near and above the horizon (above leaves gaps between
+    # windows); 0.3 and 0.7 give strides with inexact float sums.
+    factor = draw(st.sampled_from([0.25, 0.3, 0.5, 0.7, 0.99, 1.01, 1.5, 2.0]))
+    kwargs = {
+        "measure": draw(st.sampled_from(["degree", "kcore"])),
+        "horizon": horizon,
+        "stride": horizon * factor,
+        "origin": draw(st.sampled_from([None, 0.0, -0.5])),
+        "bins": draw(st.sampled_from([None, 3])),
+    }
+    return n, rows, kwargs
+
+
+def _assert_same_frame(got, want):
+    assert (got.index, got.t_end) == (want.index, want.t_end)
+    assert got.graph == want.graph
+    assert np.array_equal(got.scalars, want.scalars)
+    assert np.array_equal(got.tree.parent, want.tree.parent)
+    assert np.array_equal(got.tree.scalars, want.tree.scalars)
+    assert np.array_equal(got.super.parent, want.super.parent)
+    assert np.array_equal(got.super.scalars, want.super.scalars)
+    assert len(got.super.members) == len(want.super.members)
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(got.super.members, want.super.members)
+    )
+    assert (got.n_edges, got.n_new_edges) == (want.n_edges, want.n_new_edges)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=40, deadline=None)
+@given(scenario=_overlapping_timeline())
+def test_overlapping_windows_match_edit_object_oracle(backend, scenario):
+    n, rows, kwargs = scenario
+    with accel.using(backend):
+        got = list(frames_from_rows(rows, n, **kwargs))
+        want = list(oracles.oracle_frames(rows, n, **kwargs))
+    assert len(got) == len(want) >= 1
+    for a, b in zip(got, want):
+        _assert_same_frame(a, b)

@@ -1,6 +1,6 @@
 """Golden-output corpus: the default path's outputs against recorded
-digests (``tests/golden/accel.json``, written by
-``scripts/golden.py --update``).
+digests (``tests/golden/accel.json`` and ``tests/golden/evolve.json``,
+written by ``scripts/golden.py --update``).
 
 The accel equivalence suites compare the tiers with each other, so a
 change to code that all of them share passes there; these digests
@@ -26,6 +26,7 @@ _SPEC.loader.exec_module(golden)
 
 CORPUS = golden.load()
 KEYS = sorted(CORPUS["entries"])
+EVOLVE = golden.load(golden.EVOLVE_CORPUS)["entries"]
 
 
 @lru_cache(maxsize=None)
@@ -60,3 +61,20 @@ def test_geometry_matches_golden(key):
     got = _computed(key)
     for name in golden.GEOMETRY:
         assert got[name] == recorded[name], f"{key}: {name}"
+
+
+def test_evolve_corpus_covers_every_log_stride_and_bins():
+    assert sorted(EVOLVE) == sorted(
+        golden.evolve_key(*timeline) for timeline in golden.EVOLVE_TIMELINES
+    )
+
+
+@pytest.mark.parametrize(
+    "timeline", golden.EVOLVE_TIMELINES, ids=lambda t: golden.evolve_key(*t)
+)
+def test_evolve_matches_golden(timeline):
+    """Every window's graph, field, trees and edge counts, and the
+    tracker's event log."""
+    key = golden.evolve_key(*timeline)
+    got = {key: golden.evolve_entry(*timeline)}
+    assert golden.differing(got, {key: EVOLVE[key]}) == []

@@ -123,48 +123,3 @@ class TestRollupTopN:
     def test_no_top_keeps_all_sorted_by_name(self):
         out = trace.rollup(self._records())
         assert list(out) == ["cold", "hot", "warm"]
-
-
-class TestRollupAccumulator:
-    def test_streaming_matches_batch(self):
-        records = [
-            {"name": "a", "dur_us": 1000 * (i + 1)} for i in range(10)
-        ] + [{"name": "b", "dur_us": 500}]
-        acc = trace.RollupAccumulator()
-        for r in records:
-            acc.add(r)
-        batch = trace.rollup(records)
-        streaming = acc.summary()
-        for name in ("a", "b"):
-            for key in ("count", "total_ms", "max_ms", "p50_ms", "p95_ms"):
-                assert streaming[name][key] == pytest.approx(
-                    batch[name][key]
-                ), (name, key)
-
-    def test_bounded_window_tracks_recent_percentiles(self):
-        acc = trace.RollupAccumulator(window=4)
-        for dur in (1.0, 1.0, 1.0, 1.0, 100.0, 100.0, 100.0, 100.0):
-            acc.add({"name": "x", "dur_us": dur * 1000})
-        summary = acc.summary()["x"]
-        assert summary["count"] == 8          # exact
-        assert summary["total_ms"] == pytest.approx(404.0)  # exact
-        assert summary["p50_ms"] == pytest.approx(100.0)    # recent only
-
-    def test_works_as_exporter(self, ring):
-        acc = trace.RollupAccumulator()
-        trace.add_exporter(acc)
-        with trace.span("exported"):
-            pass
-        assert acc.summary()["exported"]["count"] == 1
-
-    def test_top_n(self):
-        acc = trace.RollupAccumulator()
-        acc.add({"name": "hot", "dur_us": 90_000})
-        acc.add({"name": "cold", "dur_us": 1_000})
-        assert list(acc.summary(top=1)) == ["hot"]
-
-    def test_clear(self):
-        acc = trace.RollupAccumulator()
-        acc.add({"name": "x", "dur_us": 1000})
-        acc.clear()
-        assert acc.summary() == {}

@@ -494,6 +494,18 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit):
             main(["evolve", "--synthetic", "--window", "0"])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--window", "nan"), ("--window", "inf"),
+        ("--stride", "-1"), ("--stride", "nan"),
+        ("--origin", "-inf"),
+    ])
+    def test_non_finite_window_flags_are_one_line(self, flag, value):
+        # Unchecked, a negative stride escapes as a ValueError
+        # traceback, a NaN window runs one frame and an -inf origin
+        # never ends.
+        with pytest.raises(SystemExit, match=f"^{flag} must be"):
+            main(["evolve", "--synthetic", f"{flag}={value}"])
+
     def test_edge_measure_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):
             main(["evolve", "--synthetic", "--measure", "ktruss"])
@@ -526,6 +538,12 @@ class TestServeEvolveFlags:
                 "serve",
                 "--evolve-log", f"demo=degree:zero:{log}",
             ])
+
+    def test_non_finite_window_rejected(self, tmp_path):
+        log = tmp_path / "t.tsv"
+        log.write_text("0 1 0.5\n")
+        with pytest.raises(SystemExit, match="finite"):
+            main(["serve", "--evolve-log", f"demo=degree:nan:{log}"])
 
     def test_missing_temporal_log_rejected(self):
         with pytest.raises(SystemExit, match="not found"):
