@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Golden-output corpus: sha256 digests of the paper's outputs.
 
-Two files under ``tests/golden/``:
+Three files under ``tests/golden/``:
 
 - ``accel.json``: for each stand-in dataset in :data:`DATASETS` and
   each measure in :data:`MEASURES`, the default pipeline
@@ -15,9 +15,17 @@ Two files under ``tests/golden/``:
   :data:`EVOLVE_BINS`, every window frame's graph CSR, field, tree
   ``parent``, display-tree ``parent`` and members, edge count and new
   edge count, plus a digest of the peak tracker's event log.
+- ``baselines.json``: the comparison drawings of the user study.
+  ``openord_layout(g, seed=0)`` on each stand-in in
+  :data:`BASELINE_DATASETS`, and ``spring_layout(g, iterations=20,
+  seed=0)`` on those (its all-pairs branch) and on grqc (its sampled
+  branch); plus the rows of ``run_task1``, ``run_task2`` and
+  ``run_task3`` at the arguments of ``tests/study/test_harness.py``'s
+  fixtures, which check them so that tier-1 runs the study once.
 
-Float arrays are rounded to 1e-9 before hashing, and each file records
-the numpy version the digests were taken with.
+Float arrays are rounded to 1e-9 before hashing (study rows are stored
+rounded the same way), and each file records the numpy version the
+digests were taken with.
 
 ``tests/golden/test_golden.py`` recomputes every entry in tier-1, so a
 change to code that every accel tier shares still shows up as a digest
@@ -40,13 +48,17 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.baselines import openord_layout, spring_layout
 from repro.engine import Pipeline
 from repro.evolve import PeakTracker, frames_from_rows, peaks_from_tree
+from repro.graph import datasets
 from repro.graph.generators import dynamic_planted_partition
+from repro.study import run_task1, run_task2, run_task3
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 CORPUS = GOLDEN / "accel.json"
 EVOLVE_CORPUS = GOLDEN / "evolve.json"
+BASELINES_CORPUS = GOLDEN / "baselines.json"
 DATASETS = ("amazon", "ppi", "dblp")
 MEASURES = ("kcore", "ktruss", "degree", "closeness", "harmonic", "betweenness")
 RESOLUTION = 160
@@ -66,6 +78,16 @@ EVOLVE_TIMELINES = [
 ]
 #: The tracker's ``peaks_from_tree`` minimum peak size.
 EVOLVE_MIN_SIZE = 3
+#: Stand-ins whose OpenOrd and all-pairs spring layouts are recorded.
+BASELINE_DATASETS = ("amazon", "dblp", "ppi")
+#: grqc is above ``spring_layout``'s ``sample_threshold``, so its
+#: repulsion is estimated from a vertex sample.
+SPRING_DATASETS = BASELINE_DATASETS + ("grqc",)
+SPRING_ITERATIONS = 20
+#: ``run_task1``/``run_task2`` and ``run_task3`` keyword arguments of
+#: the recorded study rows (``tests/study/test_harness.py``'s fixtures).
+STUDY_TASK12 = {"names": ("grqc", "ppi"), "n_participants": 10, "seed": 0}
+STUDY_TASK3 = {"n_participants": 10, "seed": 0, "betweenness_samples": 64}
 
 
 def _digest(*arrays) -> str:
@@ -153,6 +175,35 @@ def evolve_entry(
     }
 
 
+def baseline_entry(dataset: str) -> Dict[str, str]:
+    """Layout digests of one stand-in: ``openord`` for the datasets in
+    :data:`BASELINE_DATASETS`, ``spring`` for those in
+    :data:`SPRING_DATASETS`."""
+    graph = datasets.load(dataset).graph
+    out = {}
+    if dataset in BASELINE_DATASETS:
+        out["openord"] = _digest(openord_layout(graph, seed=0))
+    if dataset in SPRING_DATASETS:
+        out["spring"] = _digest(
+            spring_layout(graph, iterations=SPRING_ITERATIONS, seed=0)
+        )
+    return out
+
+
+def study_rows(rows) -> List[dict]:
+    """Study rows as JSON values, floats rounded to 1e-9."""
+    return [
+        {
+            "task": r.task,
+            "dataset": r.dataset,
+            "method": r.method,
+            "accuracy": float(np.round(r.accuracy, 9)) + 0.0,
+            "mean_time": float(np.round(r.mean_time, 9)) + 0.0,
+        }
+        for r in rows
+    ]
+
+
 def compute() -> Dict[str, Dict[str, str]]:
     return {
         f"{d}/{m}": entry(d, m) for d in DATASETS for m in MEASURES
@@ -161,6 +212,18 @@ def compute() -> Dict[str, Dict[str, str]]:
 
 def compute_evolve() -> Dict[str, dict]:
     return {evolve_key(*t): evolve_entry(*t) for t in EVOLVE_TIMELINES}
+
+
+def compute_baselines() -> Dict[str, Dict[str, str]]:
+    return {d: baseline_entry(d) for d in SPRING_DATASETS}
+
+
+def compute_study() -> Dict[str, List[dict]]:
+    return {
+        "task1": study_rows(run_task1(**STUDY_TASK12)),
+        "task2": study_rows(run_task2(**STUDY_TASK12)),
+        "task3": study_rows(run_task3(**STUDY_TASK3)),
+    }
 
 
 def load(path: Path = CORPUS) -> dict:
@@ -199,12 +262,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--update", action="store_true",
-        help=f"rewrite {CORPUS.name} and {EVOLVE_CORPUS.name} from the "
-             "current code",
+        help=f"rewrite {CORPUS.name}, {EVOLVE_CORPUS.name} and "
+             f"{BASELINES_CORPUS.name} from the current code",
     )
     args = parser.parse_args(argv)
     entries = compute()
     evolve = compute_evolve()
+    baselines = compute_baselines()
+    study = compute_study()
     if args.update:
         _write(CORPUS, {
             "numpy": np.__version__,
@@ -212,12 +277,21 @@ def main(argv=None) -> int:
             "entries": entries,
         })
         _write(EVOLVE_CORPUS, {"numpy": np.__version__, "entries": evolve})
+        _write(BASELINES_CORPUS, {
+            "numpy": np.__version__,
+            "entries": baselines,
+            "study": study,
+        })
         return 0
+    recorded = load(BASELINES_CORPUS)
     bad = differing(entries, load()["entries"])
     bad += differing(evolve, load(EVOLVE_CORPUS)["entries"])
+    bad += differing(baselines, recorded["entries"])
+    bad += differing({"study": study}, {"study": recorded["study"]})
     for line in bad:
         print("differs:", line)
-    print(f"{len(entries) + len(evolve)} entries, {len(bad)} digests differ")
+    total = len(entries) + len(evolve) + len(baselines) + 1
+    print(f"{total} entries, {len(bad)} digests differ")
     return 1 if bad else 0
 
 

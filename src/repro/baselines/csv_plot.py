@@ -94,9 +94,6 @@ def csv_plot_svg(
                     fill=tuple(colors[i]))
     canvas.text(width / 2, height - 4, "CSV order", size=11, anchor="middle")
     canvas.text(8, margin - 8, f"max={hi:g}", size=11)
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

@@ -24,6 +24,7 @@ from ..core.union_find import UnionFind
 from ..measures.kcore import core_numbers
 from ..terrain.colormap import intensity_ramp
 from ..terrain.svg import SVGCanvas
+from .spring import _unit_square
 
 __all__ = ["lanet_vi_layout", "lanet_vi_svg"]
 
@@ -76,10 +77,7 @@ def lanet_vi_layout(
             rr = radius * (0.9 + 0.2 * rng.random())
             pos[v, 0] = 0.5 + rr * math.cos(angle)
             pos[v, 1] = 0.5 + rr * math.sin(angle)
-    pos -= pos.min(axis=0)
-    span = pos.max(axis=0)
-    span[span == 0] = 1.0
-    return pos / span, core
+    return _unit_square(pos), core
 
 
 def lanet_vi_svg(
@@ -107,9 +105,6 @@ def lanet_vi_svg(
             xy[v, 0], xy[v, 1], 2.6,
             fill=tuple(colors[v]), stroke=None,
         )
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

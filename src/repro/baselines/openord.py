@@ -21,7 +21,7 @@ from ..graph.builders import from_edge_array
 from ..graph.csr import CSRGraph
 from ..terrain.colormap import intensity_ramp
 from ..terrain.svg import SVGCanvas
-from .spring import spring_layout
+from .spring import _fr_iterations, _unit_square, spring_layout
 
 __all__ = ["coarsen", "openord_layout", "openord_svg"]
 
@@ -90,42 +90,17 @@ def openord_layout(
         start = pos[mapping] + jitter
         stage = _STAGE_ITERATIONS[min(depth + 1, len(_STAGE_ITERATIONS) - 1)]
         pos = _refine(fine, start, iterations=stage, seed=seed + depth)
-    pos -= pos.min(axis=0)
-    span = pos.max(axis=0)
-    span[span == 0] = 1.0
-    return pos / span
+    return _unit_square(pos)
 
 
 def _refine(
     graph: CSRGraph, pos: np.ndarray, iterations: int, seed: int
 ) -> np.ndarray:
     """Short FR refinement from given initial positions."""
-    n = graph.n_vertices
-    rng = np.random.default_rng(seed)
-    pos = pos.copy()
-    k = 1.0 / np.sqrt(max(n, 1))
-    edges = graph.edge_array()
-    temp = 0.05
-    cool = temp / (iterations + 1)
-    samples = min(n, 300)
-    for __ in range(iterations):
-        disp = np.zeros((n, 2))
-        sample = rng.choice(n, size=samples, replace=False)
-        delta = pos[:, None, :] - pos[sample][None, :, :]
-        dist = np.sqrt((delta ** 2).sum(axis=2)) + 1e-9
-        force = (k * k / dist) * (n / samples)
-        disp += (delta / dist[:, :, None] * force[:, :, None]).sum(axis=1)
-        if len(edges):
-            d = pos[edges[:, 0]] - pos[edges[:, 1]]
-            dist = np.sqrt((d ** 2).sum(axis=1)) + 1e-9
-            pull = (dist / k)[:, None] * d / dist[:, None]
-            np.add.at(disp, edges[:, 0], -pull)
-            np.add.at(disp, edges[:, 1], pull)
-        length = np.sqrt((disp ** 2).sum(axis=1)) + 1e-9
-        capped = np.minimum(length, temp)
-        pos += disp / length[:, None] * capped[:, None]
-        temp = max(temp - cool, 1e-4)
-    return pos
+    return _fr_iterations(
+        pos.copy(), graph.edge_array(), 0.05, iterations,
+        np.random.default_rng(seed), min(graph.n_vertices, 300),
+    )
 
 
 def openord_svg(
@@ -163,9 +138,6 @@ def openord_svg(
             xy[v, 0], xy[v, 1], float(radii[v]),
             fill=tuple(colors[v]), stroke=None,
         )
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

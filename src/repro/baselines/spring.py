@@ -41,25 +41,42 @@ def spring_layout(
     pos = rng.random((n, 2))
     if n <= 1:
         return pos
-    k = 1.0 / np.sqrt(n)
+    samples = repulsion_samples if n > sample_threshold else None
     edges = graph.edge_array()
-    temp = 0.12
+    return _unit_square(
+        _fr_iterations(pos, edges, 0.12, iterations, rng, samples)
+    )
+
+
+def _fr_iterations(
+    pos: np.ndarray,
+    edges: np.ndarray,
+    temp: float,
+    iterations: int,
+    rng: np.random.Generator,
+    samples: Optional[int],
+) -> np.ndarray:
+    """``iterations`` FR steps on ``pos``, in place, the displacement
+    cap cooling linearly from ``temp``.  Repulsion comes from every
+    vertex (``samples=None``) or from ``samples`` drawn from ``rng`` each
+    step, scaled by ``n / samples``."""
+    n = len(pos)
+    k = 1.0 / np.sqrt(n)
     cool = temp / (iterations + 1)
-    use_sampling = n > sample_threshold
     for __ in range(iterations):
-        disp = np.zeros((n, 2))
-        if use_sampling:
-            sample = rng.choice(n, size=repulsion_samples, replace=False)
-            delta = pos[:, None, :] - pos[sample][None, :, :]
-            dist = np.sqrt((delta ** 2).sum(axis=2)) + 1e-9
-            force = (k * k / dist) * (n / repulsion_samples)
-            disp += (delta / dist[:, :, None] * force[:, :, None]).sum(axis=1)
+        if samples is None:
+            others = pos
         else:
-            delta = pos[:, None, :] - pos[None, :, :]
-            dist = np.sqrt((delta ** 2).sum(axis=2)) + 1e-9
+            others = pos[rng.choice(n, size=samples, replace=False)]
+        dx = pos[:, 0] - others[:, 0, None]
+        dy = pos[:, 1] - others[:, 1, None]
+        dist = np.sqrt(dx * dx + dy * dy) + 1e-9
+        if samples is None:
             np.fill_diagonal(dist, np.inf)
-            force = k * k / dist
-            disp += (delta / dist[:, :, None] * force[:, :, None]).sum(axis=1)
+        force = (k * k / dist) * (n / len(others))
+        disp = np.zeros((n, 2))
+        disp[:, 0] += (dx / dist * force).sum(axis=0)
+        disp[:, 1] += (dy / dist * force).sum(axis=0)
         if len(edges):
             d = pos[edges[:, 0]] - pos[edges[:, 1]]
             dist = np.sqrt((d ** 2).sum(axis=1)) + 1e-9
@@ -70,7 +87,12 @@ def spring_layout(
         capped = np.minimum(length, temp)
         pos += disp / length[:, None] * capped[:, None]
         temp = max(temp - cool, 1e-4)
-    pos -= pos.min(axis=0)
+    return pos
+
+
+def _unit_square(pos: np.ndarray) -> np.ndarray:
+    """``pos`` shifted to 0 and divided by its span, per axis."""
+    pos = pos - pos.min(axis=0)
     span = pos.max(axis=0)
     span[span == 0] = 1.0
     return pos / span
@@ -112,9 +134,6 @@ def draw_graph_svg(
             xy[v, 0], xy[v, 1], node_radius,
             fill=tuple(colors[v]), stroke=None, stroke_width=0.0,
         )
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

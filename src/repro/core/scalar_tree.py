@@ -137,18 +137,19 @@ class ScalarTree:
         """Check structural invariants; raise ``ValueError`` on violation.
 
         Invariants: acyclic with a parent chain ending at a root, and
-        every child's scalar >= its parent's scalar.
+        every child's scalar >= its parent's scalar.  Pointer doubling
+        walks every chain to its root in ``n.bit_length()`` rounds.
         """
-        seen = 0
-        for __ in self.iter_topological():
-            seen += 1
-        if seen != self.n_nodes:
+        n = self.n_nodes
+        kids = np.flatnonzero(self.parent >= 0)
+        if len(kids) and self.parent[kids].max() >= n:
             raise ValueError("parent pointers contain a cycle or orphan")
-        has_parent = self.parent >= 0
-        kids = np.flatnonzero(has_parent)
-        if len(kids) and np.any(
-            self.scalars[kids] < self.scalars[self.parent[kids]]
-        ):
+        up = np.where(self.parent < 0, np.arange(n), self.parent)
+        for __ in range(n.bit_length()):
+            up = up[up]
+        if np.any(self.parent[up] >= 0):
+            raise ValueError("parent pointers contain a cycle or orphan")
+        if np.any(self.scalars[kids] < self.scalars[self.parent[kids]]):
             raise ValueError("child scalar below parent scalar")
 
     def spliced(self, items, parents, scalars=None) -> "ScalarTree":

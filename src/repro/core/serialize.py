@@ -9,6 +9,7 @@ diff-able, and language-agnostic.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -51,14 +52,17 @@ def scalar_tree_to_json(tree: ScalarTree) -> str:
 
 
 def scalar_tree_from_json(text: str) -> ScalarTree:
-    """Inverse of :func:`scalar_tree_to_json`."""
-    doc = json.loads(text)
+    """Inverse of :func:`scalar_tree_to_json`; the loaded tree is
+    validated (:meth:`ScalarTree.validate`)."""
+    doc = _document(text)
     _check(doc, "scalar_tree")
-    return ScalarTree(
-        np.array(doc["parent"], dtype=np.int64),
-        np.array(doc["scalars"], dtype=np.float64),
-        kind=doc["kind"],
+    tree = ScalarTree(
+        _numbers(doc, "parent", _INTS),
+        _numbers(doc, "scalars", _REALS),
+        kind=_field(doc, "kind"),
     )
+    tree.validate()
+    return tree
 
 
 def super_tree_to_json(tree: SuperTree) -> str:
@@ -79,13 +83,16 @@ def super_tree_from_json(text: str) -> SuperTree:
     """Inverse of :func:`super_tree_to_json`; the loaded tree is
     validated (:meth:`SuperTree.validate`), so a malformed document
     raises ``ValueError`` here rather than reaching layout."""
-    doc = json.loads(text)
+    doc = _document(text)
     _check(doc, "super_tree")
+    members = _field(doc, "members")
+    if not isinstance(members, list):
+        raise ValueError(f"'members' is not a list: {members!r:.40}")
     tree = SuperTree(
-        np.array(doc["scalars"], dtype=np.float64),
-        np.array(doc["parent"], dtype=np.int64),
-        [np.array(m, dtype=np.int64) for m in doc["members"]],
-        kind=doc["kind"],
+        _numbers(doc, "scalars", _REALS),
+        _numbers(doc, "parent", _INTS),
+        [_flat(m, "members", _INTS) for m in members],
+        kind=_field(doc, "kind"),
     )
     tree.validate()
     return tree
@@ -108,8 +115,7 @@ def save_tree(tree, path: PathLike) -> Path:
 def load_tree(path: PathLike):
     """Load whichever tree type ``path`` holds."""
     text = Path(path).read_text()
-    doc = json.loads(text)
-    if doc.get("type") == "super_tree":
+    if _document(text).get("type") == "super_tree":
         return super_tree_from_json(text)
     return scalar_tree_from_json(text)
 
@@ -137,12 +143,23 @@ def array_to_json(arr: np.ndarray) -> str:
 
 def array_from_json(text: str) -> np.ndarray:
     """Inverse of :func:`array_to_json`."""
-    doc = json.loads(text)
-    if doc.get("format") != _ARRAY_FORMAT or doc.get("type") != "array":
-        raise ValueError(f"not a {_ARRAY_FORMAT} array document")
-    return np.array(doc["data"], dtype=np.dtype(doc["dtype"])).reshape(
-        doc["shape"]
-    )
+    doc = _document(text)
+    _check(doc, "array", _ARRAY_FORMAT)
+    name = _field(doc, "dtype")
+    if not isinstance(name, str) or name not in _ARRAY_DTYPES:
+        raise ValueError(f"bad array dtype {name!r:.40}")
+    dtype = np.dtype(name)
+    data = _numbers(doc, "data", _REALS)
+    if len(data) and not np.can_cast(data.dtype, dtype, "same_kind"):
+        raise ValueError(f"{data.dtype} array data for dtype {dtype}")
+    shape = _field(doc, "shape")
+    if not (
+        isinstance(shape, list)
+        and all(type(n) is int and n >= 0 for n in shape)
+        and math.prod(shape) == len(data)
+    ):
+        raise ValueError(f"'shape' {shape!r:.40} for {len(data)} values")
+    return data.astype(dtype).reshape(shape)
 
 
 def tile_to_json(tile) -> str:
@@ -172,16 +189,19 @@ def tile_from_json(text: str):
     """Inverse of :func:`tile_to_json`."""
     from ..terrain.heightfield import Tile
 
-    doc = json.loads(text)
-    if doc.get("format") != _ARRAY_FORMAT or doc.get("type") != "tile":
-        raise ValueError(f"not a {_ARRAY_FORMAT} tile document")
-    shape = tuple(doc["shape"])
+    doc = _document(text)
+    _check(doc, "tile", _ARRAY_FORMAT)
+    rows, cols = Tile.check_header(doc)
+    height = _numbers(doc, "height", _REALS)
+    node = _numbers(doc, "node", _INTS)
+    if not len(height) == len(node) == rows * cols:
+        raise ValueError(
+            f"{len(height)} heights, {len(node)} nodes, {rows}x{cols} tile"
+        )
     return Tile(
         doc["level"], doc["tx"], doc["ty"],
-        np.array(doc["height"], dtype=np.float64).reshape(shape),
-        np.array(doc["node"], dtype=np.int64).reshape(shape),
-        tuple(doc["extent"]),
-        doc["base"],
+        height.reshape(rows, cols), node.reshape(rows, cols),
+        tuple(doc["extent"]), doc["base"],
     )
 
 
@@ -207,9 +227,9 @@ def artifact_to_json(obj) -> str:
 
 
 def artifact_from_json(text: str):
-    """Inverse of :func:`artifact_to_json` (dispatch on document type)."""
-    doc = json.loads(text)
-    kind = doc.get("type")
+    """Inverse of :func:`artifact_to_json` (dispatch on document type).
+    Like every loader here: a valid object, or ``ValueError``."""
+    kind = _document(text).get("type")
     if kind == "super_tree":
         return super_tree_from_json(text)
     if kind == "scalar_tree":
@@ -218,13 +238,58 @@ def artifact_from_json(text: str):
         return array_from_json(text)
     if kind == "tile":
         return tile_from_json(text)
-    raise ValueError(f"unknown artifact document type {kind!r}")
+    raise ValueError(f"unknown artifact document type {kind!r:.40}")
 
 
-def _check(doc: dict, expected: str) -> None:
-    if doc.get("format") != _FORMAT:
-        raise ValueError(f"not a {_FORMAT} document")
+#: numpy kinds accepted for integer and for real arrays.
+_INTS = "bi"
+_REALS = "biuf"
+#: The dtype names :func:`array_to_json` writes.
+_ARRAY_DTYPES = {
+    np.dtype(code).name
+    for code in "?" + np.typecodes["AllInteger"] + np.typecodes["Float"]
+}
+
+
+def _document(text: str) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a JSON object: {doc!r:.40}")
+    return doc
+
+
+def _check(doc: dict, expected: str, fmt: str = _FORMAT) -> None:
+    if doc.get("format") != fmt:
+        raise ValueError(f"not a {fmt} document")
     if doc.get("type") != expected:
         raise ValueError(
-            f"expected a {expected} document, got {doc.get('type')!r}"
+            f"expected a {expected} document, got {doc.get('type')!r:.40}"
         )
+
+
+def _field(doc: dict, name: str):
+    if name not in doc:
+        raise ValueError(f"{doc.get('type')} document has no {name!r}")
+    return doc[name]
+
+
+def _numbers(doc: dict, name: str, kinds: str) -> np.ndarray:
+    return _flat(_field(doc, name), name, kinds)
+
+
+def _flat(value, name: str, kinds: str) -> np.ndarray:
+    """``value`` as a flat array, ``ValueError`` unless it is a list of
+    numbers of a numpy kind in ``kinds``."""
+    arr = None
+    if isinstance(value, list):
+        try:
+            arr = np.array(value)
+        except ValueError:  # a ragged nesting
+            pass
+    flat = arr is not None and arr.ndim == 1
+    if not flat or (len(arr) and arr.dtype.kind not in kinds):
+        raise ValueError(f"{name!r} is not a list of numbers: {value!r:.40}")
+    return arr

@@ -69,6 +69,8 @@ class SuperTree:
         self.scalars = np.asarray(scalars, dtype=np.float64)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.members = [np.asarray(m, dtype=np.int64) for m in members]
+        if kind not in ("vertex", "edge"):
+            raise ValueError("kind must be 'vertex' or 'edge'")
         self.kind = kind
         if not (len(self.scalars) == len(self.parent) == len(self.members)):
             raise ValueError("scalars, parent, members must align")

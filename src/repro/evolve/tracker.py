@@ -220,15 +220,6 @@ class PeakTracker:
         self.events.append(event)
         _M_EVENTS.inc(kind=event.kind)
 
-    def observe_frame(self, frame, alpha=None) -> List[TrackEvent]:
-        """Track a :class:`~repro.evolve.timeline.WindowFrame`."""
-        return self.observe(
-            frame.index,
-            peaks_from_tree(
-                frame.super, alpha, self.min_size, window=frame.index
-            ),
-        )
-
     def observe(
         self, window: int, peaks: Sequence[PeakSnapshot]
     ) -> List[TrackEvent]:

@@ -4,8 +4,8 @@ The observability layer the rest of the system reports through:
 
 ``repro.obs.trace``
     Hierarchical spans (``with obs.span("tree.build", edges=n):``)
-    with contextvars parent propagation across threads, processes and
-    asyncio tasks, plus ring-buffer / JSONL / Chrome ``trace_event``
+    with contextvars parent propagation across threads and asyncio
+    tasks, plus ring-buffer / JSONL / Chrome ``trace_event``
     exporters.  Off by default; the disabled path is a single branch
     returning a shared no-op span.
 ``repro.obs.metrics``
@@ -45,7 +45,6 @@ from .trace import (
     set_sample_rate,
     span,
     to_chrome_trace,
-    traced_job,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "add_exporter",
     "remove_exporter",
     "current_span_id",
-    "traced_job",
     "rollup",
     "RingBufferExporter",
     "JSONLExporter",

@@ -20,8 +20,7 @@ Three entry points:
 * :func:`capture` — span-scoped capture: profiles a region *and*
   attaches the sample summary to the active trace span, so the profile
   rides the existing contextvars parent propagation (including into
-  ``StageRunner`` thread jobs, and process jobs via
-  :func:`repro.obs.trace.traced_job` / ``adopt``);
+  ``StageRunner`` thread jobs);
 * :class:`ContinuousProfiler` — an always-on, low-rate sampler over a
   bounded ring of timestamped samples; :meth:`ContinuousProfiler.window`
   slices the ring by wall-clock interval, which is how the server
@@ -357,13 +356,10 @@ def capture(
     and, on exit, attaches the sample summary (total samples, unique
     stacks, top-5 self-time frames) as span attributes.  Because this
     is an ordinary span, it parents correctly wherever spans already
-    do: under ``await`` points, inside ``StageRunner`` worker threads
-    (context copy), and inside process-pool jobs run through
-    :func:`repro.obs.trace.traced_job` — the captured span records are
-    serialized back and re-parented under the submitting span by
-    ``adopt``, summary attributes included.  The full profile stays on
-    the returned object (``cap.profile``) for callers that want the
-    collapsed text or an SVG.
+    do: under ``await`` points and inside ``StageRunner`` worker
+    threads (context copy).  The full profile stays on the returned
+    object (``cap.profile``) for callers that want the collapsed text
+    or an SVG.
     """
     return _Capture(name, hz, attrs)
 

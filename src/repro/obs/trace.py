@@ -8,12 +8,11 @@ an HTTP request, a stream replay batch — recorded as a plain dict::
      "pid": 4242, "tid": 139632, "attrs": {"stage": "tree"}}
 
 Parent/child relationships propagate through a :mod:`contextvars`
-variable, so spans nest correctly across ``await`` points, across
+variable, so spans nest correctly across ``await`` points and across
 :class:`~repro.serve.workers.StageRunner` worker threads (the runner
-copies the caller's context into each job), and — via
-:func:`traced_job` — across process-pool workers, whose spans are
-serialized back to the parent and re-parented under the submitting
-span (:func:`adopt`).
+copies the caller's context into each job).  A context does not cross
+into process-pool workers: a worker's spans, when it records any, are
+roots of their own.
 
 The disabled path is a single branch on the module flag
 :data:`ENABLED`: :func:`span` returns one shared no-op singleton, so
@@ -42,7 +41,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 __all__ = [
     "ENABLED",
@@ -58,8 +57,6 @@ __all__ = [
     "Tracer",
     "RingBufferExporter",
     "JSONLExporter",
-    "traced_job",
-    "adopt",
     "to_chrome_trace",
     "read_jsonl",
     "chrome_trace_from_jsonl",
@@ -98,8 +95,8 @@ def _now_us() -> float:
 
 
 def _new_id() -> str:
-    # pid-qualified so ids from worker processes can never collide with
-    # the parent's when their spans are adopted back.
+    # pid-qualified so ids from worker processes that append to the
+    # same trace file can never collide with the parent's.
     return f"{os.getpid():x}-{next(_ids):x}"
 
 
@@ -147,16 +144,6 @@ class JSONLExporter:
         with self._lock:
             if not self._file.closed:
                 self._file.close()
-
-
-class _ListExporter:
-    """Unbounded collector used by :func:`traced_job`."""
-
-    def __init__(self) -> None:
-        self.records: List[dict] = []
-
-    def export(self, record: dict) -> None:
-        self.records.append(record)
 
 
 # ----------------------------------------------------------------------
@@ -340,63 +327,6 @@ def remove_exporter(exporter) -> None:
 def current_span_id() -> Optional[str]:
     """The innermost live span's id in this context (``None`` at root)."""
     return _parent_id.get()
-
-
-# ----------------------------------------------------------------------
-# Cross-process capture
-# ----------------------------------------------------------------------
-def traced_job(
-    fn,
-    args: tuple,
-    name: str,
-    attrs: Optional[Dict[str, object]] = None,
-) -> Tuple[object, List[dict]]:
-    """Run ``fn(*args)`` under a locally enabled capturing tracer.
-
-    The process-pool counterpart of context propagation: a worker
-    process starts with tracing disabled and no exporters, so the
-    parent submits this picklable wrapper instead of ``fn`` directly.
-    It enables tracing for the duration, wraps the call in a ``name``
-    span, and returns ``(result, records)`` — plain dicts the parent
-    feeds to :func:`adopt`.  Pool workers execute one job at a time on
-    one thread, so the module-global flip is safe there; in-process
-    (thread-mode) callers should rely on context propagation instead.
-    """
-    global ENABLED, _SAMPLE_RATE
-    collector = _ListExporter()
-    _TRACER.add_exporter(collector)
-    prev = ENABLED
-    prev_rate = _SAMPLE_RATE
-    ENABLED = True
-    # The parent made the keep/drop decision when it submitted the job;
-    # a worker re-sampling would punch holes in an already-kept trace.
-    _SAMPLE_RATE = 1.0
-    try:
-        with span(name, **(attrs or {})):
-            result = fn(*args)
-    finally:
-        ENABLED = prev
-        _SAMPLE_RATE = prev_rate
-        _TRACER.remove_exporter(collector)
-    return result, collector.records
-
-
-def adopt(records: Iterable[dict], parent_id: Optional[str] = None) -> List[dict]:
-    """Re-parent and re-export span records captured elsewhere.
-
-    Roots (records with no parent) are attached under ``parent_id`` —
-    usually :func:`current_span_id` at the submission site — and every
-    record is exported through the local tracer, so worker spans land
-    in the same trace file / ring buffer as the parent's own.
-    """
-    adopted = []
-    for record in records:
-        if record.get("parent") is None:
-            record = dict(record, parent=parent_id)
-        adopted.append(record)
-        if ENABLED:
-            _TRACER.export(record)
-    return adopted
 
 
 # ----------------------------------------------------------------------

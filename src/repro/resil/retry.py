@@ -331,15 +331,6 @@ class AdmissionGate:
             self._admitted += 1
             return True
 
-    def acquire(self, interactive: bool = False) -> None:
-        if not self.try_acquire(interactive):
-            cap = self.limit if interactive else self.bulk_limit
-            raise Saturated(
-                f"admission gate saturated ({self._admitted}/{cap} "
-                f"{'interactive' if interactive else 'bulk'} slots)",
-                retry_after=self.retry_after,
-            )
-
     def release(self) -> None:
         with self._lock:
             if self._admitted > 0:

@@ -330,6 +330,8 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
             length = int(headers["content-length"])
         except ValueError:
             raise HTTPError(400, "bad Content-Length")
+        if length < 0:
+            raise HTTPError(400, "bad Content-Length")
         if length > _MAX_BODY:
             raise HTTPError(413, "request body too large")
         if length:

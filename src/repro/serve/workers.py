@@ -194,8 +194,8 @@ class StageRunner:
             return loop.run_in_executor(self._executor, job_fn, *job_args)
         # Thread mode: run the job inside a copy of the caller's
         # context so repro.obs span parenting survives the hop
-        # onto the pool thread (a Context is not picklable, so
-        # process mode can't do this — see obs.trace.traced_job).
+        # onto the pool thread (a Context is not picklable, so a
+        # process-mode job's spans are roots of their own).
         ctx = contextvars.copy_context()
         return loop.run_in_executor(
             self.thread_executor, ctx.run, job_fn, *job_args

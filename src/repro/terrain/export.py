@@ -87,12 +87,9 @@ def export_svg3d(
             continue
         points = [(float(x), float(y)) for x, y in xy[mesh.faces[f]]]
         canvas.polygon(points, fill=tuple(colors[f]), stroke=None)
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()
 
 
 def orbit_frames(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from typing import Tuple
 
 import numpy as np
@@ -217,14 +218,20 @@ class Tile:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "Tile":
-        """Inverse of :meth:`to_bytes`."""
+        """Inverse of :meth:`to_bytes`; a malformed payload raises
+        ``ValueError``."""
         magic_len = len(_TILE_MAGIC)
         if payload[:magic_len] != _TILE_MAGIC:
             raise ValueError("not a repro tile payload (bad magic)")
-        (header_len,) = struct.unpack_from("<I", payload, magic_len)
         body = magic_len + 4
-        doc = json.loads(payload[body: body + header_len].decode())
-        rows, cols = doc["shape"]
+        if len(payload) < body:
+            raise ValueError("truncated tile payload: no header length")
+        (header_len,) = struct.unpack_from("<I", payload, magic_len)
+        try:
+            doc = json.loads(payload[body: body + header_len].decode())
+        except ValueError as exc:
+            raise ValueError(f"bad tile header: {exc}") from None
+        rows, cols = cls.check_header(doc)
         cells = rows * cols
         data = body + header_len
         expect = data + cells * 16
@@ -244,6 +251,26 @@ class Tile:
             height, node, tuple(doc["extent"]), doc["base"],
         )
 
+    @staticmethod
+    def check_header(doc) -> Tuple[int, int]:
+        """``(rows, cols)`` of a tile header, the JSON object of
+        :meth:`to_bytes` (``tile_to_json`` has the same fields), after
+        checking every field; ``ValueError`` names the first bad one."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"tile header is not an object: {doc!r:.40}")
+        checks = (
+            ("level", _is_count), ("tx", _is_count), ("ty", _is_count),
+            ("shape", lambda v: _is_list(v, 2, _is_count)),
+            ("extent", lambda v: _is_list(v, 4, _is_real)),
+            ("base", _is_real),
+        )
+        for name, ok in checks:
+            if name not in doc:
+                raise ValueError(f"tile header has no {name!r}")
+            if not ok(doc[name]):
+                raise ValueError(f"tile header {name!r} is {doc[name]!r:.40}")
+        return tuple(doc["shape"])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tile):
             return NotImplemented
@@ -260,6 +287,24 @@ class Tile:
             f"Tile(level={self.level}, tx={self.tx}, ty={self.ty}, "
             f"size={self.size})"
         )
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_real(value) -> bool:
+    """A JSON number that converts to a float (no ``10**400``)."""
+    return type(value) is float or (
+        type(value) is int and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_list(value, length: int, ok) -> bool:
+    return (
+        isinstance(value, list) and len(value) == length
+        and all(ok(v) for v in value)
+    )
 
 
 def _paint_disc(height, node, xs, ys, cx, cy, j_lo, j_hi, i_lo, i_hi, r, h, nid):

@@ -120,9 +120,6 @@ def profile_svg(
         )
     canvas.line(margin, base_y, width - margin, base_y,
                 stroke=(0.1, 0.1, 0.1))
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

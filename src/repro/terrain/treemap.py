@@ -63,9 +63,6 @@ def treemap_svg(
             stroke_width=0.6,
             opacity=1.0,
         )
-    svg = canvas.to_string()
     if path is not None:
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(svg)
-    return svg
+        canvas.save(path)
+    return canvas.to_string()

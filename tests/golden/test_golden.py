@@ -1,6 +1,8 @@
 """Golden-output corpus: the default path's outputs against recorded
-digests (``tests/golden/accel.json`` and ``tests/golden/evolve.json``,
-written by ``scripts/golden.py --update``).
+digests (``tests/golden/accel.json``, ``tests/golden/evolve.json`` and
+the layouts of ``tests/golden/baselines.json``, written by
+``scripts/golden.py --update``; the study rows in ``baselines.json`` are
+checked by ``tests/study/test_harness.py``).
 
 The accel equivalence suites compare the tiers with each other, so a
 change to code that all of them share passes there; these digests
@@ -27,6 +29,7 @@ _SPEC.loader.exec_module(golden)
 CORPUS = golden.load()
 KEYS = sorted(CORPUS["entries"])
 EVOLVE = golden.load(golden.EVOLVE_CORPUS)["entries"]
+BASELINES = golden.load(golden.BASELINES_CORPUS)
 
 
 @lru_cache(maxsize=None)
@@ -78,3 +81,21 @@ def test_evolve_matches_golden(timeline):
     key = golden.evolve_key(*timeline)
     got = {key: golden.evolve_entry(*timeline)}
     assert golden.differing(got, {key: EVOLVE[key]}) == []
+
+
+def test_baselines_corpus_covers_every_layout():
+    assert sorted(BASELINES["entries"]) == sorted(golden.SPRING_DATASETS)
+    assert sorted(BASELINES["study"]) == ["task1", "task2", "task3"]
+
+
+@pytest.mark.parametrize("dataset", golden.SPRING_DATASETS)
+def test_baseline_layouts_match_golden(dataset):
+    """``openord_layout`` and ``spring_layout`` positions: all geometry."""
+    if np.__version__ != BASELINES["numpy"]:
+        pytest.skip(
+            f"layouts recorded under numpy {BASELINES['numpy']}, "
+            f"running {np.__version__}"
+        )
+    got = {dataset: golden.baseline_entry(dataset)}
+    want = {dataset: BASELINES["entries"][dataset]}
+    assert golden.differing(got, want) == []

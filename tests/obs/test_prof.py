@@ -1,7 +1,6 @@
 """The sampling profiler: collapsed stacks, span scoping across
-thread/process pools, flamegraph rendering, and the overhead bound."""
+thread pools, flamegraph rendering, and the overhead bound."""
 
-import concurrent.futures
 import time
 import xml.etree.ElementTree as ET
 
@@ -135,29 +134,6 @@ class TestSpanScopedCapture:
         assert len(jobs) == 2
         assert all(r["parent"] == fanout["id"] for r in jobs)
         assert all(r["attrs"]["samples"] > 0 for r in jobs)
-
-    def test_capture_in_process_pool_adopts_under_parent(self, ring):
-        """Process-pool jobs run through traced_job; adopt() re-parents
-        the worker's capture span (summary attributes included)."""
-        import os
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-            with trace.span("submit"):
-                parent_id = trace.current_span_id()
-                future = pool.submit(
-                    trace.traced_job, _capture_job, (0.1,), "dist.job"
-                )
-                n_samples, records = future.result(timeout=60)
-                trace.adopt(records, parent_id)
-        assert n_samples > 0
-        local = ring.snapshot()
-        submit = next(r for r in local if r["name"] == "submit")
-        job = next(r for r in local if r["name"] == "dist.job")
-        cap = next(r for r in local if r["name"] == "prof.job")
-        assert job["parent"] == submit["id"]
-        assert cap["parent"] == job["id"]
-        assert cap["attrs"]["samples"] == n_samples
-        assert cap["pid"] != os.getpid()
 
 
 class TestFlamegraph:

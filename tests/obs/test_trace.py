@@ -2,7 +2,6 @@
 disabled no-op path, and the JSONL -> Chrome trace conversion."""
 
 import asyncio
-import concurrent.futures
 import json
 
 import pytest
@@ -88,41 +87,6 @@ class TestAcrossThreads:
         request_id = asyncio.run(go())
         leaf = by_name(ring.snapshot())["leaf"]
         assert leaf["parent"] == request_id
-
-
-class TestAcrossProcesses:
-    def test_traced_job_captures_and_adopt_reparents(self, ring):
-        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-            with trace.span("build") as sp:
-                parent = trace.current_span_id()
-                futures = [
-                    pool.submit(
-                        trace.traced_job, _plain_leaf, (i,), "leaf", {"i": i}
-                    )
-                    for i in range(2)
-                ]
-                for future in futures:
-                    result, records = future.result(timeout=60)
-                    assert result == "leaf-done"
-                    adopted = trace.adopt(records, parent)
-                    assert all(
-                        r["parent"] is not None for r in adopted
-                    )
-                build_id = sp.span_id
-        leaves = [r for r in ring.snapshot() if r["name"] == "leaf"]
-        assert len(leaves) == 2
-        assert all(r["parent"] == build_id for r in leaves)
-        # Worker pids differ from ours, and ids are pid-qualified.
-        assert all("-" in r["id"] for r in leaves)
-
-    def test_traced_job_inner_spans_keep_worker_side_parents(self):
-        result, records = trace.traced_job(
-            _leaf_with_child, (), "outer", None
-        )
-        assert result == "nested-done"
-        names = by_name(records)
-        assert names["child"]["parent"] == names["outer"]["id"]
-        assert names["outer"]["parent"] is None
 
 
 class TestAcrossAsyncio:
@@ -227,17 +191,7 @@ class TestExportFormats:
         assert set(tree) == {"count", "p50_ms", "p95_ms", "max_ms", "total_ms"}
 
 
-# -- module-level helpers (picklable for the process-pool tests) --------
+# -- module-level helpers --------------------------------------------------
 def _traced_leaf(i):
     with trace.span("leaf", i=i):
         return i * 2
-
-
-def _plain_leaf(i):
-    return "leaf-done"
-
-
-def _leaf_with_child():
-    with trace.span("child"):
-        pass
-    return "nested-done"

@@ -96,14 +96,6 @@ class TestHeadSampling:
         with pytest.raises(ValueError):
             trace.set_sample_rate(-0.1)
 
-    def test_traced_job_ignores_sampling(self):
-        """The parent already made the keep decision at submit time; a
-        worker re-sampling would punch holes in a kept trace."""
-        trace.set_sample_rate(0.0, seed=1)
-        __, records = trace.traced_job(lambda: 1, (), "dist.job")
-        assert [r["name"] for r in records] == ["dist.job"]
-        assert trace.sample_rate() == 0.0  # restored after the job
-
 
 class TestRollupTopN:
     def _records(self):

@@ -12,7 +12,6 @@ from repro.resil.retry import (
     DeadlineExceeded,
     InjectedFault,
     RetryPolicy,
-    Saturated,
     TransientFault,
     retry_call,
 )
@@ -197,13 +196,6 @@ class TestAdmissionGate:
         gate.release()
         gate.release()              # 2 admitted: bulk fits again
         assert gate.try_acquire()
-
-    def test_acquire_raises_saturated_with_hint(self):
-        gate = AdmissionGate(1, retry_after=2.5)
-        gate.acquire()
-        with pytest.raises(Saturated) as excinfo:
-            gate.acquire()
-        assert excinfo.value.retry_after == 2.5
 
     def test_limit_one_still_admits(self):
         gate = AdmissionGate(1)

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ class TestMetaEndpoints:
     def test_unknown_route_404(self, client):
         status, doc = client.get_json("/nonsense")
         assert status == 404
+
+    def test_negative_content_length_400(self, server):
+        """A raw request, since ``http.client`` sets its own length.  The
+        timeout turns a server that never answers into a failure."""
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: -5\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        request_id = next(
+            line.split(b":", 1)[1].strip()
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"x-request-id:")
+        )
+        doc = json.loads(body)
+        assert doc["status"] == 400
+        assert doc["error"] == "bad Content-Length"
+        assert doc["request_id"] == request_id.decode()
 
 
 class TestTiles:

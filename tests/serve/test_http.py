@@ -62,6 +62,11 @@ class TestParsing:
         with pytest.raises(HTTPError):
             parse(b"GET / HTTP/1.1\r\nContent-Length: ten\r\n\r\n")
 
+    def test_negative_content_length(self):
+        with pytest.raises(HTTPError) as exc:
+            parse(b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+        assert exc.value.status == 400
+
 
 class TestQueryHelpers:
     def request(self, **query):

@@ -1,24 +1,36 @@
 """Unit tests for the study harness (Tables IV–VI shapes)."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.study import format_table, run_task1, run_task2, run_task3
 
+_SPEC = importlib.util.spec_from_file_location(
+    "golden",
+    Path(__file__).resolve().parents[2] / "scripts" / "golden.py",
+)
+golden = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(golden)
+
+BASELINES = golden.load(golden.BASELINES_CORPUS)
+
 
 @pytest.fixture(scope="module")
 def task1_rows():
-    return run_task1(names=("grqc", "ppi"), n_participants=10, seed=0)
+    return run_task1(**golden.STUDY_TASK12)
 
 
 @pytest.fixture(scope="module")
 def task2_rows():
-    return run_task2(names=("grqc", "ppi"), n_participants=10, seed=0)
+    return run_task2(**golden.STUDY_TASK12)
 
 
 @pytest.fixture(scope="module")
 def task3_rows():
-    return run_task3(n_participants=10, seed=0, betweenness_samples=64)
+    return run_task3(**golden.STUDY_TASK3)
 
 
 def _by(rows, dataset, method):
@@ -83,6 +95,29 @@ class TestPaperShape:
         oo = _by(task3_rows, "astro", "openord")
         assert terr.accuracy >= oo.accuracy
         assert terr.mean_time < oo.mean_time
+
+
+class TestGolden:
+    """The rows recorded in ``tests/golden/baselines.json``.  They rest
+    on float layouts, so like the layout digests they are compared only
+    under the numpy version that recorded them."""
+
+    @pytest.fixture(autouse=True)
+    def _same_numpy(self):
+        if np.__version__ != BASELINES["numpy"]:
+            pytest.skip(
+                f"study rows recorded under numpy {BASELINES['numpy']}, "
+                f"running {np.__version__}"
+            )
+
+    def test_task1_rows(self, task1_rows):
+        assert golden.study_rows(task1_rows) == BASELINES["study"]["task1"]
+
+    def test_task2_rows(self, task2_rows):
+        assert golden.study_rows(task2_rows) == BASELINES["study"]["task2"]
+
+    def test_task3_rows(self, task3_rows):
+        assert golden.study_rows(task3_rows) == BASELINES["study"]["task3"]
 
 
 class TestFormatting:
