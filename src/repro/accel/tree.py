@@ -34,9 +34,6 @@ disconnected graphs and duplicate scalars.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
-
 import numpy as np
 
 from . import resolve as _resolve
@@ -51,67 +48,21 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# rank_order, memoized
+# rank_order
 # ----------------------------------------------------------------------
-# Warm pipelines re-build repeatedly over an unchanged field, so the
-# lexsort + rank scatter is memoized per buffer identity.  Identity is
-# a weakref to the array (so the memo never keeps a field alive and an
-# id() reuse after garbage collection cannot alias) plus a cheap
-# content guard against in-place mutation (streaming edits mutate the
-# field buffer via DeltaGraph.set_scalar).
-_RANK_MEMO: "OrderedDict[int, tuple]" = OrderedDict()
-_RANK_MEMO_MAX = 8
-#: Memo instrumentation for the once-per-build regression test.
-RANK_STATS = {"hits": 0, "misses": 0}
-
-
-def _rank_guard(arr: np.ndarray) -> tuple:
-    if not len(arr):
-        return ()
-    return (
-        arr.dtype.str,
-        float(arr[0]),
-        float(arr[-1]),
-        float(np.add.reduce(arr, dtype=np.float64)),
-    )
-
-
 def rank_order(scalars: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Processing order and rank permutation for a scalar vector.
 
     Items are processed in decreasing scalar order, ties broken by
     ascending item id (``np.lexsort``), so every build agrees
-    bit-for-bit on ties.  Results are memoized per scalars buffer (see
-    above); callers must treat the returned arrays as read-only.
+    bit-for-bit on ties.
     """
     arr = np.asarray(scalars)
-    key = id(arr)
-    entry = _RANK_MEMO.get(key)
-    if entry is not None:
-        ref, guard, order, rank = entry
-        if ref() is arr and guard == _rank_guard(arr):
-            RANK_STATS["hits"] += 1
-            _RANK_MEMO.move_to_end(key)
-            return order, rank
-        del _RANK_MEMO[key]
-    RANK_STATS["misses"] += 1
     n = len(arr)
     order = np.lexsort((np.arange(n), -arr))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    try:
-        ref = weakref.ref(arr)
-    except TypeError:
-        return order, rank
-    _RANK_MEMO[key] = (ref, _rank_guard(arr), order, rank)
-    while len(_RANK_MEMO) > _RANK_MEMO_MAX:
-        _RANK_MEMO.popitem(last=False)
     return order, rank
-
-
-def rank_order_cache_clear() -> None:
-    """Drop the rank memo (tests and long-lived servers re-keying ids)."""
-    _RANK_MEMO.clear()
 
 
 # ----------------------------------------------------------------------

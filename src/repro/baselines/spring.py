@@ -70,13 +70,24 @@ def _fr_iterations(
             others = pos[rng.choice(n, size=samples, replace=False)]
         dx = pos[:, 0] - others[:, 0, None]
         dy = pos[:, 1] - others[:, 1, None]
-        dist = np.sqrt(dx * dx + dy * dy) + 1e-9
+        # In place: each element sees the operations of
+        # ``sqrt(dx*dx + dy*dy) + 1e-9`` and ``dx / dist * force`` in
+        # the same order, so layouts stay byte-identical.
+        dist = dx * dx
+        dist += dy * dy
+        np.sqrt(dist, out=dist)
+        dist += 1e-9
         if samples is None:
             np.fill_diagonal(dist, np.inf)
-        force = (k * k / dist) * (n / len(others))
+        force = k * k / dist
+        force *= n / len(others)
+        dx /= dist
+        dx *= force
+        dy /= dist
+        dy *= force
         disp = np.zeros((n, 2))
-        disp[:, 0] += (dx / dist * force).sum(axis=0)
-        disp[:, 1] += (dy / dist * force).sum(axis=0)
+        disp[:, 0] += dx.sum(axis=0)
+        disp[:, 1] += dy.sum(axis=0)
         if len(edges):
             d = pos[edges[:, 0]] - pos[edges[:, 1]]
             dist = np.sqrt((d ** 2).sum(axis=1)) + 1e-9

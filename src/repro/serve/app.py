@@ -52,7 +52,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import prof as obs_prof
 from ..obs import trace as obs_trace
 from ..resil import faults as resil_faults
-from ..resil.retry import CircuitOpen, DeadlineExceeded, Saturated
 from . import debug as serve_debug
 from . import workers
 from .evolve import EvolveRun, EvolveSession, evolve_sse_events
@@ -64,6 +63,24 @@ from .workers import StageRunner
 __all__ = ["ServeApp"]
 
 _TILE_CACHE_CONTROL = "public, max-age=0, must-revalidate"
+
+
+def _tile_reply(
+    request: Request, payload: bytes, etag: str, stale: bool = False
+) -> Response:
+    """The reply for a tile or diff tile: its strong ETag and
+    revalidate-always caching, a 304 when the client already holds
+    ``etag``, and a ``Warning`` when a stale copy stands in."""
+    headers = [("ETag", etag), ("Cache-Control", _TILE_CACHE_CONTROL)]
+    if stale:
+        headers.append(("Warning", '110 repro "Response is Stale"'))
+    held = request.if_none_match()
+    if etag in held or "*" in held:
+        return Response(304, b"", headers=headers)
+    return Response(
+        200, payload, content_type="application/x-repro-tile", headers=headers
+    )
+
 
 # Span summary for ``/stats``: one process-wide ring buffer registered at
 # import.  It only receives records while tracing is enabled, so the
@@ -330,19 +347,8 @@ class ServeApp:
             )
             cached = (payload, tile_etag(payload))
             self._payload_put(memo_key, cached)
-        payload, etag = cached
         _M_DIFF_TILES.inc()
-        headers = [
-            ("ETag", etag),
-            ("Cache-Control", _TILE_CACHE_CONTROL),
-        ]
-        if etag in request.if_none_match() or "*" in request.if_none_match():
-            return Response(304, b"", headers=headers)
-        return Response(
-            200, payload,
-            content_type="application/x-repro-tile",
-            headers=headers,
-        )
+        return _tile_reply(request, *cached)
 
     # -- lookup helpers -------------------------------------------------
     def _entry(self, ds: str) -> _DatasetEntry:
@@ -617,7 +623,7 @@ class ServeApp:
                 f"{self.levels} levels of {self.tile_size}px tiles",
             )
         memo_key = f"tile:{ds}:{measure}:{level_i}:{tx_i}:{ty_i}"
-        stale_marker = None
+        stale = False
         cached = self._payload_get(memo_key)
         if cached is None:
             try:
@@ -627,7 +633,7 @@ class ServeApp:
                 )
             except HTTPError:
                 raise
-            except Exception as exc:
+            except Exception:
                 # Covers Saturated, CircuitOpen, DeadlineExceeded and
                 # genuine build failures alike (CancelledError is a
                 # BaseException and still propagates).
@@ -635,11 +641,10 @@ class ServeApp:
                 # serves the last known good payload with a Warning
                 # header instead of an error — stale terrain beats a
                 # hole in the map.  No stale copy → the error stands.
-                stale = self._stale.get(memo_key)
-                if stale is None:
+                stale_copy = self._stale.get(memo_key)
+                if stale_copy is None:
                     raise
-                cached = stale
-                stale_marker = exc
+                cached, stale = stale_copy, True
                 self._stale_served += 1
                 _M_STALE.inc()
             else:
@@ -648,23 +653,8 @@ class ServeApp:
         self._stale.move_to_end(memo_key)
         while len(self._stale) > _MAX_STALE_TILES:
             self._stale.popitem(last=False)
-        payload, etag = cached
         _M_TILES.inc(level=str(level_i))
-        headers = [
-            ("ETag", etag),
-            ("Cache-Control", _TILE_CACHE_CONTROL),
-        ]
-        if stale_marker is not None:
-            headers.append(
-                ("Warning", '110 repro "Response is Stale"')
-            )
-        if etag in request.if_none_match() or "*" in request.if_none_match():
-            return Response(304, b"", headers=headers)
-        return Response(
-            200, payload,
-            content_type="application/x-repro-tile",
-            headers=headers,
-        )
+        return _tile_reply(request, *cached, stale=stale)
 
     async def _get_peaks(self, request: Request) -> Response:
         entry, measure = self._ds_measure(request)

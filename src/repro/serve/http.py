@@ -22,7 +22,10 @@ Pieces
     ``Connection: close``, a protocol error, or an event stream.
 :class:`HTTPError`
     Raise from a handler to produce a JSON error response with that
-    status.
+    status.  Every error reply, parse errors included, is the same
+    ``{"error", "status", "request_id"}`` envelope, and every reply is
+    counted, timed, traced and observed in one place
+    (``HTTPServer._respond``).
 """
 
 from __future__ import annotations
@@ -96,25 +99,10 @@ def _new_request_id() -> str:
     return f"{os.getpid():x}-{next(_request_ids):x}"
 
 
-def _log_request_error(request_id: str, request: "Request", exc: BaseException) -> None:
-    """One structured JSON log line per unhandled handler exception.
-
-    The traceback stays in the log (escaped inside the JSON), never in
-    the 500 response body — clients get a generic message plus the
-    request id to quote back at operators."""
-    logger.error(json.dumps({
-        "event": "request_error",
-        "request_id": request_id,
-        "method": request.method,
-        "route": request.path,
-        "status": 500,
-        "exception": f"{type(exc).__name__}: {exc}",
-        "traceback": traceback.format_exc(),
-    }, sort_keys=True))
-
-
 class HTTPError(Exception):
-    """Handler-raised error rendered as a JSON response.
+    """The one error type of the reply path: raised by handlers, by the
+    request parser and by the SSE session cap, and sent as the JSON
+    envelope of :func:`_error_response`.
 
     ``headers`` ride on the error response (e.g. ``Retry-After`` on a
     429/503, ``Warning`` on a stale fallback); ``retry_after`` is sugar
@@ -292,7 +280,8 @@ class Router:
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request; ``None`` when the peer closed the connection.
+    """Parse one request; ``None`` when the peer closed the connection
+    (before the request line or in the middle of the body).
 
     Raises :class:`HTTPError` (400/413) on malformed input.
     """
@@ -335,10 +324,59 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if length > _MAX_BODY:
             raise HTTPError(413, "request body too large")
         if length:
-            body = await reader.readexactly(length)
+            try:
+                body = await reader.readexactly(length)
+            except asyncio.IncompleteReadError:
+                return None  # the peer closed mid-body
     path, _, qs = target.partition("?")
     query = dict(parse_qsl(qs, keep_blank_values=True))
     return Request(method.upper(), unquote(path) or "/", query, headers, body)
+
+
+#: Resilience failures a handler may raise and the status each becomes.
+_RESIL_STATUS = ((Saturated, 429), (CircuitOpen, 503), (DeadlineExceeded, 504))
+
+
+def _as_http_error(
+    exc: Exception, request: Request, request_id: str
+) -> HTTPError:
+    """The one :class:`HTTPError` a handler's exception becomes.
+
+    Resilience failures map through :data:`_RESIL_STATUS`, with their
+    ``retry_after`` as ``Retry-After`` when they carry one.  Anything
+    else is a 500: one structured JSON log line with the traceback
+    (escaped inside the JSON), never the traceback in the body — clients
+    get a generic message plus the request id to quote back at
+    operators.  Call it from the ``except`` block that caught ``exc``."""
+    if isinstance(exc, HTTPError):
+        return exc
+    for kind, status in _RESIL_STATUS:
+        if isinstance(exc, kind):
+            return HTTPError(
+                status, str(exc), retry_after=getattr(exc, "retry_after", None)
+            )
+    logger.error(json.dumps({
+        "event": "request_error",
+        "request_id": request_id,
+        "method": request.method,
+        "route": request.path,
+        "status": 500,
+        "exception": f"{type(exc).__name__}: {exc}",
+        "traceback": traceback.format_exc(),
+    }, sort_keys=True))
+    return HTTPError(500, "internal server error")
+
+
+def _error_response(exc: HTTPError, request_id: str, close: bool) -> Response:
+    """The JSON envelope of every error reply: ``{"error", "status",
+    "request_id"}``, the error's headers (``Retry-After``) and, when the
+    connection ends with it, ``Connection: close``."""
+    headers = exc.headers + ([("Connection", "close")] if close else [])
+    return Response.json_(
+        {"error": exc.message, "status": exc.status, "request_id": request_id},
+        status=exc.status,
+        headers=headers,
+    )
 
 
 def _sse_chunk(event: str, data: str) -> bytes:
@@ -377,11 +415,13 @@ class HTTPServer:
         #: overflow gets 429 + Retry-After instead of an unbounded pile
         #: of replay threads.
         self.max_sse_sessions = max_sse_sessions
-        #: Optional post-response hook: called with keyword arguments
-        #: ``path, request_id, status, t0_wall, dur_s`` after every
-        #: buffered response.  The serve app wires its slow-request
-        #: exemplar store here; errors in the hook are swallowed (debug
-        #: surfaces must never fail a request that already succeeded).
+        #: Optional per-reply hook: called with keyword arguments
+        #: ``path, request_id, status, t0_wall, dur_s`` once for every
+        #: reply, parse errors and refused streams included (``path`` is
+        #: ``""`` when the request did not parse).  The serve app wires
+        #: its slow-request exemplar store here; errors in the hook are
+        #: swallowed (debug surfaces must never fail a request that
+        #: already succeeded).
         self.request_observer = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
@@ -448,90 +488,62 @@ class HTTPServer:
             await asyncio.sleep(0.01)
 
     # ------------------------------------------------------------------
-    async def _respond(self, request: Request, request_id: str):
-        """Route + handle one request under the observability middleware:
-        a span per request, a latency observation, a status counter, and
-        ``X-Request-Id`` stamped on every buffered response."""
+    async def _respond(
+        self,
+        request_id: str,
+        request: Optional[Request],
+        error: Optional[HTTPError] = None,
+    ):
+        """The one reply path: answer ``request``, or the parse ``error``
+        that stood in for it.
+
+        Routing and the handler run inside an ``http.request`` span.  A
+        handler's exception becomes one :class:`HTTPError`
+        (:func:`_as_http_error`); an event stream reserves its SSE slot
+        (released by :meth:`_handle` when the stream ends) or, at the
+        session cap, becomes a 429; every error is rendered by
+        :func:`_error_response`.  The reply is then counted, timed,
+        traced and observed here, once, under the status it is sent
+        with, before any byte of it goes out."""
         t0 = time.perf_counter()
         t0_wall = time.time()
+        method, path = (
+            ("", "") if request is None else (request.method, request.path)
+        )
         with obs_trace.span(
-            "http.request",
-            method=request.method,
-            path=request.path,
-            request_id=request_id,
+            "http.request", method=method, path=path, request_id=request_id
         ) as sp:
-            try:
-                handler, params = self.router.match(
-                    request.method, request.path
+            response = None
+            if error is None:
+                try:
+                    handler, params = self.router.match(method, path)
+                    response = await handler(request, **params)
+                    if isinstance(response, EventStreamResponse):
+                        if 0 < self.max_sse_sessions <= self._sse_active:
+                            # Shut the handler's generator down before
+                            # it builds a frame.
+                            await _aclose_quietly(response.events)
+                            raise HTTPError(
+                                429, "SSE session limit reached",
+                                retry_after=1,
+                            )
+                        self._sse_active += 1
+                        _M_SSE_SESSIONS.inc()
+                except Exception as exc:
+                    error = _as_http_error(exc, request, request_id)
+            if error is not None:
+                # A parse error or a refused stream ends the connection.
+                response = _error_response(
+                    error,
+                    request_id,
+                    close=request is None
+                    or isinstance(response, EventStreamResponse),
                 )
-                response = await handler(request, **params)
-                status = (
-                    200
-                    if isinstance(response, EventStreamResponse)
-                    else response.status
-                )
-            except Saturated as exc:
-                # Admission control shed the request: tell the client
-                # when to come back rather than queueing unboundedly.
-                status = 429
-                response = Response.json_(
-                    {
-                        "error": str(exc),
-                        "status": 429,
-                        "request_id": request_id,
-                    },
-                    status=429,
-                    headers=[(
-                        "Retry-After",
-                        str(max(1, int(round(exc.retry_after)))),
-                    )],
-                )
-            except CircuitOpen as exc:
-                status = 503
-                response = Response.json_(
-                    {
-                        "error": str(exc),
-                        "status": 503,
-                        "request_id": request_id,
-                    },
-                    status=503,
-                    headers=[(
-                        "Retry-After",
-                        str(max(1, int(round(exc.retry_after)))),
-                    )],
-                )
-            except DeadlineExceeded as exc:
-                status = 504
-                response = Response.json_(
-                    {
-                        "error": str(exc),
-                        "status": 504,
-                        "request_id": request_id,
-                    },
-                    status=504,
-                )
-            except HTTPError as exc:
-                status = exc.status
-                response = Response.json_(
-                    {
-                        "error": exc.message,
-                        "status": exc.status,
-                        "request_id": request_id,
-                    },
-                    status=exc.status,
-                    headers=exc.headers,
-                )
-            except Exception as exc:
-                status = 500
-                _log_request_error(request_id, request, exc)
-                response = Response.json_(
-                    {
-                        "error": "internal server error",
-                        "status": 500,
-                        "request_id": request_id,
-                    },
-                    status=500,
-                )
+            if isinstance(response, Response):
+                response.headers.append(("X-Request-Id", request_id))
+                status = response.status
+            else:
+                status = 200
             sp.set(status=status)
         dur_s = time.perf_counter() - t0
         _M_REQUEST_SECONDS.observe(dur_s)
@@ -539,7 +551,7 @@ class HTTPServer:
         if self.request_observer is not None:
             try:
                 self.request_observer(
-                    path=request.path,
+                    path=path,
                     request_id=request_id,
                     status=status,
                     t0_wall=t0_wall,
@@ -547,8 +559,6 @@ class HTTPServer:
                 )
             except Exception:
                 pass
-        if isinstance(response, Response):
-            response.headers.append(("X-Request-Id", request_id))
         return response
 
     async def _stream_events(self, events, writer) -> None:
@@ -601,92 +611,46 @@ class HTTPServer:
             while True:
                 request_id = _new_request_id()
                 try:
-                    request = await _read_request(reader)
+                    request, error = await _read_request(reader), None
                 except HTTPError as exc:
-                    _M_RESPONSES.inc(status=str(exc.status))
-                    writer.write(
-                        Response.json_(
-                            {
-                                "error": exc.message,
-                                "status": exc.status,
-                                "request_id": request_id,
-                            },
-                            status=exc.status,
-                            headers=[
-                                ("Connection", "close"),
-                                ("X-Request-Id", request_id),
-                            ],
-                        ).render()
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
+                    request, error = None, exc
+                if request is None and error is None:
+                    break  # the peer closed
                 self._active_requests += 1
                 try:
-                    response = await self._respond(request, request_id)
+                    response = await self._respond(request_id, request, error)
                 finally:
                     self._active_requests -= 1
                 if isinstance(response, EventStreamResponse):
-                    if (
-                        self.max_sse_sessions > 0
-                        and self._sse_active >= self.max_sse_sessions
-                    ):
-                        # Session cap: shed before streaming starts, and
-                        # shut the handler's generator down so it never
-                        # builds a frame.
-                        await _aclose_quietly(response.events)
+                    try:
                         writer.write(
-                            Response.json_(
-                                {
-                                    "error": "SSE session limit reached",
-                                    "status": 429,
-                                    "request_id": request_id,
-                                },
-                                status=429,
-                                headers=[
-                                    ("Retry-After", "1"),
-                                    ("Connection", "close"),
-                                    ("X-Request-Id", request_id),
-                                ],
-                            ).render()
+                            b"HTTP/1.1 200 OK\r\n"
+                            b"Content-Type: text/event-stream\r\n"
+                            b"Cache-Control: no-cache\r\n"
+                            b"Connection: close\r\n"
+                            + f"X-Request-Id: {request_id}\r\n\r\n".encode("latin-1")
                         )
                         await writer.drain()
-                        _M_RESPONSES.inc(status="429")
-                        break
-                    writer.write(
-                        b"HTTP/1.1 200 OK\r\n"
-                        b"Content-Type: text/event-stream\r\n"
-                        b"Cache-Control: no-cache\r\n"
-                        b"Connection: close\r\n"
-                        + f"X-Request-Id: {request_id}\r\n\r\n".encode("latin-1")
-                    )
-                    await writer.drain()
-                    if request.method != "HEAD":
-                        self._sse_active += 1
-                        _M_SSE_SESSIONS.inc()
-                        try:
-                            await self._stream_events(
-                                response.events, writer
-                            )
-                        finally:
-                            # Always runs — client disconnects included:
-                            # the slot is released, the gauge drops, and
-                            # closing the generator stops frame builds
-                            # for the dead session.
-                            self._sse_active -= 1
-                            _M_SSE_SESSIONS.dec()
-                            await _aclose_quietly(response.events)
+                        if request.method != "HEAD":
+                            await self._stream_events(response.events, writer)
+                    finally:
+                        # Always runs — client disconnects included: the
+                        # slot is released, the gauge drops, and closing
+                        # the generator stops frame builds for the dead
+                        # session.
+                        self._sse_active -= 1
+                        _M_SSE_SESSIONS.dec()
+                        await _aclose_quietly(response.events)
                     break
-                writer.write(response.render(head_only=request.method == "HEAD"))
+                writer.write(response.render(
+                    head_only=request is not None and request.method == "HEAD"
+                ))
                 await writer.drain()
-                if request.headers.get("connection", "").lower() == "close":
+                if ("Connection", "close") in response.headers or (
+                    request.headers.get("connection", "").lower() == "close"
+                ):
                     break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
+        except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
             self._connections.discard(writer)

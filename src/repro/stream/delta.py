@@ -183,13 +183,11 @@ class DeltaGraph:
         """All merged-view edges once, ``(m, 2)`` with ``u < v``."""
         pairs = self.base.edge_array()
         if self._removed_pairs:
-            keep = np.fromiter(
-                (
-                    (int(a), int(b)) not in self._removed_pairs
-                    for a, b in pairs
-                ),
-                dtype=bool,
-                count=len(pairs),
+            # One membership test over canonical ``u * n + v`` keys.
+            n = self.n_vertices
+            removed = np.array(list(self._removed_pairs), dtype=np.int64)
+            keep = ~np.isin(
+                pairs[:, 0] * n + pairs[:, 1], removed[:, 0] * n + removed[:, 1]
             )
             pairs = pairs[keep]
         if self._added_pairs:

@@ -1,23 +1,13 @@
 """Shared fixtures for the terrain server tests: a small two-mountain
 graph, an app over it, and a live server on an ephemeral port."""
 
-import http.client
-import json
-
 import pytest
 
-from repro.graph import from_edges
 from repro.graph.io import write_edge_list
 from repro.serve import ServeApp, ServerThread, StreamSession
 from repro.stream import AddEdge, SetScalar, write_edit_log
 
-
-def toy_graph():
-    """K6 (a 5-core) plus a tail — two peaks at very different heights."""
-    return from_edges(
-        [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        + [(5, 6), (6, 7), (7, 8)]
-    )
+from serve_client import Client, toy_graph
 
 
 @pytest.fixture(scope="module")
@@ -58,27 +48,6 @@ def app(edge_list_file, edit_log_file):
 def server(app):
     with ServerThread(app) as running:
         yield running
-
-
-class Client:
-    """Tiny convenience wrapper over ``http.client`` for assertions."""
-
-    def __init__(self, port):
-        self.port = port
-
-    def get(self, url, headers=None):
-        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=60)
-        try:
-            conn.request("GET", url, headers=headers or {})
-            response = conn.getresponse()
-            body = response.read()
-            return response.status, dict(response.getheaders()), body
-        finally:
-            conn.close()
-
-    def get_json(self, url):
-        status, headers, body = self.get(url)
-        return status, json.loads(body)
 
 
 @pytest.fixture(scope="module")

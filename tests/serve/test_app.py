@@ -1,8 +1,6 @@
 """End-to-end endpoint tests against a live server on a real socket."""
 
-import http.client
 import json
-import socket
 
 import numpy as np
 import pytest
@@ -10,6 +8,8 @@ import pytest
 from repro.engine import Pipeline
 from repro.serve.workers import source_from_spec
 from repro.terrain.heightfield import Tile
+
+from serve_client import exchange, read_sse
 
 
 class TestMetaEndpoints:
@@ -44,16 +44,12 @@ class TestMetaEndpoints:
     def test_negative_content_length_400(self, server):
         """A raw request, since ``http.client`` sets its own length.  The
         timeout turns a server that never answers into a failure."""
-        with socket.create_connection(
-            ("127.0.0.1", server.port), timeout=10
-        ) as sock:
-            sock.sendall(
-                b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
-                b"Content-Length: -5\r\n\r\n"
-            )
-            reply = b""
-            while chunk := sock.recv(4096):
-                reply += chunk
+        reply = exchange(
+            server.port,
+            b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Length: -5\r\n\r\n",
+            timeout=10,
+        )
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
         request_id = next(
@@ -195,29 +191,6 @@ class TestQueries:
         )
         assert status == 200
         assert doc["measure"] == "degree"
-
-
-def read_sse(port, url, timeout=120):
-    """Collect the full SSE stream as a list of (event, json) pairs."""
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        conn.request("GET", url)
-        response = conn.getresponse()
-        assert response.status == 200
-        assert response.getheader("Content-Type") == "text/event-stream"
-        events = []
-        event, data = None, []
-        for raw in response.read().decode().splitlines():
-            if raw.startswith("event: "):
-                event = raw[len("event: "):]
-            elif raw.startswith("data: "):
-                data.append(raw[len("data: "):])
-            elif not raw and event is not None:
-                events.append((event, json.loads("\n".join(data))))
-                event, data = None, []
-        return events
-    finally:
-        conn.close()
 
 
 class TestStream:

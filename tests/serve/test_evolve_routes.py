@@ -8,8 +8,7 @@ from repro.graph.generators import dynamic_planted_partition
 from repro.serve import EvolveSession, ServeApp, ServerThread
 from repro.terrain.heightfield import Tile
 
-from conftest import Client
-from test_app import read_sse
+from serve_client import Client, read_sse
 
 REGIME = dict(
     n_windows=6, community_size=16, p_in=0.8, churn=0.2,

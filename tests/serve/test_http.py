@@ -3,6 +3,8 @@
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.http import (
     HTTPError,
@@ -66,6 +68,88 @@ class TestParsing:
         with pytest.raises(HTTPError) as exc:
             parse(b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
         assert exc.value.status == 400
+
+    def test_body_cut_short_by_eof_is_a_hang_up(self):
+        assert parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc") is None
+
+
+#: Past the 64 KiB line limit of ``asyncio.StreamReader``.
+_LONG = "x" * 70_000
+_EOL = st.sampled_from(["\r\n", "\n", ""])
+_REQUEST_LINES = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["GET", "HEAD", "POST", "put", "", "G\x00T"]),
+        st.one_of(
+            st.sampled_from(["/", "/t/a%20b?x=1&y=", "/%zz%", "*", "?q", _LONG]),
+            st.text(max_size=12).map("/".__add__),
+        ),
+        st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/", "http/1.1", "X"]),
+    ),
+    st.text(max_size=24),
+)
+_CONTENT_LENGTHS = st.one_of(
+    st.sampled_from([
+        "-5", "-1", "0", "3", "10", "1e3", "ten", "", " 4 ", "+3",
+        "0x10", "99999999", str(1 << 20), str((1 << 20) + 1),
+    ]),
+    st.integers(-(1 << 40), 1 << 40).map(str),
+)
+_HEADERS = st.one_of(
+    st.sampled_from(["Host: localhost", "Connection: close", 'If-None-Match: "a"']),
+    st.sampled_from([
+        "Transfer-Encoding: chunked", "transfer-encoding: gzip, CHUNKED",
+        "no colon here", ": empty name", "X-Long: " + _LONG,
+    ]),
+    st.text(max_size=16),
+)
+_GRAMMAR_REQUESTS = st.builds(
+    lambda line, eol, headers, length, body: (
+        (
+            line + eol + "".join(h + eol for h in headers)
+            + ("" if length is None else f"Content-Length: {length}{eol}")
+            + eol
+        ).encode("latin-1", "replace")
+        + body
+    ),
+    _REQUEST_LINES, _EOL, st.lists(_HEADERS, max_size=3),
+    st.one_of(st.none(), _CONTENT_LENGTHS), st.binary(max_size=16),
+)
+
+
+def parse_within_deadline(raw: bytes):
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await asyncio.wait_for(_read_request(reader), 1.0)
+
+    return asyncio.run(run())
+
+
+class TestReadRequestFuzz:
+    """Any bytes a peer sends end as a ``Request``, ``None`` (the peer
+    closed) or ``HTTPError`` 400/413 — never another exception and
+    never a wait past the deadline."""
+
+    @staticmethod
+    def check(raw: bytes) -> None:
+        try:
+            result = parse_within_deadline(raw)
+        except HTTPError as exc:
+            assert exc.status in (400, 413), exc.status
+        else:
+            assert result is None or isinstance(result, Request)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=256))
+    def test_free_bytes(self, raw):
+        self.check(raw)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_GRAMMAR_REQUESTS)
+    def test_grammar_shaped_requests(self, raw):
+        self.check(raw)
 
 
 class TestQueryHelpers:

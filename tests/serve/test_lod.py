@@ -8,7 +8,7 @@ from repro.engine import ArtifactCache, Pipeline
 from repro.serve import LODPyramid, tile_etag
 from repro.terrain.heightfield import Heightfield, Tile
 
-from conftest import toy_graph
+from serve_client import toy_graph
 
 
 def kcore_pipeline(cache=None, scalars=None):

@@ -8,7 +8,7 @@ from repro.engine import ArtifactCache
 from repro.resil import faults
 from repro.serve import ServeApp, ServerThread, StageRunner
 
-from conftest import Client
+from serve_client import Client
 
 #: A vertex field and an edge field: both tree kinds, both peak units.
 MEASURES = ("kcore", "ktruss")

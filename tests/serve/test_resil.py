@@ -3,8 +3,6 @@
 caps, mid-replay disconnects, and graceful drain."""
 
 import asyncio
-import http.client
-import json
 import socket
 import threading
 import time
@@ -13,41 +11,16 @@ import pytest
 
 from repro.engine import ArtifactCache
 from repro.resil import faults
-from repro.resil.retry import (
-    CircuitOpen,
-    DeadlineExceeded,
-    RetryPolicy,
-    Saturated,
-)
+from repro.resil.retry import RetryPolicy, Saturated
 from repro.serve import ServeApp, ServerThread, StageRunner, StreamSession
-from repro.serve.http import Router
+
+from serve_client import Client, StubApp, open_sse, read_until
 
 
 @pytest.fixture
 def fault_spec():
     yield faults.configure
     faults.configure(None)
-
-
-class Client:
-    """Tiny convenience wrapper over ``http.client`` for assertions."""
-
-    def __init__(self, port):
-        self.port = port
-
-    def get(self, url, headers=None):
-        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=60)
-        try:
-            conn.request("GET", url, headers=headers or {})
-            response = conn.getresponse()
-            body = response.read()
-            return response.status, dict(response.getheaders()), body
-        finally:
-            conn.close()
-
-    def get_json(self, url):
-        status, headers, body = self.get(url)
-        return status, json.loads(body)
 
 
 def make_app(edge_list_file, log=None, interval=0.0, **app_kwargs):
@@ -77,58 +50,10 @@ def long_log_file(tmp_path):
     ))
 
 
-def open_sse(port, path):
-    """A raw streaming GET — http.client buffers, sockets don't."""
-    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
-    sock.sendall(
-        f"GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n".encode()
-    )
-    return sock
-
-
-def read_until(sock, token, timeout=30):
-    sock.settimeout(timeout)
-    buf = b""
-    deadline = time.time() + timeout
-    while token.encode() not in buf:
-        if time.time() > deadline:
-            raise AssertionError(f"{token!r} never arrived; got {buf!r}")
-        chunk = sock.recv(4096)
-        if not chunk:
-            break
-        buf += chunk
-    return buf
-
-
-class _StubApp:
-    """Router-only app so HTTP status mapping is tested in isolation."""
-
-    def __init__(self, router):
-        self._router = router
-        self.runner = StageRunner()
-
-    def router(self):
-        return self._router
-
-
 class TestHTTPStatusMapping:
     @pytest.fixture
     def stub_server(self):
-        router = Router()
-
-        async def saturated(request):
-            raise Saturated("queue full", retry_after=2.0)
-
-        async def circuit(request):
-            raise CircuitOpen("toy/kcore", 12.0)
-
-        async def deadline(request):
-            raise DeadlineExceeded("build exceeded 0.5s budget")
-
-        router.get("/saturated", saturated)
-        router.get("/circuit", circuit)
-        router.get("/deadline", deadline)
-        with ServerThread(_StubApp(router)) as server:
+        with ServerThread(StubApp()) as server:
             yield Client(server.port)
 
     def test_saturated_maps_to_429_with_retry_after(self, stub_server):
