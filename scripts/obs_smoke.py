@@ -12,7 +12,9 @@ end to end, not just in-process):
    assert the Prometheus exposition parses and carries the core metric
    families (cache hits/misses, HTTP latency histogram, uptime gauge),
    and that ``/stats`` exposes the span rollup section and every
-   response carries an ``X-Request-Id``.
+   response carries an ``X-Request-Id``; each count ``/stats`` shares
+   with ``/metrics`` must be equal, since the fresh server process
+   holds one cache and one runner.
 3. ``repro prof -- terrain ...`` — assert the CLI profiler passthrough
    writes a non-empty ``.collapsed`` stack file and a well-formed
    flamegraph ``.svg``.
@@ -53,6 +55,24 @@ REQUIRED_FAMILIES = {
     "repro_http_request_seconds",
     "repro_serve_uptime_seconds",
 }
+#: Counts on /stats and the /metrics series recording the same events:
+#: (path in /stats, family, label set; None sums every child).
+SHARED_COUNTS = [
+    ("cache.hits", "repro_cache_hits_total", None),
+    ("cache.memory_hits", "repro_cache_hits_total", '{tier="memory"}'),
+    ("cache.disk_hits", "repro_cache_hits_total", '{tier="disk"}'),
+    ("cache.misses", "repro_cache_misses_total", ""),
+    ("cache.puts", "repro_cache_puts_total", ""),
+    ("cache.evictions", "repro_cache_evictions_total", '{tier="memory"}'),
+    ("cache.corrupt", "repro_cache_corrupt_total", ""),
+    ("runner.retries", "repro_resil_retries_total", '{site="stage_runner"}'),
+    ("runner.deadline_exceeded", "repro_resil_deadline_exceeded_total",
+     '{site="stage_runner"}'),
+    ("runner.shed", "repro_resil_shed_total", None),
+    ("runner.breaker_open", "repro_resil_breaker_total",
+     '{event="rejected"}'),
+    ("resil.stale_tiles.served", "repro_resil_stale_tiles_total", ""),
+]
 
 
 def get(port, url, headers=None, timeout=120):
@@ -176,10 +196,12 @@ def check_metrics(tmp: Path, edge_list: Path) -> None:
     try:
         port = wait_for_server(proc)
 
-        # Generate some traffic: a tile build, a 404.
+        # Generate some traffic: a tile build, a second tile (cache
+        # hits), a 404.
         status, headers, _ = get(port, "/t/toy/kcore/0/0/0")
         assert status == 200, status
         assert headers.get("X-Request-Id"), "tile response lacks X-Request-Id"
+        assert get(port, "/t/toy/kcore/1/0/0")[0] == 200
         status, headers, _ = get(port, "/t/toy/kcore/9/0/0")
         assert status == 404 and headers.get("X-Request-Id")
         print("[ok] X-Request-Id on 200 and 404 responses")
@@ -210,6 +232,7 @@ def check_metrics(tmp: Path, edge_list: Path) -> None:
         assert "http.request" in stats["spans"], stats["spans"].keys()
         assert stats["uptime_s"] >= 0
         print(f"[ok] /stats span rollup: {sorted(stats['spans'])}")
+        check_shared_counts(stats, text)
         return
     finally:
         proc.terminate()
@@ -217,6 +240,27 @@ def check_metrics(tmp: Path, edge_list: Path) -> None:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             proc.kill()
+
+
+def check_shared_counts(stats: dict, exposition: str) -> None:
+    samples = {}
+    for line in exposition.splitlines():
+        if line and not line.startswith("#"):
+            series, _, value = line.rpartition(" ")
+            name, brace, labels = series.partition("{")
+            samples[name, brace + labels] = float(value)
+    checked = []
+    for path, family, labels in SHARED_COUNTS:
+        count = stats
+        for key in path.split("."):
+            count = count[key]
+        series = sum(
+            value for (name, got), value in samples.items()
+            if name == family and labels in (None, got)
+        )
+        assert count == series, f"/stats {path}={count}, {family} {series}"
+        checked.append(f"{path}={count}")
+    print(f"[ok] /stats == /metrics: {', '.join(checked)}")
 
 
 def check_cli_prof(tmp: Path, edge_list: Path) -> None:

@@ -45,9 +45,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resil import faults as resil_faults
 
-# Process-wide cache metric families (repro.obs): the per-instance
-# ``stats`` dict stays (tests and /stats read it per cache), but every
-# event also lands here so /metrics and --metrics see one global truth.
 _M_HITS = obs_metrics.REGISTRY.counter(
     "repro_cache_hits_total", "Artifact cache hits by tier.", ("tier",)
 )
@@ -172,15 +169,17 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
         self._memory_bytes = 0
-        self.stats: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "memory_hits": 0,
-            "disk_hits": 0,
-            "puts": 0,
-            "evictions": 0,
-            "corrupt": 0,
-        }
+        self._tally = obs_metrics.Tally(
+            misses=_M_MISSES, memory_hits=_M_HITS, disk_hits=_M_HITS,
+            puts=_M_PUTS, evictions=_M_EVICTIONS, corrupt=_M_CORRUPT,
+        )
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Event counts; ``hits`` is memory plus disk hits."""
+        with self._lock:
+            counts = dict(self._tally)
+        return dict(hits=counts["memory_hits"] + counts["disk_hits"], **counts)
 
     @classmethod
     def from_env(cls) -> "ArtifactCache":
@@ -209,8 +208,7 @@ class ArtifactCache:
         ):
             old_key, old_value = self._memory.popitem(last=False)
             self._memory_bytes -= artifact_nbytes(old_value)
-            self.stats["evictions"] += 1
-            _M_EVICTIONS.inc(tier="memory")
+            self._tally.inc("evictions", tier="memory")
 
     @property
     def memory_bytes(self) -> int:
@@ -231,9 +229,7 @@ class ArtifactCache:
         with self._lock:
             if key in self._memory:
                 self._memory.move_to_end(key)
-                self.stats["hits"] += 1
-                self.stats["memory_hits"] += 1
-                _M_HITS.inc(tier="memory")
+                self._tally.inc("memory_hits", tier="memory")
                 return self._memory[key]
         if self.directory is not None:
             # Read and parse outside the lock: a multi-MB JSON load must
@@ -249,8 +245,7 @@ class ArtifactCache:
                 # — is a miss, never an error: drop it so it cannot
                 # poison future runs, and let the stage rebuild.
                 with self._lock:
-                    self.stats["corrupt"] += 1
-                _M_CORRUPT.inc()
+                    self._tally.inc("corrupt")
                 try:
                     path.unlink(missing_ok=True)
                 except OSError:
@@ -258,13 +253,10 @@ class ArtifactCache:
             else:
                 with self._lock:
                     self._remember(key, value)
-                    self.stats["hits"] += 1
-                    self.stats["disk_hits"] += 1
-                _M_HITS.inc(tier="disk")
+                    self._tally.inc("disk_hits", tier="disk")
                 return value
         with self._lock:
-            self.stats["misses"] += 1
-        _M_MISSES.inc()
+            self._tally.inc("misses")
         return None
 
     def put(self, key: str, value, disk: bool = True):
@@ -282,9 +274,8 @@ class ArtifactCache:
     def _put(self, key: str, value, disk: bool = True):
         with self._lock:
             self._remember(key, value)
-            self.stats["puts"] += 1
+            self._tally.inc("puts")
             _M_BYTES.set(self._memory_bytes, tier="memory")
-        _M_PUTS.inc()
         if self.directory is not None and disk:
             try:
                 text = artifact_to_json(value)

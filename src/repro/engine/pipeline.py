@@ -97,10 +97,7 @@ STAGE_BUILD_SECONDS = obs_metrics.REGISTRY.histogram(
     ("stage",),
 )
 
-#: Streaming replay batches and their application time.
-STREAM_BATCHES = obs_metrics.REGISTRY.counter(
-    "repro_stream_batches_total", "Edit batches applied by streaming pipelines."
-)
+#: Streaming replay batch application time.
 STREAM_BATCH_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_stream_batch_seconds", "Edit batch application time."
 )
@@ -573,9 +570,7 @@ class StreamingPipeline(_TreeSinks):
         self._invalidate()
         with obs_trace.span("stream.apply", edits=len(batch)):
             with STREAM_BATCH_SECONDS.time():
-                tree = self.stream.apply(batch)
-        STREAM_BATCHES.inc()
-        return tree
+                return self.stream.apply(batch)
 
     def push(self, t: float, batch) -> None:
         """Apply a timestamped batch through the sliding window."""
@@ -587,7 +582,6 @@ class StreamingPipeline(_TreeSinks):
         with obs_trace.span("stream.push", edits=len(batch), t=t):
             with STREAM_BATCH_SECONDS.time():
                 self.window.push(t, batch)
-        STREAM_BATCHES.inc()
 
     def _invalidate(self) -> None:
         self._display = None

@@ -87,7 +87,9 @@ def _data_lines(
         raise ValueError("chunk_edges must be >= 1")
     nos: list = []
     lines: list = []
-    with open(path) as handle:
+    # Undecodable bytes become lone surrogates, so a bad line reaches
+    # the per-line parser and fails there with its line number.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             # line[0] over str.startswith: this loop is the reader's

@@ -40,9 +40,7 @@ from .trace import (
     enabled,
     remove_exporter,
     rollup,
-    sample_rate,
     set_enabled,
-    set_sample_rate,
     span,
     to_chrome_trace,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "span",
     "enabled",
     "set_enabled",
-    "set_sample_rate",
-    "sample_rate",
     "add_exporter",
     "remove_exporter",
     "current_span_id",

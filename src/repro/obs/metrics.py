@@ -38,6 +38,7 @@ __all__ = [
     "Histogram",
     "Registry",
     "REGISTRY",
+    "Tally",
     "DEFAULT_BUCKETS",
     "escape_label_value",
 ]
@@ -269,6 +270,23 @@ class _Timer:
         self.seconds = time.perf_counter() - self._t0
         self._histogram.observe(self.seconds, **self._labels)
         return False
+
+
+class Tally(dict):
+    """One owner's named event counts, each name bound to a counter
+    family or to ``None``.  :meth:`inc` is the only statement that
+    records an event: it adds to the owner's count and to the family's
+    child together, so ``.stats``, ``/stats`` and ``/metrics`` agree.
+    The owner serializes its calls (its lock, or its event loop)."""
+
+    def __init__(self, **families: Optional[Counter]) -> None:
+        super().__init__(dict.fromkeys(families, 0))
+        self._families = families
+
+    def inc(self, name: str, amount: int = 1, **labels) -> None:
+        self[name] += amount
+        if self._families[name] is not None:
+            self._families[name].inc(amount, **labels)
 
 
 class Registry:

@@ -36,7 +36,6 @@ import contextvars
 import itertools
 import json
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -47,8 +46,6 @@ __all__ = [
     "ENABLED",
     "enabled",
     "set_enabled",
-    "set_sample_rate",
-    "sample_rate",
     "add_exporter",
     "remove_exporter",
     "span",
@@ -65,17 +62,6 @@ __all__ = [
 
 #: Module-level enable flag — the one branch every disabled call pays.
 ENABLED = False
-
-#: Head-based sampling rate in [0, 1].  The keep/drop decision is made
-#: once per *root* span; descendants inherit it, so traces stay whole —
-#: either a request's full span tree is recorded or none of it is.
-_SAMPLE_RATE = 1.0
-
-_rng = random.Random()
-
-_sampled_out: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
-    "repro_obs_sampled_out", default=False
-)
 
 _parent_id: "contextvars.ContextVar[Optional[str]]" = contextvars.ContextVar(
     "repro_obs_parent", default=None
@@ -245,44 +231,13 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
-class _SuppressSpan:
-    """Entered by a sampled-out *root* span: marks the context so every
-    descendant takes the no-op path without re-drawing the dice (a
-    partial subtree with a missing root would count as an orphan)."""
-
-    __slots__ = ("_token",)
-
-    def __init__(self) -> None:
-        self._token: Optional[contextvars.Token] = None
-
-    def __enter__(self) -> "_SuppressSpan":
-        self._token = _sampled_out.set(True)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._token is not None:
-            _sampled_out.reset(self._token)
-        return False
-
-    def set(self, **attrs) -> "_SuppressSpan":
-        return self
-
-
 def span(name: str, **attrs):
     """A context manager timing one unit of work.
 
     When tracing is disabled this returns one shared no-op object —
-    the instrumentation's entire disabled cost is this branch.  With
-    head-based sampling active (:func:`set_sample_rate` < 1), the
-    keep/drop decision happens only at root spans; a dropped root
-    suppresses its whole subtree."""
+    the instrumentation's entire disabled cost is this branch."""
     if not ENABLED:
         return _NOOP
-    if _sampled_out.get():
-        return _NOOP
-    if _SAMPLE_RATE < 1.0 and _parent_id.get() is None:
-        if _rng.random() >= _SAMPLE_RATE:
-            return _SuppressSpan()
     return Span(name, attrs)
 
 
@@ -293,27 +248,6 @@ def enabled() -> bool:
 def set_enabled(flag: bool) -> None:
     global ENABLED
     ENABLED = bool(flag)
-
-
-def set_sample_rate(rate: float, seed: Optional[int] = None) -> None:
-    """Head-based sampling: keep roughly ``rate`` of root span trees.
-
-    ``rate=1.0`` (the default) records everything; ``rate=0.1`` keeps
-    ~10% of traces whole and drops the other ~90% entirely — the knob
-    that makes always-on tracing affordable on a busy server
-    (``$REPRO_TRACE_SAMPLE`` sets it at import time).  ``seed`` pins
-    the decision sequence for tests.
-    """
-    global _SAMPLE_RATE
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"sample rate must be in [0, 1], got {rate!r}")
-    _SAMPLE_RATE = float(rate)
-    if seed is not None:
-        _rng.seed(seed)
-
-
-def sample_rate() -> float:
-    return _SAMPLE_RATE
 
 
 def add_exporter(exporter) -> None:
@@ -417,16 +351,8 @@ def rollup(
 
 # $REPRO_TRACE=<path> turns tracing on at import time — how benchmark
 # subprocesses and the obs-enabled CI tier inherit a trace sink without
-# every entry point growing plumbing.  $REPRO_TRACE_SAMPLE=<rate>
-# applies head-based sampling on top (for example 0.1 for always-on
-# tracing of a busy server at affordable cost).
+# every entry point growing plumbing.
 _env_path = os.environ.get("REPRO_TRACE")
 if _env_path:  # pragma: no cover - exercised via subprocess tests
     add_exporter(JSONLExporter(_env_path))
     ENABLED = True
-_env_sample = os.environ.get("REPRO_TRACE_SAMPLE")
-if _env_sample:  # pragma: no cover - exercised via subprocess tests
-    try:
-        set_sample_rate(float(_env_sample))
-    except ValueError:
-        pass

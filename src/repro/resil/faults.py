@@ -153,7 +153,7 @@ class FaultSchedule:
         self.rules = rules
         self.spec = spec
         self._counts: Dict[str, int] = {}
-        self._fired: Dict[str, int] = {}
+        self._fired = obs_metrics.Tally(**dict.fromkeys(SITES, _M_INJECTED))
         self._lock = threading.Lock()
 
     @classmethod
@@ -198,8 +198,7 @@ class FaultSchedule:
             self._counts[site] = n = self._counts.get(site, 0) + 1
             if not rule.fires_at(n):
                 return None
-            self._fired[site] = self._fired.get(site, 0) + 1
-        _M_INJECTED.inc(site=site)
+            self._fired.inc(site, site=site)
         return rule
 
     def snapshot(self) -> dict:
@@ -207,7 +206,7 @@ class FaultSchedule:
             return {
                 "spec": self.spec,
                 "passes": dict(self._counts),
-                "fired": dict(self._fired),
+                "fired": {s: n for s, n in self._fired.items() if n},
             }
 
 

@@ -13,17 +13,17 @@ from typing import Callable, Optional
 
 from ..obs import metrics as obs_metrics
 
-_M_RETRIES = obs_metrics.REGISTRY.counter(
+RETRIES = obs_metrics.REGISTRY.counter(
     "repro_resil_retries_total",
     "Transient failures retried, by call site",
     ("site",),
 )
-_M_GIVEUPS = obs_metrics.REGISTRY.counter(
+GIVEUPS = obs_metrics.REGISTRY.counter(
     "repro_resil_giveups_total",
     "Retry budgets exhausted (error propagated), by call site",
     ("site",),
 )
-_M_BREAKER = obs_metrics.REGISTRY.counter(
+BREAKER = obs_metrics.REGISTRY.counter(
     "repro_resil_breaker_total",
     "Circuit-breaker transitions and rejections",
     ("event",),
@@ -33,25 +33,11 @@ _M_SHED = obs_metrics.REGISTRY.counter(
     "Requests refused by admission control, by priority class",
     ("priority",),
 )
-_M_DEADLINES = obs_metrics.REGISTRY.counter(
+DEADLINES = obs_metrics.REGISTRY.counter(
     "repro_resil_deadline_exceeded_total",
     "Per-task/per-request deadlines blown, by call site",
     ("site",),
 )
-
-
-def note_retry(site: str) -> None:
-    """Count one retried attempt at ``site`` (for callers that own
-    their retry loop instead of going through :func:`retry_call`)."""
-    _M_RETRIES.inc(site=site)
-
-
-def note_giveup(site: str) -> None:
-    _M_GIVEUPS.inc(site=site)
-
-
-def note_deadline(site: str) -> None:
-    _M_DEADLINES.inc(site=site)
 
 
 class TransientFault(RuntimeError):
@@ -101,7 +87,7 @@ class Deadline:
 
     def check(self, site: str = "deadline") -> None:
         if self.expired:
-            _M_DEADLINES.inc(site=site)
+            DEADLINES.inc(site=site)
             raise DeadlineExceeded(
                 f"{site}: exceeded {self.seconds:g}s budget"
             )
@@ -179,9 +165,9 @@ def retry_call(
         except retry_on:
             failures += 1
             if failures >= policy.max_attempts:
-                _M_GIVEUPS.inc(site=site)
+                GIVEUPS.inc(site=site)
                 raise
-            _M_RETRIES.inc(site=site)
+            RETRIES.inc(site=site)
             pause = policy.delay(failures)
             if deadline is not None:
                 pause = min(pause, deadline.remaining())
@@ -206,6 +192,7 @@ class CircuitBreaker:
     While open, :meth:`allow` refuses (with a remaining-cooldown hint);
     after the cooldown one probe call is let through — its success
     closes the circuit, its failure re-opens it for another cooldown.
+    Its owner counts the refusals (``BREAKER``'s ``rejected`` child).
     """
 
     __slots__ = ("failure_threshold", "cooldown", "_clock", "_failures",
@@ -239,18 +226,15 @@ class CircuitBreaker:
             if self._state == "open":
                 if self._clock() - self._opened_at >= self.cooldown:
                     self._state = "half_open"
-                    _M_BREAKER.inc(event="half_open")
+                    BREAKER.inc(event="half_open")
                     return True
-                _M_BREAKER.inc(event="rejected")
-                return False
-            # half_open: one probe already in flight
-            _M_BREAKER.inc(event="rejected")
+            # open, or half_open with one probe already in flight
             return False
 
     def record_success(self) -> None:
         with self._lock:
             if self._state != "closed":
-                _M_BREAKER.inc(event="closed")
+                BREAKER.inc(event="closed")
             self._state = "closed"
             self._failures = 0
 
@@ -262,7 +246,7 @@ class CircuitBreaker:
                 or self._failures >= self.failure_threshold
             ):
                 if self._state != "open":
-                    _M_BREAKER.inc(event="opened")
+                    BREAKER.inc(event="opened")
                 self._state = "open"
                 self._opened_at = self._clock()
 
@@ -293,7 +277,7 @@ class AdmissionGate:
     """
 
     __slots__ = ("limit", "bulk_limit", "retry_after", "_admitted", "_lock",
-                 "_shed")
+                 "_tally")
 
     def __init__(
         self,
@@ -308,7 +292,7 @@ class AdmissionGate:
         self.bulk_limit = limit - reserve
         self.retry_after = retry_after
         self._admitted = 0
-        self._shed = 0
+        self._tally = obs_metrics.Tally(shed=_M_SHED)
         self._lock = threading.Lock()
 
     @property
@@ -317,15 +301,14 @@ class AdmissionGate:
 
     @property
     def shed(self) -> int:
-        return self._shed
+        return self._tally["shed"]
 
     def try_acquire(self, interactive: bool = False) -> bool:
         with self._lock:
             cap = self.limit if interactive else self.bulk_limit
             if self._admitted >= cap:
-                self._shed += 1
-                _M_SHED.inc(
-                    priority="interactive" if interactive else "bulk"
+                self._tally.inc(
+                    "shed", priority="interactive" if interactive else "bulk"
                 )
                 return False
             self._admitted += 1
@@ -341,5 +324,5 @@ class AdmissionGate:
             "limit": self.limit,
             "bulk_limit": self.bulk_limit,
             "admitted": self._admitted,
-            "shed": self._shed,
+            "shed": self.shed,
         }

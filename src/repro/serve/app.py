@@ -173,7 +173,7 @@ class ServeApp:
         self.request_timeout = request_timeout
         # Last-known-good tiles for serve-stale-on-error (Warning: 110).
         self._stale: "OrderedDict[str, Tuple[bytes, str]]" = OrderedDict()
-        self._stale_served = 0
+        self._tally = obs_metrics.Tally(stale_served=_M_STALE)
         # Monotonic clock: uptime must never jump when the wall clock is
         # stepped (NTP corrections would yield negative or inflated
         # uptimes under time.time()).
@@ -518,7 +518,7 @@ class ServeApp:
                 self.runner.resil_snapshot(),
                 stale_tiles={
                     "held": len(self._stale),
-                    "served": self._stale_served,
+                    "served": self._tally["stale_served"],
                 },
                 request_timeout=self.request_timeout,
                 faults=resil_faults.snapshot(),
@@ -645,8 +645,7 @@ class ServeApp:
                 if stale_copy is None:
                     raise
                 cached, stale = stale_copy, True
-                self._stale_served += 1
-                _M_STALE.inc()
+                self._tally.inc("stale_served")
             else:
                 self._payload_put(memo_key, cached)
         self._stale[memo_key] = cached

@@ -315,12 +315,14 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HTTPError(400, "chunked request bodies are not supported")
     body = b""
     if "content-length" in headers:
+        value = headers["content-length"]
+        # ASCII digits only: int() would also read '+3', '1_0' and '-0'.
+        if not (value.isascii() and value.isdigit()):
+            raise HTTPError(400, "bad Content-Length")
         try:
-            length = int(headers["content-length"])
-        except ValueError:
-            raise HTTPError(400, "bad Content-Length")
-        if length < 0:
-            raise HTTPError(400, "bad Content-Length")
+            length = int(value)
+        except ValueError:  # past int()'s digit limit: far too large
+            length = _MAX_BODY + 1
         if length > _MAX_BODY:
             raise HTTPError(413, "request body too large")
         if length:

@@ -50,8 +50,13 @@ from ..engine.pipeline import (
     Pipeline,
     Source,
 )
+from ..obs.metrics import Tally
 from ..resil import faults
 from ..resil.retry import (
+    BREAKER,
+    DEADLINES,
+    GIVEUPS,
+    RETRIES,
     AdmissionGate,
     CircuitBreaker,
     CircuitOpen,
@@ -60,9 +65,6 @@ from ..resil.retry import (
     RetryPolicy,
     Saturated,
     TransientFault,
-    note_deadline,
-    note_giveup,
-    note_retry,
 )
 from .lod import LODPyramid
 
@@ -135,11 +137,16 @@ class StageRunner:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self._breakers: "OrderedDict[str, CircuitBreaker]" = OrderedDict()
-        self.stats: Dict[str, int] = {
-            "builds": 0, "coalesced": 0, "errors": 0,
-            "retries": 0, "respawns": 0, "shed": 0,
-            "breaker_open": 0, "deadline_exceeded": 0,
-        }
+        self._tally = Tally(
+            builds=None, coalesced=None, errors=None, retries=RETRIES,
+            respawns=None, breaker_open=BREAKER, deadline_exceeded=DEADLINES,
+        )
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Build, rider, retry and refusal counts (``shed`` is the
+        admission gate's)."""
+        return dict(self._tally, shed=self.gate.shed if self.gate else 0)
 
     @property
     def uses_processes(self) -> bool:
@@ -168,7 +175,7 @@ class StageRunner:
         broken, self._executor = self._executor, ProcessPoolExecutor(
             max_workers=self.workers
         )
-        self.stats["respawns"] += 1
+        self._tally.inc("respawns")
         broken.shutdown(wait=False, cancel_futures=True)
 
     def _maybe_sacrifice_worker(self) -> None:
@@ -216,8 +223,7 @@ class StageRunner:
                         awaitable, deadline.remaining()
                     )
                 except asyncio.TimeoutError:
-                    self.stats["deadline_exceeded"] += 1
-                    note_deadline("stage_runner")
+                    self._tally.inc("deadline_exceeded", site="stage_runner")
                     raise DeadlineExceeded(
                         f"build exceeded {deadline.seconds:g}s budget"
                     ) from None
@@ -228,10 +234,9 @@ class StageRunner:
                 if failures >= self.retry.max_attempts or (
                     deadline is not None and deadline.expired
                 ):
-                    note_giveup("stage_runner")
+                    GIVEUPS.inc(site="stage_runner")
                     raise
-                self.stats["retries"] += 1
-                note_retry("stage_runner")
+                self._tally.inc("retries", site="stage_runner")
                 pause = self.retry.delay(failures)
                 if deadline is not None:
                     pause = min(pause, deadline.remaining())
@@ -262,18 +267,17 @@ class StageRunner:
         """
         existing = self._inflight.get(key)
         if existing is not None:
-            self.stats["coalesced"] += 1
+            self._tally.inc("coalesced")
             # shield(): a rider hanging up must not cancel the build
             # other riders (and the cache) are waiting on.
             return await asyncio.shield(existing)
         breaker = self._breaker_for(key)
         if breaker is not None and not breaker.allow():
-            self.stats["breaker_open"] += 1
+            self._tally.inc("breaker_open", event="rejected")
             raise CircuitOpen(key, breaker.retry_after())
         if self.gate is not None and not self.gate.try_acquire(
             interactive=interactive
         ):
-            self.stats["shed"] += 1
             raise Saturated(
                 f"build queue saturated "
                 f"({self.gate.admitted}/{self.gate.limit} in flight)",
@@ -282,12 +286,12 @@ class StageRunner:
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._inflight[key] = future
-        self.stats["builds"] += 1
+        self._tally.inc("builds")
         deadline = Deadline(timeout) if timeout is not None else None
         try:
             value = await self._execute(fn, args, deadline)
         except BaseException as exc:
-            self.stats["errors"] += 1
+            self._tally.inc("errors")
             if breaker is not None and not isinstance(
                 exc, asyncio.CancelledError
             ):

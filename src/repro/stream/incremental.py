@@ -58,12 +58,17 @@ from ..core.scalar_tree import ScalarTree, attach_vertex
 from ..core.simplify import simplify_tree
 from ..core.super_tree import SuperTree, build_super_tree
 from ..core.union_find import RollbackUnionFind
+from ..obs import metrics as obs_metrics
 from .delta import DeltaGraph
 from .editlog import AddEdge, Batch, RemoveEdge, SetScalar
 
 __all__ = ["StreamingScalarTree", "impact_level"]
 
 _INF = float("inf")
+
+_M_BATCHES = obs_metrics.REGISTRY.counter(
+    "repro_stream_batches_total", "Edit batches applied by streaming trees."
+)
 
 
 def impact_level(
@@ -122,13 +127,10 @@ class StreamingScalarTree:
             raise ValueError("rebuild_threshold must be in [0, 1]")
         self.delta = DeltaGraph(field.graph, scalars=field.scalars)
         self.rebuild_threshold = rebuild_threshold
-        self.stats: Dict[str, int] = {
-            "batches": 0,
-            "incremental": 0,
-            "full_rebuilds": 0,
-            "last_suffix": 0,
-            "replayed_vertices": 0,
-        }
+        self.stats = obs_metrics.Tally(
+            batches=_M_BATCHES, incremental=None, full_rebuilds=None,
+            last_suffix=None, replayed_vertices=None,
+        )
         self._super: Optional[SuperTree] = None
         self._rebuild()
 
@@ -347,7 +349,7 @@ class StreamingScalarTree:
         edit anywhere in it raises before anything is applied.
         """
         self._validate_edits(edits)
-        self.stats["batches"] += 1
+        self.stats.inc("batches")
         theta = impact_level(self.delta.scalars, *self._apply_edits(edits))
         if theta == -_INF:
             self.stats["last_suffix"] = 0
@@ -363,11 +365,11 @@ class StreamingScalarTree:
 
         self.stats["last_suffix"] = suffix
         if suffix > self.rebuild_threshold * n:
-            self.stats["full_rebuilds"] += 1
+            self.stats.inc("full_rebuilds")
             self._rebuild()
             return self._tree
-        self.stats["incremental"] += 1
-        self.stats["replayed_vertices"] += suffix
+        self.stats.inc("incremental")
+        self.stats.inc("replayed_vertices", suffix)
 
         # Rewind: undo journalled attachments and union-find merges.
         del checkpoints[idx + 1:]

@@ -519,3 +519,36 @@ class TestReaderEquivalence:
         merged = np.concatenate(chunks) if chunks else np.empty((0, 4))
         expected = rows[np.argsort(rows[:, 2], kind="stable")]
         assert merged.tobytes() == expected.tobytes()
+
+
+# Free bytes, and lines of fields among which sit invalid or cut UTF-8,
+# NUL and the separators str.split() and numpy disagree on.
+_FIELD = st.sampled_from([
+    b"0", b"7", b"12", b"-1", b"1.5", b"nan", b"1e999", b"1_0", b"#",
+    "\u0663".encode(), str(2**64).encode(), b"7\xff", b"\xff", b"\xfe\xff",
+    b"\x80", b"\xc3", b"\xe2\x80", b"\x00", b"\r", b"\x0b", b"\x1c",
+    b"\x85", b"\xc2\x85",
+])
+_LOG_BYTES = st.one_of(
+    st.binary(max_size=160),
+    st.lists(
+        st.lists(_FIELD, min_size=1, max_size=4).map(b" ".join), max_size=12
+    ).map(b"\n".join),
+)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=75, deadline=None)
+    @given(data=_LOG_BYTES)
+    def test_any_bytes_give_arrays_or_a_typed_error(self, scratch_file, data):
+        scratch_file.write_bytes(data)
+        for reader, error in (
+            (iter_edge_chunks, EdgeListError),
+            (iter_temporal_edge_chunks, TemporalEdgeError),
+        ):
+            try:
+                chunks = list(reader(scratch_file, 3))
+            except error as exc:
+                assert exc.line_no >= 1
+            else:
+                assert all(isinstance(c, np.ndarray) for c in chunks)

@@ -69,6 +69,20 @@ class TestParsing:
             parse(b"GET / HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("value", [b"1_0", b"+3", b"-0"])
+    def test_content_length_is_digits_only(self, value):
+        # int() reads these as 10, 3 and 0 and would frame that body.
+        with pytest.raises(HTTPError) as exc:
+            parse(b"POST / HTTP/1.1\r\nContent-Length: " + value
+                  + b"\r\n\r\n0123456789")
+        assert exc.value.status == 400
+
+    def test_content_length_past_the_digit_limit_is_too_large(self):
+        with pytest.raises(HTTPError) as exc:
+            parse(b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+                  + b"\r\n\r\n")
+        assert exc.value.status == 413
+
     def test_body_cut_short_by_eof_is_a_hang_up(self):
         assert parse(b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc") is None
 
@@ -91,7 +105,8 @@ _REQUEST_LINES = st.one_of(
 _CONTENT_LENGTHS = st.one_of(
     st.sampled_from([
         "-5", "-1", "0", "3", "10", "1e3", "ten", "", " 4 ", "+3",
-        "0x10", "99999999", str(1 << 20), str((1 << 20) + 1),
+        "0x10", "99999999", str(1 << 20), str((1 << 20) + 1), "1_0", "-0",
+        "007", "9" * 5000,
     ]),
     st.integers(-(1 << 40), 1 << 40).map(str),
 )

@@ -11,6 +11,7 @@ fault schedule) was created.  ``runner.builds``, ``coalesced``,
 check that they moved.  The full key tree of ``/stats`` is pinned too.
 """
 
+import contextlib
 import re
 import threading
 import time
@@ -101,6 +102,20 @@ def make_app(edge_list_file, **kwargs):
     return app
 
 
+@contextlib.contextmanager
+def serving(app):
+    """A client of a live server over ``app``.  The app's profiler and
+    dashboard threads start on its first request and outlive the
+    server, so they are stopped here: left running, they slow every
+    later test in the run."""
+    try:
+        with ServerThread(app) as server:
+            yield Client(server.port)
+    finally:
+        app.cont_profiler.stop()
+        app.dash_ring.stop()
+
+
 @pytest.fixture
 def fault_spec():
     yield faults.configure
@@ -125,8 +140,7 @@ class TestStatsAgreeWithMetrics:
         app = make_app(
             edge_list_file, runner=runner, cache=ArtifactCache(tmp_path)
         )
-        with ServerThread(app) as server:
-            client = Client(server.port)
+        with serving(app) as client:
             before = scrape(client)
             statuses = []
             in_threads(*[
@@ -146,8 +160,7 @@ class TestStatsAgreeWithMetrics:
 
         faults.configure(None)
         warm = make_app(edge_list_file, cache=ArtifactCache(tmp_path))
-        with ServerThread(warm) as server:
-            client = Client(server.port)
+        with serving(warm) as client:
             before = scrape(client)
             assert client.get("/t/toy/kcore/0/0/0")[0] == 200
             stats = check_pairs(client, before)
@@ -157,7 +170,7 @@ class TestStatsAgreeWithMetrics:
         # Job passes: 1 kcore levels, 2 kcore tile, 3 the failed tile
         # rebuild (opens the breaker), 4 the slow degree levels build
         # that fills the gate while a cold kcore tile is shed.
-        fault_spec("task_fail:3;task_delay:4:0.2")
+        fault_spec("task_fail:3;task_delay:4:0.3")
         runner = StageRunner(
             retry=RetryPolicy(max_attempts=1, base_delay=0),
             max_inflight=1,
@@ -165,8 +178,7 @@ class TestStatsAgreeWithMetrics:
             breaker_cooldown=60.0,
         )
         app = make_app(edge_list_file, runner=runner, cache=ArtifactCache())
-        with ServerThread(app) as server:
-            client = Client(server.port)
+        with serving(app) as client:
             before = scrape(client)
             assert client.get("/t/toy/kcore/0/0/0")[0] == 200
             app._payloads.clear()
@@ -183,7 +195,7 @@ class TestStatsAgreeWithMetrics:
                 time.sleep(0.005)
             assert client.get("/t/toy/kcore/0/1/0")[0] == 429
             thread.join(60)
-            assert slow[0][0] == 200
+            assert not thread.is_alive() and slow[0][0] == 200
             stats = check_pairs(client, before)
         run, resil = stats["runner"], stats["resil"]
         assert run["breaker_open"] == 1 and run["shed"] == 1
@@ -279,8 +291,7 @@ class TestStatsKeyTree:
             "demo", str(tmp_path / "dyn.tsv"), measure="degree",
             horizon=1.0, origin=log.origin, resolution=32, tile_size=16,
         ))
-        with ServerThread(app) as server:
-            client = Client(server.port)
+        with serving(app) as client:
             status, cold = client.get_json("/stats")
             assert status == 200
             assert client.get("/t/toy/kcore/0/0/0")[0] == 200

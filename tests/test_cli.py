@@ -98,6 +98,18 @@ class TestServeParser:
         assert message == f"bad edge list {bad}:2: non-integer endpoint: '1 nope'"
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_utf8_edge_list_fails_the_boot(self, tmp_path, monkeypatch):
+        import asyncio
+
+        monkeypatch.setattr(asyncio, "run", lambda coro: coro.close())
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--edge-list", f"bad={bad}"])
+        assert str(exc.value.code) == (
+            f"bad edge list {bad}:2: non-integer endpoint: '\\udcff\\udcfe 2'"
+        )
+
     def test_bad_stream_log_spec_rejected(self, edge_list_file):
         with pytest.raises(SystemExit, match="NAME=DATASET:MEASURE"):
             main([
@@ -242,6 +254,15 @@ class TestPeaksCommand:
         ])
         assert code == 0
         assert "edges" in capsys.readouterr().out
+
+    def test_non_utf8_edge_list_is_a_one_line_error(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff\xfe 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["peaks", "--edge-list", str(bad), "--measure", "degree"])
+        assert str(exc.value.code) == (
+            f"bad edge list {bad}:2: non-integer endpoint: '\\udcff\\udcfe 2'"
+        )
 
 
 class TestLinked2DCommands:
@@ -523,6 +544,13 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["evolve", "--log", str(bad), "--resolution", "0"])
         assert f"{bad}:2: non-finite weight" in str(exc.value.code)
+
+    def test_non_utf8_log_names_the_line(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"0 1 1.0\n\xff 1 2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--log", str(bad), "--resolution", "0"])
+        assert f"{bad}:2: non-integer endpoint" in str(exc.value.code)
 
 
 class TestServeEvolveFlags:
