@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Golden-output corpus: sha256 digests of the paper's outputs.
 
-Three files under ``tests/golden/``:
+Four files under ``tests/golden/``:
 
 - ``accel.json``: for each stand-in dataset in :data:`DATASETS` and
   each measure in :data:`MEASURES`, the default pipeline
@@ -22,6 +22,13 @@ Three files under ``tests/golden/``:
   branch); plus the rows of ``run_task1``, ``run_task2`` and
   ``run_task3`` at the arguments of ``tests/study/test_harness.py``'s
   fixtures, which check them so that tier-1 runs the study once.
+- ``serve.json``: the results of every ``repro serve`` job on
+  :data:`SERVE_DATASET` × :data:`SERVE_MEASURES`, in a pyramid of
+  :data:`SERVE_TILE_SIZE`-cell tiles and :data:`SERVE_LEVELS` levels
+  (:func:`serve_jobs`): every tile payload at every level, the peaks,
+  a hit at the highest summit and one off the terrain, the treemap and
+  the profile.  ``tests/serve/test_golden_jobs.py`` also serves each
+  job through a live server and checks that the reply carries it.
 
 Float arrays are rounded to 1e-9 before hashing (study rows are stored
 rounded the same way), and each file records the numpy version the
@@ -53,12 +60,15 @@ from repro.engine import Pipeline
 from repro.evolve import PeakTracker, frames_from_rows, peaks_from_tree
 from repro.graph import datasets
 from repro.graph.generators import dynamic_planted_partition
+from repro.serve.lod import LODPyramid
+from repro.serve.workers import hit, peaks, profile_svg, treemap_svg
 from repro.study import run_task1, run_task2, run_task3
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 CORPUS = GOLDEN / "accel.json"
 EVOLVE_CORPUS = GOLDEN / "evolve.json"
 BASELINES_CORPUS = GOLDEN / "baselines.json"
+SERVE_CORPUS = GOLDEN / "serve.json"
 DATASETS = ("amazon", "ppi", "dblp")
 MEASURES = ("kcore", "ktruss", "degree", "closeness", "harmonic", "betweenness")
 RESOLUTION = 160
@@ -88,6 +98,16 @@ SPRING_ITERATIONS = 20
 #: the recorded study rows (``tests/study/test_harness.py``'s fixtures).
 STUDY_TASK12 = {"names": ("grqc", "ppi"), "n_participants": 10, "seed": 0}
 STUDY_TASK3 = {"n_participants": 10, "seed": 0, "betweenness_samples": 64}
+SERVE_DATASET = "amazon"
+#: A vertex field and an edge field: both tree kinds, both peak units.
+SERVE_MEASURES = ("kcore", "ktruss")
+SERVE_TILE_SIZE = 32
+SERVE_LEVELS = 3
+#: Layout coordinates far outside the terrain.
+SERVE_OFF_TERRAIN = (999.0, 999.0)
+#: Serve digests that no layout geometry enters; every other one (tile
+#: heights, disc areas and centres, SVG coordinates) is geometry.
+SERVE_STRUCTURE = ("peaks", "hit off")
 
 
 def _digest(*arrays) -> str:
@@ -204,6 +224,94 @@ def study_rows(rows) -> List[dict]:
     ]
 
 
+def serve_pyramid(measure: str) -> LODPyramid:
+    """The pyramid ``repro serve --datasets amazon`` builds for
+    ``measure`` at the corpus's tile size and depth, over a fresh
+    memory-only cache."""
+    return LODPyramid(
+        Pipeline.from_dataset(SERVE_DATASET, measure),
+        tile_size=SERVE_TILE_SIZE, levels=SERVE_LEVELS,
+    )
+
+
+def serve_jobs(pyramid: LODPyramid) -> Dict[str, tuple]:
+    """``{name: (job, *args)}``: every tile at every level, the 3
+    highest peaks, a hit at the display tree's highest node and one off
+    the terrain, a 128-px treemap and a 160×64 profile.  A serve route
+    answers with ``job(pyramid, *args)``."""
+    jobs: Dict[str, tuple] = {}
+    for level in range(pyramid.levels):
+        per = pyramid.tiles_per_side(level)
+        for ty in range(per):
+            for tx in range(per):
+                jobs[f"tile {level}/{tx}/{ty}"] = (
+                    LODPyramid.tile_payload, level, tx, ty,
+                )
+    layout = pyramid.pipeline.layout()
+    summit = int(np.argmax(pyramid.pipeline.display_tree.scalars))
+    jobs["peaks"] = (peaks, 3)
+    jobs["hit summit"] = (
+        hit, float(layout.cx[summit]), float(layout.cy[summit]),
+    )
+    jobs["hit off"] = (hit, *SERVE_OFF_TERRAIN)
+    jobs["treemap"] = (treemap_svg, 128)
+    jobs["profile"] = (profile_svg, 160, 64)
+    return jobs
+
+
+def _json_digest(value) -> str:
+    """sha256 of a JSON value, floats rounded to 1e-9."""
+    def rounded(v):
+        if isinstance(v, float):
+            return float(np.round(v, 9)) + 0.0
+        if isinstance(v, dict):
+            return {k: rounded(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [rounded(x) for x in v]
+        return v
+
+    return hashlib.sha256(
+        json.dumps(rounded(value), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def serve_digests(name: str, result) -> Dict[str, str]:
+    """Digests of one job result: a tile's payload bytes, an SVG's
+    text, or JSON rows; the peaks' disc areas apart from the rest of
+    their rows, because only the areas come from the layout."""
+    if name == "peaks":
+        return {
+            "peaks": _json_digest(
+                [{k: v for k, v in row.items() if k != "base_area"}
+                 for row in result]
+            ),
+            "peaks base_area": _json_digest(
+                [row["base_area"] for row in result]
+            ),
+        }
+    if isinstance(result, tuple):  # (payload, etag)
+        return {name: hashlib.sha256(result[0]).hexdigest()}
+    if isinstance(result, str):
+        return {name: hashlib.sha256(result.encode()).hexdigest()}
+    return {name: _json_digest(result)}
+
+
+def serve_results(measure: str) -> Dict[str, object]:
+    """``{name: job result}`` of :func:`serve_jobs`, run in-process."""
+    pyramid = serve_pyramid(measure)
+    return {
+        name: job(pyramid, *args)
+        for name, (job, *args) in serve_jobs(pyramid).items()
+    }
+
+
+def serve_entry(measure: str) -> Dict[str, str]:
+    out: Dict[str, str] = {}
+    for name, result in serve_results(measure).items():
+        out.update(serve_digests(name, result))
+    return out
+
+
 def compute() -> Dict[str, Dict[str, str]]:
     return {
         f"{d}/{m}": entry(d, m) for d in DATASETS for m in MEASURES
@@ -224,6 +332,10 @@ def compute_study() -> Dict[str, List[dict]]:
         "task2": study_rows(run_task2(**STUDY_TASK12)),
         "task3": study_rows(run_task3(**STUDY_TASK3)),
     }
+
+
+def compute_serve() -> Dict[str, Dict[str, str]]:
+    return {f"{SERVE_DATASET}/{m}": serve_entry(m) for m in SERVE_MEASURES}
 
 
 def load(path: Path = CORPUS) -> dict:
@@ -262,14 +374,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--update", action="store_true",
-        help=f"rewrite {CORPUS.name}, {EVOLVE_CORPUS.name} and "
-             f"{BASELINES_CORPUS.name} from the current code",
+        help=f"rewrite {CORPUS.name}, {EVOLVE_CORPUS.name}, "
+             f"{BASELINES_CORPUS.name} and {SERVE_CORPUS.name} from the "
+             "current code",
     )
     args = parser.parse_args(argv)
     entries = compute()
     evolve = compute_evolve()
     baselines = compute_baselines()
     study = compute_study()
+    serve = compute_serve()
     if args.update:
         _write(CORPUS, {
             "numpy": np.__version__,
@@ -282,15 +396,22 @@ def main(argv=None) -> int:
             "entries": baselines,
             "study": study,
         })
+        _write(SERVE_CORPUS, {
+            "numpy": np.__version__,
+            "tile_size": SERVE_TILE_SIZE,
+            "levels": SERVE_LEVELS,
+            "entries": serve,
+        })
         return 0
     recorded = load(BASELINES_CORPUS)
     bad = differing(entries, load()["entries"])
     bad += differing(evolve, load(EVOLVE_CORPUS)["entries"])
     bad += differing(baselines, recorded["entries"])
     bad += differing({"study": study}, {"study": recorded["study"]})
+    bad += differing(serve, load(SERVE_CORPUS)["entries"])
     for line in bad:
         print("differs:", line)
-    total = len(entries) + len(evolve) + len(baselines) + 1
+    total = len(entries) + len(evolve) + len(baselines) + 1 + len(serve)
     print(f"{total} entries, {len(bad)} digests differ")
     return 1 if bad else 0
 
