@@ -23,8 +23,8 @@ Design points:
   platform), so compilation happens once per machine and source, flag
   or toolchain changes recompile cleanly.
   The compile writes to a unique temp name and ``os.replace``\\ s it in,
-  so concurrent first calls (serve's process-pool workers) race
-  benignly.
+  so concurrent first calls (parallel CLI runs and test processes
+  sharing the cache) race benignly.
 * **Zero copy.**  The wrappers hand the kernels the existing flat int64
   numpy arrays via ``ndarray.ctypes`` — no marshalling; scratch arrays
   are allocated as numpy buffers on the Python side so the C code never

@@ -177,7 +177,7 @@ def _add_resil(parser: argparse.ArgumentParser) -> None:
         "--faults", default=None, metavar="SPEC",
         help="deterministic fault injection for chaos testing: "
              "'site:occurrences[:param]' rules joined by ';' (e.g. "
-             "'worker_kill:1;task_delay:*:0.05'); sites: "
+             "'task_fail:1;task_delay:*:0.05'); sites: "
              + ", ".join(resil_faults.SITES)
              + " (default: $REPRO_FAULTS if set, else off)",
     )
@@ -495,8 +495,6 @@ def _cmd_serve(args) -> int:
         raise SystemExit("--tile-size must be an even integer >= 8")
     if args.levels < 1:
         raise SystemExit("--levels must be >= 1")
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0")
 
     measures = [m.strip() for m in args.measures.split(",") if m.strip()]
     if not measures:
@@ -519,7 +517,7 @@ def _cmd_serve(args) -> int:
         raise SystemExit("--request-timeout must be >= 0")
     if args.drain_grace < 0:
         raise SystemExit("--drain-grace must be >= 0")
-    runner = StageRunner(workers=args.workers, max_inflight=args.max_inflight)
+    runner = StageRunner(max_inflight=args.max_inflight)
     app = ServeApp(
         cache=cache,
         runner=runner,
@@ -629,8 +627,7 @@ def _cmd_serve(args) -> int:
         print(
             f"repro serve: http://{args.host}:{server.port} — "
             f"{len(app.datasets)} dataset(s) x {len(measures)} measure(s), "
-            f"{args.levels}-level pyramid at {resolution}px "
-            f"({args.workers or 'thread'}-worker builds)",
+            f"{args.levels}-level pyramid at {resolution}px",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -947,11 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
              "tile-size * 2^(levels-1) (default: %(default)s)",
     )
     serve.add_argument(
-        "--workers", type=int, default=0,
-        help="size of the ProcessPoolExecutor for pipeline builds; "
-             "0 = bounded in-process threads (default: %(default)s)",
-    )
-    serve.add_argument(
         "--cache-dir", default=None,
         help="persist pipeline artifacts here (default: $REPRO_CACHE_DIR "
              "if set, else in-memory only)",
@@ -1011,15 +1003,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "faults", None):
-        import os
-
         try:
             resil_faults.configure(args.faults)
         except ValueError as exc:
             raise SystemExit(f"--faults: {exc}")
-        # Exported so pool workers inherit the same schedule (each
-        # process keeps its own pass counters).
-        os.environ[resil_faults.ENV_VAR] = args.faults
     exporter = None
     if getattr(args, "trace", None):
         exporter = obs_trace.JSONLExporter(args.trace)

@@ -9,10 +9,8 @@ an HTTP request, a stream replay batch — recorded as a plain dict::
 
 Parent/child relationships propagate through a :mod:`contextvars`
 variable, so spans nest correctly across ``await`` points and across
-:class:`~repro.serve.workers.StageRunner` worker threads (the runner
-copies the caller's context into each job).  A context does not cross
-into process-pool workers: a worker's spans, when it records any, are
-roots of their own.
+:class:`~repro.serve.workers.StageRunner` pool threads (the runner
+copies the caller's context into each job).
 
 The disabled path is a single branch on the module flag
 :data:`ENABLED`: :func:`span` returns one shared no-op singleton, so
@@ -81,8 +79,8 @@ def _now_us() -> float:
 
 
 def _new_id() -> str:
-    # pid-qualified so ids from worker processes that append to the
-    # same trace file can never collide with the parent's.
+    # pid-qualified so ids from processes that append to the same
+    # trace file (parallel runs under one $REPRO_TRACE) never collide.
     return f"{os.getpid():x}-{next(_ids):x}"
 
 

@@ -6,9 +6,9 @@ Two halves:
   per-task deadlines, a circuit breaker for repeatedly-failing build
   keys, and an admission gate with an interactive-priority reserve.
 - :mod:`repro.resil.faults` — a deterministic fault-injection harness
-  driven by ``REPRO_FAULTS`` / ``--faults``: kill pool workers, delay or
-  fail tasks and pipeline stages, corrupt disk-cache envelopes, and fail
-  native compiles, all on an exact occurrence schedule so every failure
+  driven by ``REPRO_FAULTS`` / ``--faults``: delay or fail pool tasks
+  and pipeline stages, corrupt disk-cache envelopes, and fail native
+  compiles, all on an exact occurrence schedule so every failure
   path is testable and reproducible.
 
 All retry/shed/breaker/fault events emit ``repro_resil_*`` obs counters.

@@ -2,7 +2,7 @@
 
 A schedule is a ``;``-joined list of rules, one per *site*::
 
-    REPRO_FAULTS="worker_kill:1;task_delay:2,3:0.05;cache_corrupt:1"
+    REPRO_FAULTS="task_fail:1;task_delay:2,3:0.05;cache_corrupt:1"
 
 Each rule is ``site:occurrences[:param]``:
 
@@ -21,8 +21,6 @@ and the field, not a silent no-op or an error inside the faulted job.
 Sites wired through the codebase:
 
 ======================  ================================================
-``worker_kill``         StageRunner (process mode) sacrifices a pool
-                        worker via ``os._exit`` before a submit
 ``task_fail``           a pool job raises :class:`InjectedFault`
 ``task_delay``          a pool job sleeps ``param`` seconds first
 ``stage_fail``          a pipeline stage build raises before running
@@ -33,10 +31,6 @@ Sites wired through the codebase:
 
 Determinism: each site keeps an occurrence counter, so the same
 schedule against the same workload fires at exactly the same points.
-Counters are process-local — worker processes parse ``REPRO_FAULTS``
-themselves and count their own passes — which is why worker kills are
-scheduled *parent-side* (the parent decides when and submits a
-sacrificial job) rather than letting every fresh worker kill itself.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ ENV_VAR = "REPRO_FAULTS"
 MAX_PARAM = 86400.0
 
 SITES = (
-    "worker_kill",
     "task_fail",
     "task_delay",
     "stage_fail",
@@ -219,11 +212,8 @@ _GLOBAL_LOCK = threading.Lock()
 
 
 def configure(spec: Optional[str]) -> Optional[FaultSchedule]:
-    """Install a schedule (or ``None`` to disable injection).
-
-    Does not touch ``$REPRO_FAULTS`` — the CLI exports that itself so
-    pool worker processes inherit the same schedule.
-    """
+    """Install a schedule (or ``None`` to disable injection); does not
+    touch ``$REPRO_FAULTS``."""
     global _ACTIVE, _LOADED
     with _GLOBAL_LOCK:
         _ACTIVE = FaultSchedule.parse(spec) if spec else None
@@ -263,15 +253,14 @@ def snapshot() -> Optional[dict]:
 
 
 # ----------------------------------------------------------------------
-# Pool-job wrapping (task_fail / task_delay) and worker sacrifice
+# Pool-job wrapping (task_fail / task_delay)
 # ----------------------------------------------------------------------
 def wrap_job(fn, args: tuple) -> Tuple[object, tuple]:
     """Possibly wrap a pool job so a scheduled task fault fires inside it.
 
-    The decision (does this submission fire?) is taken on the *parent*
-    side so occurrence counting is deterministic regardless of which
-    worker runs the job; the wrapper itself is a picklable module-level
-    function, so this works in both thread and process mode.
+    The decision (does this submission fire?) is taken when the job is
+    submitted, so occurrence counting is deterministic regardless of
+    which pool thread runs the job.
     """
     sched = schedule()
     if sched is None:
@@ -292,13 +281,6 @@ def _faulted_job(fn, args: tuple, fail: bool, pause: float):
     if fail:
         raise InjectedFault("task_fail", "scheduled pool-task failure")
     return fn(*args)
-
-
-def _worker_suicide() -> None:  # pragma: no cover - dies by design
-    """Sacrificial pool job: kills its worker process without cleanup,
-    breaking the ProcessPoolExecutor exactly once (the parent's
-    ``worker_kill`` counter decides when this gets submitted)."""
-    os._exit(86)
 
 
 # ----------------------------------------------------------------------

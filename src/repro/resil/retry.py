@@ -41,7 +41,7 @@ DEADLINES = obs_metrics.REGISTRY.counter(
 
 
 class TransientFault(RuntimeError):
-    """A failure worth retrying (worker death, injected fault, flaky IO).
+    """A failure worth retrying (an injected fault, flaky IO).
 
     Ordinary exceptions are *not* retried: a deterministic bug re-run
     three times is still a bug, just slower.
@@ -57,11 +57,6 @@ class InjectedFault(TransientFault):
         )
         self.site = site
         self.detail = detail
-
-    def __reduce__(self):
-        # A process-pool job's fault crosses back to the parent by
-        # pickle; rebuild it from its own arguments, not the message.
-        return type(self), (self.site, self.detail)
 
 
 class DeadlineExceeded(TimeoutError):

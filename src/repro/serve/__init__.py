@@ -1,9 +1,8 @@
 """repro.serve — concurrent terrain tile/query server over the engine.
 
-The interactive half of the paper's terrain metaphor, built the way the
-ROADMAP's "heavy traffic" north star demands: precompute once through
-the cached :mod:`repro.engine` pipeline, then serve cheap slices of the
-cached artifacts concurrently.  Stdlib-only — a hand-rolled HTTP/1.1
+The interactive half of the paper's terrain metaphor: precompute once
+through the cached :mod:`repro.engine` pipeline, then serve cheap slices
+of the cached artifacts concurrently.  Stdlib-only — a hand-rolled HTTP/1.1
 service on ``asyncio.start_server``, zero new runtime dependencies.
 
 ``repro.serve.lod``
@@ -15,11 +14,10 @@ service on ``asyncio.start_server``, zero new runtime dependencies.
     The minimal HTTP layer: request parsing, segment router,
     keep-alive, Server-Sent Events.
 ``repro.serve.workers``
-    :class:`StageRunner` — CPU-bound stages on a bounded executor
-    (threads by default, ``ProcessPoolExecutor`` with ``workers > 0``)
+    :class:`StageRunner` — CPU-bound stages on one bounded thread pool
     with per-key request coalescing: concurrent cold requests for one
     artifact trigger exactly one build; and the serve jobs, functions
-    of a pyramid that both executor modes run.
+    of a pyramid.
 ``repro.serve.app``
     :class:`ServeApp` — the routes (``/datasets``, tiles, ``/peaks``,
     ``/hit``, the linked SVG displays, ``/stats``).
@@ -59,14 +57,13 @@ from .http import (
 from .lod import LODPyramid, tile_etag
 from .stream import StreamSession, dirty_tiles, sse_events
 from .testing import ServerThread
-from .workers import StageRunner, pipeline_spec
+from .workers import StageRunner
 
 __all__ = [
     "ServeApp",
     "LODPyramid",
     "tile_etag",
     "StageRunner",
-    "pipeline_spec",
     "StreamSession",
     "sse_events",
     "dirty_tiles",

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import accel
 from ..accel import native as accel_native
-from ..engine import ArtifactCache, registry
+from ..engine import ArtifactCache, Pipeline, registry
 from ..obs import metrics as obs_metrics
 from ..obs import prof as obs_prof
 from ..obs import trace as obs_trace
@@ -58,7 +58,7 @@ from .evolve import EvolveRun, EvolveSession, evolve_sse_events
 from .http import EventStreamResponse, HTTPError, Request, Response, Router
 from .lod import LODPyramid, tile_etag
 from .stream import StreamSession, sse_events
-from .workers import StageRunner
+from .workers import StageRunner, source_from_spec
 
 __all__ = ["ServeApp"]
 
@@ -151,9 +151,7 @@ class ServeApp:
         self.sessions: Dict[str, StreamSession] = {}
         self.evolve_sessions: Dict[str, EvolveSession] = {}
         # Coalesced evolve materializations: one asyncio future per run
-        # name.  Runs are stateful (tracker + rasterized fields), so
-        # they build on the thread executor even in process mode —
-        # exactly like the SSE replays.
+        # name, built on the runner's executor like the SSE replays.
         self._evolve_futures: Dict[str, "asyncio.Future"] = {}
         self._pyramids: Dict[Tuple[str, str], LODPyramid] = {}
         self._ready: Dict[Tuple[str, str], Dict[str, object]] = {}
@@ -279,7 +277,7 @@ class ServeApp:
             loop = asyncio.get_running_loop()
             fut = asyncio.ensure_future(
                 loop.run_in_executor(
-                    self.runner.thread_executor,
+                    self.runner.executor,
                     EvolveRun, session, self.cache,
                 )
             )
@@ -342,7 +340,7 @@ class ServeApp:
         if cached is None:
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(
-                self.runner.thread_executor,
+                self.runner.executor,
                 run.tile_payload, w_i, tx_i, ty_i,
             )
             cached = (payload, tile_etag(payload))
@@ -370,44 +368,29 @@ class ServeApp:
         entry = self._entry(request.query_str("dataset"))
         return entry, self._check_measure(entry, request.query_str("measure"))
 
-    def spec(self, entry: _DatasetEntry, measure: str) -> Dict[str, object]:
-        cache_dir = self.cache.directory
-        return workers.pipeline_spec(
-            entry.source,
-            measure,
-            bins=self.bins,
-            scheme=self.scheme,
-            tile_size=self.tile_size,
-            levels=self.levels,
-            cache_dir=str(cache_dir) if cache_dir else None,
-            max_memory_bytes=self.cache.max_memory_bytes,
-        )
-
     def pyramid(self, entry: _DatasetEntry, measure: str) -> LODPyramid:
-        """The in-process pyramid over the shared cache (thread mode's
-        job target; in both modes the tile geometry and the reader of
-        cached stages)."""
+        """The pyramid for ``(entry, measure)`` over the shared cache:
+        every job's target, the tile geometry and the reader of cached
+        stages (nothing is built until a job asks)."""
         key = (entry.name, measure)
         pyramid = self._pyramids.get(key)
         if pyramid is None:
-            pyramid = self._pyramids[key] = workers.build_pyramid(
-                self.spec(entry, measure), self.cache
+            pipeline = Pipeline(
+                source_from_spec(entry.source),
+                measure,
+                bins=self.bins,
+                scheme=self.scheme,
+                cache=self.cache,
+            )
+            pyramid = self._pyramids[key] = LODPyramid(
+                pipeline, tile_size=self.tile_size, levels=self.levels
             )
         return pyramid
 
     async def _run(self, key, entry, measure, fn, *args, interactive):
-        """Run job ``fn(pyramid, *args)`` for ``key`` on the runner.
-
-        Thread mode passes the in-process pyramid; process mode ships
-        ``fn`` and the picklable spec to :func:`workers.on_spec`, which
-        resolves the worker's own memoized pyramid.
-        """
-        if self.runner.uses_processes:
-            fn, args = workers.on_spec, (fn, self.spec(entry, measure), *args)
-        else:
-            args = (self.pyramid(entry, measure), *args)
+        """Run job ``fn(pyramid, *args)`` for ``key`` on the runner."""
         return await self.runner.run(
-            key, fn, *args,
+            key, fn, self.pyramid(entry, measure), *args,
             interactive=interactive, timeout=self.request_timeout,
         )
 
@@ -494,9 +477,7 @@ class ServeApp:
                     max_bytes=self.max_disk_bytes,
                 ),
             ),
-            "runner": dict(
-                self.runner.stats, workers=self.runner.workers
-            ),
+            "runner": self.runner.stats,
             "warm_tiles": len(self._payloads),
             "uptime_s": self.uptime_s,
             # Per-span-name rollup of the recent trace ring (empty when

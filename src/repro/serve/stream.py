@@ -13,8 +13,8 @@
 The stream opens with a ``hello`` event carrying the session's pyramid
 geometry and closes with ``done``.  Each request gets its own replay
 (the session is a recorded log, not shared mutable state), and every
-pipeline step runs on the runner's thread executor so the event loop
-stays responsive while frames are computed.
+pipeline step runs on the runner's executor so the event loop stays
+responsive while frames are computed.
 
 Dirty tiles are found by diffing consecutive base-resolution
 heightfields block-by-block; if the layout's extent or ground plane
@@ -170,9 +170,8 @@ async def sse_events(
 ) -> AsyncIterator[Tuple[str, str]]:
     """The SSE event iterator for one ``GET /stream/{session}``."""
     loop = asyncio.get_running_loop()
-    # Replays are stateful, so they run on the runner's bounded thread
-    # pool (never the process pool), one fresh replay per request.
-    executor = runner.thread_executor
+    # One fresh replay per request, on the runner's bounded pool.
+    executor = runner.executor
     replay = await loop.run_in_executor(executor, _Replay, session, cache)
     hello = dict(session.describe(), batches=len(replay.batches))
     try:

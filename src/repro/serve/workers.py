@@ -1,55 +1,31 @@
-"""CPU-bound stage execution for the server: bounded executor pools and
-per-key request coalescing.
+"""CPU-bound stage execution for the server: one bounded thread pool
+and per-key request coalescing.
 
 The event loop must never run a pipeline stage inline — a cold terrain
 build can take seconds.  :class:`StageRunner` pushes builds onto a
-bounded executor and **coalesces** them per logical key: any number of
-concurrent requests for the same cold artifact await one in-flight
-build; only the first actually executes (the single-flight pattern —
-``stats["coalesced"]`` counts the riders).
+bounded ``ThreadPoolExecutor`` of :data:`THREADS` threads and
+**coalesces** them per logical key: any number of concurrent requests
+for the same cold artifact await one in-flight build; only the first
+actually executes (the single-flight pattern — ``stats["coalesced"]``
+counts the riders).  The same pool runs the SSE replays and evolve
+runs.
 
 Every serve job is a module-level function of an :class:`LODPyramid` —
 ``LODPyramid.ensure_levels`` (the cold funnel), ``LODPyramid.tile_payload``,
 and :func:`peaks`, :func:`hit`, :func:`treemap_svg`, :func:`profile_svg`
-below — and one recipe, :func:`build_pyramid`, turns a plain ``spec``
-dict into that pyramid.  The two executor modes differ only in where
-the pyramid lives:
-
-* ``workers == 0`` (default) — a small bounded ``ThreadPoolExecutor``
-  in-process.  The job receives the server's own pyramid, built over
-  the server's shared :class:`ArtifactCache`.  This is the mode tests,
-  benchmarks and single-host deployments use.
-* ``workers > 0`` — a bounded ``ProcessPoolExecutor``.  The job ships
-  by import path through :func:`on_spec` together with its ``spec``;
-  the worker resolves the pyramid through :func:`pyramid_for`, a memo
-  **per worker process** over one worker-side cache (same memory
-  budget as the server's, so ``--cache-memory-mb`` bounds each
-  process).  Pair with a ``--cache-dir`` so serialized stages (fields,
-  trees, tiles) are shared across workers through the disk tier.
+below — run on the server's own pyramid, built over its shared
+:class:`ArtifactCache`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import json
-import threading
 from collections import OrderedDict
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import Dict, List, Optional
 
-from ..engine import ArtifactCache
-from ..engine.pipeline import (
-    DatasetSource,
-    EdgeListSource,
-    Pipeline,
-    Source,
-)
+from ..engine.pipeline import DatasetSource, EdgeListSource, Source
 from ..obs.metrics import Tally
 from ..resil import faults
 from ..resil.retry import (
@@ -72,14 +48,12 @@ from .lod import LODPyramid
 #: serve process with unbounded key cardinality cannot grow it forever.
 _MAX_BREAKERS = 512
 
+#: Threads in the runner's pool: builds, SSE replays and evolve runs.
+THREADS = 4
+
 __all__ = [
     "StageRunner",
-    "pipeline_spec",
-    "spec_key",
     "source_from_spec",
-    "build_pyramid",
-    "pyramid_for",
-    "on_spec",
     "peaks",
     "hit",
     "treemap_svg",
@@ -101,30 +75,17 @@ class StageRunner:
 
     def __init__(
         self,
-        workers: int = 0,
-        threads: int = 4,
         retry: Optional[RetryPolicy] = None,
         max_inflight: int = 0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.workers = workers
-        # The thread pool always exists: it runs builds in thread mode
-        # and stateful jobs (SSE replays) in every mode.
-        self.thread_executor = ThreadPoolExecutor(
-            max_workers=threads, thread_name_prefix="repro-serve"
-        )
-        self._executor = (
-            ProcessPoolExecutor(max_workers=workers)
-            if workers > 0
-            else self.thread_executor
+        self.executor = ThreadPoolExecutor(
+            max_workers=THREADS, thread_name_prefix="repro-serve"
         )
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: Transient faults (injected faults, dead pool workers) are
-        #: retried with backoff; deterministic exceptions propagate on
-        #: the first attempt, exactly as before.
+        #: Transient faults (injected faults) are retried with backoff;
+        #: deterministic exceptions propagate on the first attempt.
         self.retry = retry if retry is not None else RetryPolicy(
             max_attempts=4, base_delay=0.05, max_delay=1.0
         )
@@ -139,7 +100,7 @@ class StageRunner:
         self._breakers: "OrderedDict[str, CircuitBreaker]" = OrderedDict()
         self._tally = Tally(
             builds=None, coalesced=None, errors=None, retries=RETRIES,
-            respawns=None, breaker_open=BREAKER, deadline_exceeded=DEADLINES,
+            breaker_open=BREAKER, deadline_exceeded=DEADLINES,
         )
 
     @property
@@ -147,10 +108,6 @@ class StageRunner:
         """Build, rider, retry and refusal counts (``shed`` is the
         admission gate's)."""
         return dict(self._tally, shed=self.gate.shed if self.gate else 0)
-
-    @property
-    def uses_processes(self) -> bool:
-        return self.workers > 0
 
     # -- resilience plumbing -------------------------------------------
     def _breaker_for(self, key: str) -> Optional[CircuitBreaker]:
@@ -168,49 +125,21 @@ class StageRunner:
             self._breakers.move_to_end(key)
         return breaker
 
-    def _respawn(self) -> None:
-        """Replace a broken ProcessPoolExecutor with a fresh one."""
-        if not self.uses_processes:
-            return
-        broken, self._executor = self._executor, ProcessPoolExecutor(
-            max_workers=self.workers
-        )
-        self._tally.inc("respawns")
-        broken.shutdown(wait=False, cancel_futures=True)
-
-    def _maybe_sacrifice_worker(self) -> None:
-        """Fault site ``worker_kill``: submit a job that ``os._exit``\\ s
-        its worker, breaking the pool (the retry path then respawns).
-        Scheduled parent-side so occurrence counting survives respawns."""
-        if not self.uses_processes:
-            return
-        if faults.should_fire("worker_kill") is None:
-            return
-        try:
-            self._executor.submit(faults._worker_suicide)
-        except BrokenExecutor:
-            pass
-
     def _submit(self, loop: asyncio.AbstractEventLoop, fn, args: tuple):
         job_fn, job_args = (
             faults.wrap_job(fn, tuple(args)) if faults.active()
             else (fn, args)
         )
-        if self.uses_processes:
-            self._maybe_sacrifice_worker()
-            return loop.run_in_executor(self._executor, job_fn, *job_args)
-        # Thread mode: run the job inside a copy of the caller's
-        # context so repro.obs span parenting survives the hop
-        # onto the pool thread (a Context is not picklable, so a
-        # process-mode job's spans are roots of their own).
+        # Run the job inside a copy of the caller's context so repro.obs
+        # span parenting survives the hop onto the pool thread.
         ctx = contextvars.copy_context()
         return loop.run_in_executor(
-            self.thread_executor, ctx.run, job_fn, *job_args
+            self.executor, ctx.run, job_fn, *job_args
         )
 
     async def _execute(self, fn, args: tuple, deadline: Optional[Deadline]):
-        """One logical build: retry transient faults with backoff,
-        respawn a broken process pool, honour the deadline budget."""
+        """One logical build: retry transient faults with backoff and
+        honour the deadline budget."""
         loop = asyncio.get_running_loop()
         failures = 0
         while True:
@@ -227,10 +156,8 @@ class StageRunner:
                     raise DeadlineExceeded(
                         f"build exceeded {deadline.seconds:g}s budget"
                     ) from None
-            except (TransientFault, BrokenProcessPool) as exc:
+            except TransientFault:
                 failures += 1
-                if isinstance(exc, BrokenProcessPool):
-                    self._respawn()
                 if failures >= self.retry.max_attempts or (
                     deadline is not None and deadline.expired
                 ):
@@ -257,8 +184,8 @@ class StageRunner:
         (single-threaded) event loop, so no lock is needed: a second
         request for ``key`` always sees the first one's future.
 
-        Resilience semantics: transient faults (injected faults, dead
-        pool workers) are retried inside the one logical build, so
+        Resilience semantics: transient faults (injected faults) are
+        retried inside the one logical build, so
         ``stats["builds"]`` still counts logical builds and
         ``stats["errors"]`` only final failures.  A saturated admission
         gate raises :class:`Saturated`, an open circuit breaker
@@ -327,45 +254,14 @@ class StageRunner:
         }
 
     def shutdown(self) -> None:
-        self._executor.shutdown(wait=False, cancel_futures=True)
-        if self.thread_executor is not self._executor:
-            self.thread_executor.shutdown(wait=False, cancel_futures=True)
+        self.executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ----------------------------------------------------------------------
-# Pipeline specs and the one pyramid recipe
+# Sources from plain dicts, and the jobs: functions of a pyramid
 # ----------------------------------------------------------------------
-def pipeline_spec(
-    source: Dict[str, str],
-    measure: str,
-    *,
-    bins: Optional[int] = None,
-    scheme: str = "quantile",
-    tile_size: int = 64,
-    levels: int = 3,
-    cache_dir: Optional[str] = None,
-    max_memory_bytes: Optional[int] = None,
-) -> Dict[str, object]:
-    """The plain-dict description a worker process needs to rebuild a
-    pipeline + pyramid: source, measure, display and pyramid params,
-    and the cache directory and memory budget its worker cache uses."""
-    return {
-        "source": dict(source),
-        "measure": measure,
-        "bins": bins,
-        "scheme": scheme,
-        "tile_size": tile_size,
-        "levels": levels,
-        "cache_dir": cache_dir,
-        "max_memory_bytes": max_memory_bytes,
-    }
-
-
-def spec_key(spec: Dict[str, object]) -> str:
-    return json.dumps(spec, sort_keys=True)
-
-
 def source_from_spec(spec_source: Dict[str, str]) -> Source:
+    """The source a served dataset's ``{"kind": ...}`` dict names."""
     kind = spec_source.get("kind")
     if kind == "dataset":
         return DatasetSource(spec_source["name"])
@@ -374,53 +270,6 @@ def source_from_spec(spec_source: Dict[str, str]) -> Source:
     raise ValueError(f"unknown source spec kind {kind!r}")
 
 
-def build_pyramid(spec: Dict[str, object], cache: ArtifactCache) -> LODPyramid:
-    """The pyramid ``spec`` describes, with its pipeline over ``cache``
-    (nothing is built until a job asks)."""
-    pipeline = Pipeline(
-        source_from_spec(spec["source"]),
-        spec["measure"],
-        bins=spec["bins"],
-        scheme=spec["scheme"],
-        cache=cache,
-    )
-    return LODPyramid(
-        pipeline, tile_size=spec["tile_size"], levels=spec["levels"]
-    )
-
-
-_MEMO_LOCK = threading.Lock()
-_PYRAMIDS: Dict[str, LODPyramid] = {}
-_CACHES: Dict[Tuple[Optional[str], Optional[int]], ArtifactCache] = {}
-
-
-def pyramid_for(spec: Dict[str, object]) -> LODPyramid:
-    """Per-process memoized pyramid for ``spec`` (worker-side warmth:
-    once a worker has built a pipeline, later jobs on it are cache
-    hits in that worker's memory tier).  Every pyramid in the process
-    shares one cache per (directory, budget), so the memory budget
-    bounds the process, not each pyramid."""
-    key = spec_key(spec)
-    with _MEMO_LOCK:
-        pyramid = _PYRAMIDS.get(key)
-        if pyramid is None:
-            where = (spec["cache_dir"], spec["max_memory_bytes"])
-            cache = _CACHES.get(where)
-            if cache is None:
-                cache = _CACHES[where] = ArtifactCache(*where)
-            pyramid = _PYRAMIDS[key] = build_pyramid(spec, cache)
-        return pyramid
-
-
-def on_spec(fn, spec: Dict[str, object], *args):
-    """Process-mode entry point: run job ``fn(pyramid, *args)`` on this
-    worker's pyramid for ``spec``."""
-    return fn(pyramid_for(spec), *args)
-
-
-# ----------------------------------------------------------------------
-# Jobs: module-level functions of a pyramid (picklable by import path)
-# ----------------------------------------------------------------------
 def peaks(pyramid: LODPyramid, count: int) -> List[Dict[str, object]]:
     """JSON-ready rows for the ``count`` highest disconnected peaks."""
     pipeline = pyramid.pipeline

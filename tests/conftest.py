@@ -1,7 +1,7 @@
 """Shared fixtures: paper worked examples and small reference graphs.
 
 Also the session's seeded fault schedule.  With ``$REPRO_FAULTS`` set
-(CI runs tier-1 under ``worker_kill:1;task_fail:3;task_delay:5:0.02``),
+(CI runs tier-1 under ``task_fail:3;task_delay:5:0.02``),
 the schedule parsed at session start is put back after every test that
 installs its own, with its pass counters intact, so each rule still
 lands in a later job.  At session end a rule that never fired fails the

@@ -123,7 +123,7 @@ class TestSpanScopedCapture:
                     for i in range(2)
                 ))
 
-        runner = StageRunner(workers=0)
+        runner = StageRunner()
         try:
             asyncio.run(fanout())
         finally:

@@ -52,7 +52,7 @@ class TestNesting:
 class TestAcrossThreads:
     def test_map_sync_thread_jobs_nest_under_caller(self, ring):
         async def go():
-            runner = StageRunner(workers=0)
+            runner = StageRunner()
             try:
                 with trace.span("build") as sp:
                     await asyncio.gather(
@@ -76,7 +76,7 @@ class TestAcrossThreads:
 
     def test_run_thread_job_nests_under_caller(self, ring):
         async def go():
-            runner = StageRunner(workers=0)
+            runner = StageRunner()
             try:
                 with trace.span("request") as sp:
                     await runner.run("k", _traced_leaf, 0)

@@ -54,9 +54,8 @@ def assert_identical(tree, reference):
 
 class TestRunnerJobs:
     """One vertex-tree build per field, each a :class:`StageRunner`
-    job: retry, process-pool respawn and give-up must leave every
-    parent array exactly as :func:`build_vertex_tree` makes it, in
-    thread and process mode alike."""
+    job: retry and give-up must leave every parent array exactly as
+    :func:`build_vertex_tree` makes it."""
 
     @staticmethod
     def build_all(runner, graph, fields):
@@ -77,12 +76,11 @@ class TestRunnerJobs:
             reference = build_vertex_tree(ScalarGraph(graph, scalars))
             assert np.array_equal(parent, reference.parent)
 
-    @pytest.mark.parametrize("workers", [0, 2], ids=["thread", "process"])
     def test_task_faults_heal_to_identical_trees(
-        self, graph, fields, fault_spec, workers
+        self, graph, fields, fault_spec
     ):
         fault_spec("task_fail:1,3;task_delay:2:0.01")
-        runner = StageRunner(workers=workers)
+        runner = StageRunner()
         try:
             self.build_all(runner, graph, fields)
         finally:
@@ -91,24 +89,11 @@ class TestRunnerJobs:
         assert runner.stats["errors"] == 0
         assert faults.snapshot()["fired"]["task_fail"] == 2
 
-    def test_worker_kill_respawns_pool(self, graph, fields, fault_spec):
-        # Every pool task also sleeps a beat: the surviving worker must
-        # not race through the queue before the runner notices the
-        # kill, or no BrokenProcessPool is ever observed.
-        fault_spec("worker_kill:1;task_delay:*:0.05")
-        runner = StageRunner(workers=2)
-        try:
-            self.build_all(runner, graph, fields)
-            assert runner.stats["respawns"] >= 1
-        finally:
-            runner.shutdown()
-
-    @pytest.mark.parametrize("workers", [0, 2], ids=["thread", "process"])
     def test_unbounded_faults_eventually_give_up(
-        self, graph, fields, fault_spec, workers
+        self, graph, fields, fault_spec
     ):
         fault_spec("task_fail:*")
-        runner = StageRunner(workers=workers)
+        runner = StageRunner()
         runner.retry.base_delay = 0.0
         try:
             with pytest.raises(InjectedFault) as excinfo:

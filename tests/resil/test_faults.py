@@ -137,6 +137,7 @@ class TestParsing:
 
 class TestCLI:
     @pytest.mark.parametrize("spec", [
+        "worker_kill:1",
         "task_fail:0",
         "task_fail:5-2",
         "task_delay:1:nan",
@@ -144,10 +145,8 @@ class TestCLI:
         "task_delay:1:inf",
         "task_fail:x",
     ])
-    def test_bad_rule_is_a_one_line_exit(self, spec, fault_spec, monkeypatch):
-        # fault_spec and monkeypatch undo what main() installs and
-        # exports, should a spec ever parse.
-        monkeypatch.setenv(faults.ENV_VAR, "")
+    def test_bad_rule_is_a_one_line_exit(self, spec, fault_spec):
+        # fault_spec undoes what main() installs, should a spec ever parse.
         with pytest.raises(SystemExit) as exc:
             main(["peaks", "--dataset", "amazon", "--faults", spec])
         message = str(exc.value.code)
@@ -162,7 +161,7 @@ class TestCounting:
         assert schedule.should_fire("task_fail") is not None  # pass 2
         assert schedule.should_fire("task_fail") is None      # pass 3
         # A site with no rule is not even counted.
-        assert schedule.should_fire("worker_kill") is None
+        assert schedule.should_fire("stage_fail") is None
         snap = schedule.snapshot()
         assert snap["passes"] == {"task_fail": 3}
         assert snap["fired"] == {"task_fail": 1}

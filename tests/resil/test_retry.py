@@ -1,7 +1,5 @@
 """Retry/backoff, deadlines, circuit breaker, and admission control."""
 
-import pickle
-
 import pytest
 
 from repro.resil.retry import (
@@ -111,14 +109,6 @@ class TestRetryCall:
                 deadline=deadline,
                 sleep=lambda _: None,
             )
-
-
-class TestInjectedFault:
-    def test_survives_pickling(self):
-        # A process-pool job's fault reaches the parent by pickle.
-        fault = pickle.loads(pickle.dumps(InjectedFault("task_fail", "x")))
-        assert fault.site == "task_fail"
-        assert str(fault) == "injected fault at 'task_fail': x"
 
 
 class TestDeadline:

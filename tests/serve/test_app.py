@@ -35,7 +35,7 @@ class TestMetaEndpoints:
         status, doc = client.get_json("/stats")
         assert status == 200
         assert "cache" in doc and "runner" in doc
-        assert doc["runner"]["workers"] == 0
+        assert doc["runner"]["errors"] == 0
 
     def test_unknown_route_404(self, client):
         status, doc = client.get_json("/nonsense")

@@ -6,9 +6,9 @@ cache misses, puts, memory and disk hits, runner builds, coalesced
 riders, an injected ``task_fail`` retry, a shed, a breaker refusal and
 stale tiles.  The metrics registry is process-wide, so each pair is
 compared as a difference against a scrape taken when the app (and its
-fault schedule) was created.  ``runner.builds``, ``coalesced``,
-``errors`` and ``respawns`` have no ``/metrics`` series; the mixes only
-check that they moved.  The full key tree of ``/stats`` is pinned too.
+fault schedule) was created.  ``runner.builds``, ``coalesced`` and
+``errors`` have no ``/metrics`` series; the mixes only check that they
+moved.  The full key tree of ``/stats`` is pinned too.
 """
 
 import contextlib
@@ -226,8 +226,8 @@ STATS_TREE = {
     },
     "runner": {
         "builds": None, "coalesced": None, "errors": None,
-        "retries": None, "respawns": None, "shed": None,
-        "breaker_open": None, "deadline_exceeded": None, "workers": None,
+        "retries": None, "shed": None,
+        "breaker_open": None, "deadline_exceeded": None,
     },
     "warm_tiles": None,
     "uptime_s": None,

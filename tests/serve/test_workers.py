@@ -9,12 +9,7 @@ import pytest
 
 from repro.engine import ArtifactCache
 from repro.serve import ServeApp, ServerThread, StageRunner
-from repro.serve.workers import (
-    pipeline_spec,
-    pyramid_for,
-    source_from_spec,
-    spec_key,
-)
+from repro.serve.workers import source_from_spec
 
 
 class CountingCache(ArtifactCache):
@@ -150,24 +145,10 @@ class TestColdTileConcurrency:
         assert app.runner.stats["builds"] == 2
         assert app.runner.stats["coalesced"] >= 1
 
-    def test_worker_spec_roundtrip(self, edge_list_file):
-        """Process-mode plumbing: specs are plain dicts that rebuild
-        equivalent sources, with stable keys, and carry the server's
-        cache budget to the worker's cache."""
-        spec = pipeline_spec(
-            {"kind": "edge_list", "path": edge_list_file}, "kcore",
-            tile_size=16, levels=2,
-        )
-        assert spec_key(spec) == spec_key(dict(spec))
-        source = source_from_spec(spec["source"])
-        assert source.load().n_vertices == 9
-        with pytest.raises(ValueError):
-            source_from_spec({"kind": "carrier-pigeon"})
 
-        app = ServeApp(cache=ArtifactCache(max_memory_bytes=1 << 20))
-        app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
-        spec = app.spec(app.datasets["toy"], "kcore")
-        assert spec["max_memory_bytes"] == 1 << 20
-        worker_cache = pyramid_for(spec).pipeline.cache
-        assert worker_cache is not app.cache
-        assert worker_cache.max_memory_bytes == 1 << 20
+def test_source_from_spec(edge_list_file):
+    """A served dataset's plain source dict rebuilds its source."""
+    source = source_from_spec({"kind": "edge_list", "path": edge_list_file})
+    assert source.load().n_vertices == 9
+    with pytest.raises(ValueError):
+        source_from_spec({"kind": "carrier-pigeon"})

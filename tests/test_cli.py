@@ -48,7 +48,6 @@ class TestServeParser:
         assert args.port == 8321
         assert args.datasets == "grqc"
         assert args.measures == "kcore"
-        assert args.workers == 0
         assert args.tile_size == 64
         assert args.levels == 3
         assert args.cache_memory_mb is None
@@ -59,7 +58,7 @@ class TestServeParser:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         for flag in (
-            "--host", "--port", "--datasets", "--measures", "--workers",
+            "--host", "--port", "--datasets", "--measures",
             "--cache-dir", "--tile-size", "--levels", "--stream-log",
         ):
             assert flag in out
@@ -135,8 +134,13 @@ class TestServeParser:
             main(["serve", "--tile-size", "4"])
         with pytest.raises(SystemExit, match="--levels"):
             main(["serve", "--levels", "0"])
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["serve", "--workers", "-1"])
+
+    def test_workers_flag_is_refused(self, capsys):
+        # Builds run on one thread pool; there is no process pool to size.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestTerrainCommand:
