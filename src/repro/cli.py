@@ -59,7 +59,7 @@ from .engine import (
     registry,
 )
 from .graph.io import EdgeListError
-from .stream import read_edit_log
+from .stream import EditLogError, read_edit_log
 from .terrain import Camera
 
 __all__ = ["main", "version_string"]
@@ -293,6 +293,17 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
+def _edit_log_exit(path: str):
+    """The batches of edit log ``path``, or a one-line exit naming the
+    missing file or the bad line."""
+    try:
+        return read_edit_log(path)
+    except FileNotFoundError:
+        raise SystemExit(f"edit log not found: {path}")
+    except EditLogError as exc:
+        raise SystemExit(f"bad edit log {path}:{exc.line_no}: {exc.reason}")
+
+
 def _cmd_stream(args) -> int:
     # Cheap flag/log validation first — measure + tree construction on
     # a large dataset can take minutes.  (--measure itself is already
@@ -301,12 +312,7 @@ def _cmd_stream(args) -> int:
         raise SystemExit("--window must be a positive horizon")
     if args.frame_every < 1:
         raise SystemExit("--frame-every must be >= 1")
-    try:
-        batches = read_edit_log(args.log)
-    except FileNotFoundError:
-        raise SystemExit(f"edit log not found: {args.log}")
-    except ValueError as exc:
-        raise SystemExit(f"bad edit log {args.log}: {exc}")
+    batches = _edit_log_exit(args.log)
 
     pipeline = StreamingPipeline(
         _source(args), args.measure,
@@ -517,10 +523,9 @@ def _cmd_serve(args) -> int:
         raise SystemExit("--request-timeout must be >= 0")
     if args.drain_grace < 0:
         raise SystemExit("--drain-grace must be >= 0")
-    runner = StageRunner(max_inflight=args.max_inflight)
     app = ServeApp(
         cache=cache,
-        runner=runner,
+        runner=StageRunner(max_inflight=args.max_inflight),
         tile_size=args.tile_size,
         levels=args.levels,
         bins=args.bins,
@@ -571,8 +576,9 @@ def _cmd_serve(args) -> int:
                 f"--stream-log {name}: dataset {ds!r} is not served"
             )
         _vertex_measure_arg_exit(measure)
-        if not Path(log_path).exists():
-            raise SystemExit(f"edit log not found: {log_path}")
+        # Replays read the log per request; read it once now so a
+        # malformed line fails the boot, not every replay.
+        _edit_log_exit(log_path)
         app.add_stream_session(StreamSession(
             name, entry.source, measure, log_path,
             bins=args.bins,
@@ -660,7 +666,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("repro serve: shutting down")
     finally:
-        runner.shutdown()
+        app.close()
     return 0
 
 

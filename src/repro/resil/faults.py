@@ -212,8 +212,7 @@ _GLOBAL_LOCK = threading.Lock()
 
 
 def configure(spec: Optional[str]) -> Optional[FaultSchedule]:
-    """Install a schedule (or ``None`` to disable injection); does not
-    touch ``$REPRO_FAULTS``."""
+    """Install a schedule (or ``None`` to disable injection)."""
     global _ACTIVE, _LOADED
     with _GLOBAL_LOCK:
         _ACTIVE = FaultSchedule.parse(spec) if spec else None

@@ -700,6 +700,13 @@ class ServeApp:
             self.dash_ring.start()
             self._debug_started = True
 
+    def close(self) -> None:
+        """Stop the profiler and dash sampler threads and the runner's
+        pool; called once the server has stopped."""
+        self.cont_profiler.stop()
+        self.dash_ring.stop()
+        self.runner.shutdown()
+
     def observe_request(
         self,
         *,

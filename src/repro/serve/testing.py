@@ -102,4 +102,4 @@ class ServerThread:
             self._loop.call_soon_threadsafe(_stop)
         if self._thread is not None:
             self._thread.join(timeout=30)
-        self.app.runner.shutdown()
+        self.app.close()

@@ -31,6 +31,7 @@ from .editlog import (
     AddEdge,
     Batch,
     Edit,
+    EditLogError,
     RemoveEdge,
     SetScalar,
     iter_edit_log,
@@ -47,6 +48,7 @@ __all__ = [
     "RemoveEdge",
     "Edit",
     "Batch",
+    "EditLogError",
     "write_edit_log",
     "read_edit_log",
     "iter_edit_log",

@@ -20,7 +20,8 @@ replayed by the CLI (``repro stream``) and benchmarks::
 
 ``commit`` lines end a batch; an optional ``t`` carries the batch
 timestamp for sliding-window replay (:mod:`repro.stream.window`).
-Edits after the last ``commit`` form a final implicit batch.
+Edits after the last ``commit`` form a final implicit batch.  A
+malformed line raises :class:`EditLogError` with its 1-based number.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "RemoveEdge",
     "Edit",
     "Batch",
+    "EditLogError",
     "edit_to_obj",
     "edit_from_obj",
     "write_edit_log",
@@ -70,6 +72,15 @@ class RemoveEdge:
 
 Edit = Union[SetScalar, AddEdge, RemoveEdge]
 Batch = List[Edit]
+
+
+class EditLogError(ValueError):
+    """A malformed line in an edit log, with its 1-based ``line_no``."""
+
+    def __init__(self, line_no: int, reason: str):
+        self.line_no = line_no
+        self.reason = reason
+        super().__init__(f"line {line_no}: {reason}")
 
 
 def edit_to_obj(edit: Edit) -> dict:
@@ -123,29 +134,44 @@ def write_edit_log(
     return path
 
 
+def _parse_record(line: str) -> Tuple[Optional[float], Optional[Edit]]:
+    """``(timestamp, None)`` for a commit record, ``(None, edit)`` for
+    an edit."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"edit record must be a JSON object, got {obj!r}")
+    if obj.get("op") == "commit":
+        t = obj.get("t")
+        return (None if t is None else float(t)), None
+    return None, edit_from_obj(obj)
+
+
 def iter_edit_log(lines: Iterable[str]) -> Iterator[Tuple[Optional[float], Batch]]:
     """Yield ``(timestamp, batch)`` pairs from JSONL lines, streaming.
 
     ``timestamp`` is ``None`` when the commit record carries no ``t``.
     Blank lines and ``#`` comments are skipped.  A trailing group of
-    edits without a final ``commit`` is yielded as a last batch.
+    edits without a final ``commit`` is yielded as a last batch.  A
+    malformed line raises :class:`EditLogError` naming it.
     """
     batch: Batch = []
-    for raw in lines:
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        obj = json.loads(line)
-        if not isinstance(obj, dict):
-            raise ValueError(
-                f"edit record must be a JSON object, got {obj!r}"
-            )
-        if obj.get("op") == "commit":
-            t = obj.get("t")
-            yield (None if t is None else float(t)), batch
+        try:
+            when, edit = _parse_record(line)
+        except json.JSONDecodeError as exc:
+            # exc's own "line 1 column N" counts within the record.
+            reason = f"{exc.msg} at column {exc.colno}"
+            raise EditLogError(line_no, reason) from None
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise EditLogError(line_no, str(exc)) from None
+        if edit is None:
+            yield when, batch
             batch = []
         else:
-            batch.append(edit_from_obj(obj))
+            batch.append(edit)
     if batch:
         yield None, batch
 
@@ -156,5 +182,9 @@ def read_edit_log(
     """Read a whole JSONL edit log into ``[(timestamp, batch), ...]``."""
     if hasattr(source, "read"):
         return list(iter_edit_log(source))  # type: ignore[arg-type]
-    with Path(source).open("r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, so a bad line fails in
+    # the per-line parser with its line number.
+    with Path(source).open(
+        "r", encoding="utf-8", errors="surrogateescape"
+    ) as fh:
         return list(iter_edit_log(fh))

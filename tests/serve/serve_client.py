@@ -13,7 +13,6 @@ import time
 
 from repro.graph import from_edges
 from repro.resil.retry import CircuitOpen, DeadlineExceeded, Saturated
-from repro.serve import StageRunner
 from repro.serve.http import EventStreamResponse, Response, Router
 
 
@@ -61,7 +60,7 @@ class StubApp:
     its request observer keeps ``(request_id, status)`` pairs."""
 
     def __init__(self, app=None):
-        self.runner = app.runner if app is not None else StageRunner()
+        self.app = app
         self._router = app.router() if app is not None else Router()
         for path, handler in (
             ("/ok", _ok), ("/saturated", _saturated), ("/circuit", _circuit),
@@ -72,6 +71,10 @@ class StubApp:
 
     def router(self):
         return self._router
+
+    def close(self):
+        if self.app is not None:
+            self.app.close()
 
     def observe_request(self, *, request_id, status, **__):
         self.observed.append((request_id, status))

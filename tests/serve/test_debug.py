@@ -3,6 +3,7 @@ snapshot ring, dashboard rendering, and the /dash + /debug/* routes."""
 
 import http.client
 import json
+import threading
 import time
 import xml.etree.ElementTree as ET
 
@@ -10,6 +11,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import prof as obs_prof
+from repro.serve import ServeApp, ServerThread
 from repro.serve import debug as serve_debug
 from repro.serve.debug import (
     MetricsSnapshotRing,
@@ -246,3 +248,27 @@ class TestDebugRoutes:
         assert "/dash" in endpoints
         assert any(e.startswith("/debug/prof") for e in endpoints)
         assert "/debug/slow" in endpoints
+
+
+class TestServerExit:
+    NAMES = {"repro-prof-cont", "repro-dash-sampler"}
+
+    def test_debug_threads_stop_with_the_server(self, edge_list_file):
+        """The profiler and dash sampler start on the first request and
+        stop when the server exits, with the runner's pool."""
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
+        before = set(threading.enumerate())
+        with ServerThread(app) as server:
+            assert get(server.port, "/t/toy/kcore/0/0/0")[0] == 200
+            deadline = time.monotonic() + 30
+            started = set()
+            while len(started) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+                started = {
+                    t for t in threading.enumerate() if t.name in self.NAMES
+                } - before
+            assert {t.name for t in started} == self.NAMES
+        assert not [t.name for t in started if t.is_alive()]
+        with pytest.raises(RuntimeError):  # the pool is shut down too
+            app.runner.executor.submit(int)

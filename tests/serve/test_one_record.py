@@ -104,16 +104,9 @@ def make_app(edge_list_file, **kwargs):
 
 @contextlib.contextmanager
 def serving(app):
-    """A client of a live server over ``app``.  The app's profiler and
-    dashboard threads start on its first request and outlive the
-    server, so they are stopped here: left running, they slow every
-    later test in the run."""
-    try:
-        with ServerThread(app) as server:
-            yield Client(server.port)
-    finally:
-        app.cont_profiler.stop()
-        app.dash_ring.stop()
+    """A client of a live server over ``app``."""
+    with ServerThread(app) as server:
+        yield Client(server.port)
 
 
 @pytest.fixture

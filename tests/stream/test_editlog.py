@@ -1,11 +1,15 @@
 """Edit events and the JSONL edit-log round trip."""
 
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stream import (
     AddEdge,
+    EditLogError,
     RemoveEdge,
     SetScalar,
     iter_edit_log,
@@ -78,3 +82,73 @@ class TestLogRoundTrip:
                '{"op": "add", "u": 0, "v": 1}\n{"op": "commit", "t": 1}\n'
         out = list(iter_edit_log(text.splitlines()))
         assert out == [(1.0, [AddEdge(0, 1)])]
+
+
+#: JSON-valued fields, 1e400 included (it parses as infinity).
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 10**30),
+    st.floats(allow_nan=False), st.just(1e400), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+_RECORDS = st.fixed_dictionaries(
+    {
+        "op": st.sampled_from(["set", "add", "remove", "commit", "x"]),
+        "v": _VALUES,
+    },
+    optional={k: _VALUES for k in ("u", "value", "t")},
+).map(json.dumps)
+#: Records, records cut in half and free text.
+_LINES = st.lists(
+    st.one_of(
+        _RECORDS, _RECORDS.map(lambda r: r[: len(r) // 2]),
+        st.text(max_size=12),
+    ),
+    max_size=8,
+)
+
+
+class TestMalformedLines:
+    """Every malformed line raises :class:`EditLogError` with its 1-based
+    number in the file, comments and blank lines included."""
+
+    def test_bad_json_names_its_line(self):
+        lines = [
+            '{"op": "add", "u": 0, "v": 1}', "# note",
+            '{"op": "set", "v": 1 "value": 2}',
+        ]
+        with pytest.raises(EditLogError) as exc:
+            list(iter_edit_log(lines))
+        assert exc.value.line_no == 3
+        assert str(exc.value) == "line 3: Expecting ',' delimiter at column 22"
+
+    @pytest.mark.parametrize("record, reason", [
+        ('{"op": "explode"}', "unknown edit op 'explode'"),
+        ('{"op": "commit", "t": "soon"}', "could not convert string"),
+        ('{"op": "set", "v": 1e400, "value": 1}', "infinity"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    def test_bad_record_names_its_line(self, record, reason):
+        with pytest.raises(EditLogError, match=reason) as exc:
+            list(iter_edit_log(["", record]))
+        assert exc.value.line_no == 2
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(
+            b'{"op": "add", "u": 0, "v": 1}\n{"op": "commit"}\n'
+            b'{"op": "set", "v": 1, "value": \xff}\n'
+        )
+        with pytest.raises(EditLogError) as exc:
+            read_edit_log(path)
+        assert exc.value.line_no == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=_LINES)
+    def test_fuzz_yields_batches_or_names_a_line(self, lines):
+        try:
+            batches = list(iter_edit_log(lines))
+        except EditLogError as exc:
+            assert 1 <= exc.line_no <= len(lines)
+            assert lines[exc.line_no - 1].strip()
+        else:
+            assert all(isinstance(batch, list) for _, batch in batches)

@@ -116,6 +116,29 @@ class TestServeParser:
                 "--stream-log", "broken",
             ])
 
+    @pytest.mark.parametrize("line, reason", [
+        (b'{"op": "set", "v": 1 "value": 2}', "Expecting ',' delimiter at column 22"),
+        (b'{"op": "set", "v": \xff}', "Expecting value at column 20"),
+    ])
+    def test_malformed_stream_log_fails_the_boot(
+        self, edge_list_file, tmp_path, monkeypatch, line, reason
+    ):
+        import asyncio
+
+        def no_server(coro):
+            coro.close()
+            raise AssertionError("the server booted")
+
+        monkeypatch.setattr(asyncio, "run", no_server)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"op": "add", "u": 0, "v": 1}\n# note\n' + line + b"\n")
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve", "--edge-list", f"toy={edge_list_file}",
+                "--stream-log", f"s=toy:kcore:{bad}",
+            ])
+        assert str(exc.value.code) == f"bad edit log {bad}:3: {reason}"
+
     def test_stream_log_unserved_dataset_rejected(self, edge_list_file):
         with pytest.raises(SystemExit, match="is not served"):
             main([
@@ -398,6 +421,20 @@ class TestStreamCommand:
             main([
                 "stream", "--edge-list", edge_list_file, "--log", str(bad),
             ])
+
+    def test_malformed_log_names_its_line(self, edge_list_file, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(
+            b'{"op": "add", "u": 0, "v": 1}\n{"op": "commit"}\n'
+            b'{"op": "set", "v": 1, "value": \xff}\n'
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "stream", "--edge-list", edge_list_file, "--log", str(bad),
+            ])
+        assert str(exc.value.code) == (
+            f"bad edit log {bad}:3: Expecting value at column 32"
+        )
 
     def test_out_of_range_edit(self, edge_list_file, tmp_path):
         oob = tmp_path / "oob.jsonl"
