@@ -305,9 +305,10 @@ def serve_results(measure: str) -> Dict[str, object]:
     }
 
 
-def serve_entry(measure: str) -> Dict[str, str]:
+def serve_entry(results: Dict[str, object]) -> Dict[str, str]:
+    """The digests of :func:`serve_results`."""
     out: Dict[str, str] = {}
-    for name, result in serve_results(measure).items():
+    for name, result in results.items():
         out.update(serve_digests(name, result))
     return out
 
@@ -335,7 +336,10 @@ def compute_study() -> Dict[str, List[dict]]:
 
 
 def compute_serve() -> Dict[str, Dict[str, str]]:
-    return {f"{SERVE_DATASET}/{m}": serve_entry(m) for m in SERVE_MEASURES}
+    return {
+        f"{SERVE_DATASET}/{m}": serve_entry(serve_results(m))
+        for m in SERVE_MEASURES
+    }
 
 
 def load(path: Path = CORPUS) -> dict:

@@ -122,7 +122,7 @@ class LODPyramid:
 
     def ensure_levels(self) -> Dict[str, object]:
         """Build every level (the coalesced cold-start unit) and return
-        a picklable summary of the pyramid's geometry."""
+        a JSON-ready summary of the pyramid's geometry."""
         for level in range(self.levels):
             self.level_field(level)
         base = self.level_field(0)

@@ -70,10 +70,7 @@ def results(measure):
 
 @lru_cache(maxsize=None)
 def digests(measure):
-    out = {}
-    for name, result in results(measure).items():
-        out.update(golden.serve_digests(name, result))
-    return out
+    return golden.serve_entry(results(measure))
 
 
 @pytest.fixture(scope="module")
