@@ -14,7 +14,11 @@ Four files under ``tests/golden/``:
   :data:`EVOLVE_SEEDS`) × stride in :data:`EVOLVE_STRIDES` × bins in
   :data:`EVOLVE_BINS`, every window frame's graph CSR, field, tree
   ``parent``, display-tree ``parent`` and members, edge count and new
-  edge count, plus a digest of the peak tracker's event log.
+  edge count, plus a digest of the peak tracker's event log.  The
+  timelines in :data:`EVOLVE_DIFF_TIMELINES` also record, for every
+  window >= 1, the digests of its ``DiffTiler.summary`` and of every
+  diff-tile payload at the ``repro evolve`` defaults
+  (:data:`EVOLVE_DIFF_RESOLUTION`, :data:`EVOLVE_DIFF_TILE_SIZE`).
 - ``baselines.json``: the comparison drawings of the user study.
   ``openord_layout(g, seed=0)`` on each stand-in in
   :data:`BASELINE_DATASETS`, and ``spring_layout(g, iterations=20,
@@ -57,7 +61,12 @@ import numpy as np
 
 from repro.baselines import openord_layout, spring_layout
 from repro.engine import Pipeline
-from repro.evolve import PeakTracker, frames_from_rows, peaks_from_tree
+from repro.evolve import (
+    DiffTiler,
+    PeakTracker,
+    frames_from_rows,
+    peaks_from_tree,
+)
 from repro.graph import datasets
 from repro.graph.generators import dynamic_planted_partition
 from repro.serve.lod import LODPyramid
@@ -88,6 +97,12 @@ EVOLVE_TIMELINES = [
 ]
 #: The tracker's ``peaks_from_tree`` minimum peak size.
 EVOLVE_MIN_SIZE = 3
+#: Evolve entries that also digest each window's diff: one tumbling
+#: and one sliding timeline.
+EVOLVE_DIFF_TIMELINES = [(0, None, None), (0, 0.5, None)]
+#: ``repro evolve``'s default diff resolution and tile size.
+EVOLVE_DIFF_RESOLUTION = 128
+EVOLVE_DIFF_TILE_SIZE = 64
 #: Stand-ins whose OpenOrd and all-pairs spring layouts are recorded.
 BASELINE_DATASETS = ("amazon", "dblp", "ppi")
 #: grqc is above ``spring_layout``'s ``sample_threshold``, so its
@@ -162,10 +177,18 @@ def evolve_entry(
     """Per-window digests and the tracker's event log of one timeline
     over a planted dynamic-community log, as ``repro evolve
     --synthetic`` runs it (measure ``degree``, horizon 1, the log's
-    origin)."""
+    origin); for the timelines in :data:`EVOLVE_DIFF_TIMELINES`, also
+    ``diffs``: :func:`diff_entry` of every window >= 1."""
     log = dynamic_planted_partition(seed=seed)
     tracker = PeakTracker()
+    tiler = None
+    if (seed, stride, bins) in EVOLVE_DIFF_TIMELINES:
+        tiler = DiffTiler(
+            resolution=EVOLVE_DIFF_RESOLUTION,
+            tile_size=EVOLVE_DIFF_TILE_SIZE,
+        )
     windows: List[Dict[str, object]] = []
+    diffs: List[Dict[str, str]] = []
     for frame in frames_from_rows(
         log.rows, log.n_vertices, stride=stride, origin=log.origin,
         bins=bins,
@@ -185,14 +208,34 @@ def evolve_entry(
             "n_edges": int(frame.n_edges),
             "n_new_edges": int(frame.n_new_edges),
         })
+        if tiler is not None:
+            tiler.add_frame(frame)
+            if frame.index > 0:
+                diffs.append(diff_entry(tiler, frame.index))
     events = [e.describe() for e in tracker.events]
-    return {
+    out = {
         "windows": windows,
         "n_events": len(events),
         "events": hashlib.sha256(
             json.dumps(events, sort_keys=True).encode()
         ).hexdigest(),
     }
+    if tiler is not None:
+        out["diffs"] = diffs
+    return out
+
+
+def diff_entry(tiler: DiffTiler, window: int) -> Dict[str, str]:
+    """Digests of one window's diff against the window before: its
+    ``summary`` and each tile's payload, as ``/evolve/diff`` serves it
+    (all geometry: the diff is a difference of rasterized layouts)."""
+    out = {"summary": _json_digest(tiler.summary(window))}
+    per = tiler.tiles_per_side
+    for ty in range(per):
+        for tx in range(per):
+            payload = tiler.tile(window, tx, ty).to_bytes()
+            out[f"tile {tx}/{ty}"] = hashlib.sha256(payload).hexdigest()
+    return out
 
 
 def baseline_entry(dataset: str) -> Dict[str, str]:
@@ -355,7 +398,7 @@ def _write(path: Path, doc: dict) -> None:
 
 def differing(entries: dict, recorded: dict) -> List[str]:
     """``key: name`` for every digest that differs (an evolve entry's
-    names are ``window N``, ``events`` and ``n_events``)."""
+    names are ``window N``, ``diff N``, ``events`` and ``n_events``)."""
     bad = []
     for key in sorted(set(entries) | set(recorded)):
         got, want = _flat(entries.get(key, {})), _flat(recorded.get(key, {}))
@@ -368,9 +411,11 @@ def differing(entries: dict, recorded: dict) -> List[str]:
 
 
 def _flat(entry: dict) -> dict:
-    out = {k: v for k, v in entry.items() if k != "windows"}
+    out = {k: v for k, v in entry.items() if k not in ("windows", "diffs")}
     for i, window in enumerate(entry.get("windows", ())):
         out[f"window {i}"] = window
+    for i, diff in enumerate(entry.get("diffs", ()), start=1):
+        out[f"diff {i}"] = diff
     return out
 
 

@@ -9,7 +9,9 @@ change to code that all of them share passes there; these digests
 catch it.  Structure (fields, trees, super trees) is compared on any
 host.  Layout and heightfield digests come from float trigonometry and
 square roots, whose last bits numpy does not promise across versions,
-so they are compared only under the numpy version that recorded them.
+so they are compared only under the numpy version that recorded them;
+so are the evolve diff summaries and diff tiles, which are differences
+of rasterized layouts.
 """
 
 import importlib.util
@@ -28,7 +30,8 @@ _SPEC.loader.exec_module(golden)
 
 CORPUS = golden.load()
 KEYS = sorted(CORPUS["entries"])
-EVOLVE = golden.load(golden.EVOLVE_CORPUS)["entries"]
+EVOLVE_CORPUS = golden.load(golden.EVOLVE_CORPUS)
+EVOLVE = EVOLVE_CORPUS["entries"]
 BASELINES = golden.load(golden.BASELINES_CORPUS)
 
 
@@ -66,9 +69,23 @@ def test_geometry_matches_golden(key):
         assert got[name] == recorded[name], f"{key}: {name}"
 
 
+@lru_cache(maxsize=None)
+def _evolve(timeline):
+    return golden.evolve_entry(*timeline)
+
+
+def _split(entry):
+    """``(entry without its diffs, its diffs)``."""
+    rest = {k: v for k, v in entry.items() if k != "diffs"}
+    return rest, {"diffs": entry.get("diffs", [])}
+
+
 def test_evolve_corpus_covers_every_log_stride_and_bins():
     assert sorted(EVOLVE) == sorted(
         golden.evolve_key(*timeline) for timeline in golden.EVOLVE_TIMELINES
+    )
+    assert sorted(k for k, e in EVOLVE.items() if "diffs" in e) == sorted(
+        golden.evolve_key(*t) for t in golden.EVOLVE_DIFF_TIMELINES
     )
 
 
@@ -79,8 +96,26 @@ def test_evolve_matches_golden(timeline):
     """Every window's graph, field, trees and edge counts, and the
     tracker's event log."""
     key = golden.evolve_key(*timeline)
-    got = {key: golden.evolve_entry(*timeline)}
-    assert golden.differing(got, {key: EVOLVE[key]}) == []
+    got = {key: _split(_evolve(timeline))[0]}
+    assert golden.differing(got, {key: _split(EVOLVE[key])[0]}) == []
+
+
+@pytest.mark.parametrize(
+    "timeline", golden.EVOLVE_DIFF_TIMELINES,
+    ids=lambda t: golden.evolve_key(*t),
+)
+def test_evolve_diff_tiles_match_golden(timeline):
+    """Each window's ``DiffTiler.summary`` and diff-tile payloads."""
+    if np.__version__ != EVOLVE_CORPUS["numpy"]:
+        pytest.skip(
+            f"diffs recorded under numpy {EVOLVE_CORPUS['numpy']}, "
+            f"running {np.__version__}"
+        )
+    key = golden.evolve_key(*timeline)
+    got = {key: _split(_evolve(timeline))[1]}
+    want = _split(EVOLVE[key])[1]
+    assert len(want["diffs"]) >= 2
+    assert golden.differing(got, {key: want}) == []
 
 
 def test_baselines_corpus_covers_every_layout():
