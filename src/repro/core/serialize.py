@@ -27,8 +27,6 @@ __all__ = [
     "load_tree",
     "array_to_json",
     "array_from_json",
-    "tile_to_json",
-    "tile_from_json",
     "artifact_to_json",
     "artifact_from_json",
 ]
@@ -162,65 +160,16 @@ def array_from_json(text: str) -> np.ndarray:
     return data.astype(dtype).reshape(shape)
 
 
-def tile_to_json(tile) -> str:
-    """Serialize a terrain :class:`~repro.terrain.heightfield.Tile`.
-
-    The cache's disk tier stores tiles in the same JSON envelope family
-    as trees and arrays; the compact binary wire form
-    (:meth:`Tile.to_bytes`) is only used on the serving path.
-    """
-    return json.dumps(
-        {
-            "format": _ARRAY_FORMAT,
-            "type": "tile",
-            "level": tile.level,
-            "tx": tile.tx,
-            "ty": tile.ty,
-            "shape": list(tile.height.shape),
-            "extent": list(tile.extent),
-            "base": tile.base,
-            "height": tile.height.ravel().tolist(),
-            "node": tile.node.ravel().tolist(),
-        }
-    )
-
-
-def tile_from_json(text: str):
-    """Inverse of :func:`tile_to_json`."""
-    from ..terrain.heightfield import Tile
-
-    doc = _document(text)
-    _check(doc, "tile", _ARRAY_FORMAT)
-    rows, cols = Tile.check_header(doc)
-    height = _numbers(doc, "height", _REALS)
-    node = _numbers(doc, "node", _INTS)
-    if not len(height) == len(node) == rows * cols:
-        raise ValueError(
-            f"{len(height)} heights, {len(node)} nodes, {rows}x{cols} tile"
-        )
-    return Tile(
-        doc["level"], doc["tx"], doc["ty"],
-        height.reshape(rows, cols), node.reshape(rows, cols),
-        tuple(doc["extent"]), doc["base"],
-    )
-
-
 def artifact_to_json(obj) -> str:
-    """Serialize any cacheable pipeline artifact (tree, array or tile).
+    """Serialize any cacheable pipeline artifact (tree or array).
 
     Raises ``TypeError`` for objects with no stable on-disk form (e.g.
     terrain layouts), which the cache keeps in memory only.
     """
-    # Late import: terrain depends on core, so core can only reach the
-    # Tile type at call time.
-    from ..terrain.heightfield import Tile
-
     if isinstance(obj, SuperTree):
         return super_tree_to_json(obj)
     if isinstance(obj, ScalarTree):
         return scalar_tree_to_json(obj)
-    if isinstance(obj, Tile):
-        return tile_to_json(obj)
     if isinstance(obj, np.ndarray):
         return array_to_json(obj)
     raise TypeError(f"no serialized form for {type(obj).__name__}")
@@ -236,8 +185,6 @@ def artifact_from_json(text: str):
         return scalar_tree_from_json(text)
     if kind == "array":
         return array_from_json(text)
-    if kind == "tile":
-        return tile_from_json(text)
     raise ValueError(f"unknown artifact document type {kind!r:.40}")
 
 

@@ -10,10 +10,10 @@ Two tiers:
 
 * **memory** — every artifact, including ones with no on-disk form
   (terrain layouts);
-* **disk** (optional) — artifacts with a stable serialized form (trees,
-  numeric arrays and terrain tiles, via :mod:`repro.core.serialize`'s
-  artifact envelope) are written to ``<directory>/<key>.json`` so a
-  second process skips straight to render.
+* **disk** (optional) — artifacts with a stable serialized form (trees
+  and numeric arrays, via :mod:`repro.core.serialize`'s artifact
+  envelope) are written to ``<directory>/<key>.json`` so a second
+  process skips straight to render.
 
 The cache is safe for concurrent use: an ``RLock`` guards the memory
 tier (the server's request handlers, worker callbacks and benchmarks all
@@ -112,7 +112,7 @@ def stage_key(stage: str, params: Dict[str, object], *fingerprints: str) -> str:
 def artifact_nbytes(value) -> int:
     """Approximate memory footprint of a cached artifact.
 
-    Arrays and array-backed objects (trees, tiles, heightfields) report
+    Arrays and array-backed objects (trees, heightfields) report
     their buffer sizes; anything else falls back to ``sys.getsizeof``.
     Used by the cache's LRU accounting — an estimate is fine, the bound
     exists to stop unbounded growth, not to meter bytes exactly.

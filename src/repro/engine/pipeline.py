@@ -339,7 +339,7 @@ class Pipeline(_TreeSinks):
 
         The stage is keyed exactly like the built-in ones — name +
         params + the graph and field content fingerprints — so derived
-        artifacts (e.g. :mod:`repro.serve`'s LOD tiles) share the
+        artifacts (e.g. :mod:`repro.serve`'s LOD levels) share the
         pipeline's cache identity: same inputs hit, changed inputs miss.
         """
         return self._stage(
@@ -348,12 +348,6 @@ class Pipeline(_TreeSinks):
             [self.graph_fingerprint, self.field_fingerprint],
             build,
             disk=disk,
-        )
-
-    def stage_artifact_key(self, name: str, params: Dict[str, object]) -> str:
-        """The cache key :meth:`stage` would use (for instrumentation)."""
-        return stage_key(
-            name, params, self.graph_fingerprint, self.field_fingerprint
         )
 
     def display_params(self) -> Dict[str, object]:

@@ -8,21 +8,19 @@ Cells that are open ground in both frames are exactly zero; the
 ``node`` grid attributes each changed cell to the current frame's
 super node (falling back to the vanished node for razed cells).
 
-Diffs and their tiles are *first-class cached artifacts*: keyed by
-:func:`~repro.engine.cache.stage_key` over the two frames' height
-fingerprints and stored through the shared
-:class:`~repro.engine.cache.ArtifactCache` — the same content-hash
-identity the pipeline's own stages use, so a warm diff tile is a
-dictionary lookup and survives on disk across processes.
+A :class:`DiffTiler` keeps each frame's rasterized field in memory and
+stores nothing else: a diff is computed when asked, and a diff tile is
+the diff of the two frames' crops, byte-identical to the same crop of
+the whole diff.  The server keeps the encoded tiles
+(:mod:`repro.serve.evolve`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..engine.cache import ArtifactCache, fingerprint_array, stage_key
 from ..obs import trace as obs_trace
 from ..terrain.heightfield import Heightfield, Tile, rasterize
 from ..terrain.layout2d import layout_tree
@@ -49,27 +47,19 @@ def diff_heightfield(prev: Heightfield, cur: Heightfield) -> Heightfield:
 
 
 class DiffTiler:
-    """Rasterize frames and serve cached diff fields and tiles.
+    """Rasterize frames and cut diff fields and tiles from them.
 
     Feed frames in order with :meth:`add_frame`; then ``diff(w)`` is
     the change field of window ``w`` against ``w − 1`` and
-    ``tile(w, tx, ty)`` one ``tile_size``² block of it, both cached
-    through the supplied :class:`~repro.engine.cache.ArtifactCache`.
+    ``tile(w, tx, ty)`` one ``tile_size``² block of it.
     """
 
-    def __init__(
-        self,
-        cache: Optional[ArtifactCache] = None,
-        resolution: int = 256,
-        tile_size: int = 64,
-    ) -> None:
+    def __init__(self, resolution: int = 256, tile_size: int = 64) -> None:
         if resolution % tile_size != 0:
             raise ValueError("resolution must be a multiple of tile_size")
-        self.cache = cache if cache is not None else ArtifactCache()
         self.resolution = int(resolution)
         self.tile_size = int(tile_size)
         self._fields: Dict[int, Heightfield] = {}
-        self._fps: Dict[int, str] = {}
 
     @property
     def tiles_per_side(self) -> int:
@@ -80,7 +70,6 @@ class DiffTiler:
         layout = layout_tree(frame.super)
         hf = rasterize(layout, self.resolution)
         self._fields[frame.index] = hf
-        self._fps[frame.index] = fingerprint_array(hf.height)
         return hf
 
     def heightfield(self, window: int) -> Heightfield:
@@ -97,49 +86,26 @@ class DiffTiler:
         return self._fields[window - 1], self._fields[window]
 
     def diff(self, window: int) -> Heightfield:
-        """Change field of ``window`` vs ``window − 1`` (cached)."""
+        """Change field of ``window`` vs ``window − 1``."""
         prev, cur = self._pair(window)
-        key = stage_key(
-            "evolve.diff",
-            {"resolution": self.resolution},
-            self._fps[window - 1],
-            self._fps[window],
-        )
-        with obs_trace.span("evolve.diff", window=window) as sp:
-            value = self.cache.get(key)
-            if value is None:
-                value = self.cache.put(key, diff_heightfield(prev, cur))
-                sp.set(built=True)
-        return value
+        with obs_trace.span("evolve.diff", window=window):
+            return diff_heightfield(prev, cur)
 
     def tile(self, window: int, tx: int, ty: int) -> Tile:
-        """One ``tile_size``² block of ``diff(window)`` (cached)."""
+        """One ``tile_size``² block of ``diff(window)``, cut from the
+        two frames' fields."""
         per = self.tiles_per_side
         if not (0 <= tx < per and 0 <= ty < per):
             raise KeyError(
                 f"no diff tile ({tx}, {ty}) — grid is {per}x{per}"
             )
-        key = stage_key(
-            "evolve.difftile",
-            {
-                "resolution": self.resolution,
-                "tile_size": self.tile_size,
-                "tx": int(tx),
-                "ty": int(ty),
-            },
-            self._fps[window - 1],
-            self._fps[window],
+        prev, cur = self._pair(window)
+        size = self.tile_size
+        i0, j0 = ty * size, tx * size
+        block = diff_heightfield(
+            prev.crop(i0, j0, size, size), cur.crop(i0, j0, size, size)
         )
-        value = self.cache.get(key)
-        if value is None:
-            field = self.diff(window)
-            size = self.tile_size
-            crop = field.crop(ty * size, tx * size, size, size)
-            value = self.cache.put(
-                key,
-                Tile(0, tx, ty, crop.height, crop.node, crop.extent, 0.0),
-            )
-        return value
+        return Tile(0, tx, ty, block.height, block.node, block.extent, 0.0)
 
     def summary(self, window: int) -> Dict[str, object]:
         """Aggregate change statistics for one window diff."""

@@ -276,10 +276,7 @@ class ServeApp:
         if fut is None or (fut.done() and fut.exception() is not None):
             loop = asyncio.get_running_loop()
             fut = asyncio.ensure_future(
-                loop.run_in_executor(
-                    self.runner.executor,
-                    EvolveRun, session, self.cache,
-                )
+                loop.run_in_executor(self.runner.executor, EvolveRun, session)
             )
             self._evolve_futures[session.name] = fut
         return fut

@@ -5,10 +5,10 @@ generated :class:`~repro.graph.generators.DynamicCommunityLog`) with
 the app; the first request materializes one :class:`EvolveRun` —
 timeline frames, tracked trajectories, rasterized diff fields — on
 the runner's thread executor, coalesced so concurrent cold requests
-build it exactly once.  Everything after that is dictionary lookups
-over the run plus the shared :class:`~repro.engine.cache.ArtifactCache`
-(diff tiles are content-hash keyed cached artifacts with strong
-ETags, exactly like the static LOD tiles).
+build it exactly once.  Everything after that reads the run: a diff
+tile is cut from two frames' fields on its first request, and the app
+keeps its encoded payload with a strong ETag, exactly like the static
+LOD tiles.
 
 ``GET /stream/{name}`` on an evolve session replays the run over the
 existing SSE channel: a ``hello`` with the run geometry, then one
@@ -103,15 +103,13 @@ class EvolveRun:
     thread (the app coalesces concurrent constructions).
     """
 
-    def __init__(self, session: EvolveSession, cache=None) -> None:
+    def __init__(self, session: EvolveSession) -> None:
         self.session = session
         self.tracker = PeakTracker(
             jaccard=session.jaccard, min_size=session.min_size
         )
         self.tiler = DiffTiler(
-            cache=cache,
-            resolution=session.resolution,
-            tile_size=session.tile_size,
+            resolution=session.resolution, tile_size=session.tile_size
         )
         self.windows: List[Dict[str, object]] = []
         self._window_events: Dict[int, List[Dict[str, object]]] = {}

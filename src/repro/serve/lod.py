@@ -17,12 +17,13 @@ Level 0 is the finest: its tiles stitch back *bit-identically* to the
 full-resolution rasterization (``tests/serve/test_lod.py``).  Level
 ``levels-1`` is a single tile of the whole terrain.
 
-Tiles are cached through the pipeline's :class:`ArtifactCache` under a
-custom ``"tile"`` stage keyed by the graph + field content fingerprints,
-so a warm tile request is a pure cache hit and a changed field can never
-serve a stale tile.  The serving envelope (:meth:`tile_payload`) is the
-tile's compact binary form plus its strong ETag — the SHA-256 of the
-exact bytes on the wire.
+The level fields are cached stages of the pipeline (memory only), keyed
+by the graph + field content fingerprints, so a changed field can never
+serve a stale tile.  A tile is no artifact of its own: it is a crop of
+its level's field, cut when asked.  The serving envelope
+(:meth:`tile_payload`) is the tile's compact binary form plus its
+strong ETag — the SHA-256 of the exact bytes on the wire; the server
+keeps those encoded payloads, not tiles.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..engine.pipeline import Pipeline
-from ..terrain.heightfield import RASTER_ORDER_VERSION, Heightfield, Tile
+from ..terrain.heightfield import Heightfield, Tile
 
 __all__ = ["LODPyramid", "tile_etag"]
 
@@ -93,29 +94,20 @@ class LODPyramid:
         """Heightfield resolution at ``level``."""
         return self.tile_size * self.tiles_per_side(level)
 
-    def _params(self, **extra) -> Dict[str, object]:
-        params = self.pipeline.display_params()
-        params.update(
-            resolution=self.base_resolution,
-            tile_size=self.tile_size,
-            pyramid_levels=self.levels,
-            # Tiles persist to disk; salting with the paint-order
-            # version keeps grids rasterized under an older canonical
-            # order from being stitched next to fresh ones.
-            raster_order=RASTER_ORDER_VERSION,
-        )
-        params.update(extra)
-        return params
-
     # -- levels ---------------------------------------------------------
     def level_field(self, level: int) -> Heightfield:
         """The whole heightfield at ``level`` (cached stage)."""
         level = self._check_level(level)
         if level == 0:
             return self.pipeline.heightfield(self.base_resolution)
+        params = dict(
+            self.pipeline.display_params(),
+            resolution=self.base_resolution,
+            level=level,
+        )
         return self.pipeline.stage(
             "lod_level",
-            self._params(level=level),
+            params,
             lambda: self.level_field(level - 1).downsample(),
             disk=False,
         )
@@ -150,27 +142,12 @@ class LODPyramid:
         return level, tx, ty
 
     def tile(self, level: int, tx: int, ty: int) -> Tile:
-        """The tile at ``(level, tx, ty)`` (cached; persisted to disk
-        when the pipeline's cache has a directory)."""
+        """The tile at ``(level, tx, ty)``: a crop of the level's field."""
         level, tx, ty = self._check_tile(level, tx, ty)
         ts = self.tile_size
-
-        def build() -> Tile:
-            block = self.level_field(level).crop(ty * ts, tx * ts, ts, ts)
-            return Tile(
-                level, tx, ty,
-                block.height, block.node, block.extent, block.base,
-            )
-
-        return self.pipeline.stage(
-            "tile", self._params(level=level, tx=tx, ty=ty), build
-        )
-
-    def tile_cache_key(self, level: int, tx: int, ty: int) -> str:
-        """Content-hash cache key of one tile (for instrumentation)."""
-        level, tx, ty = self._check_tile(level, tx, ty)
-        return self.pipeline.stage_artifact_key(
-            "tile", self._params(level=level, tx=tx, ty=ty)
+        block = self.level_field(level).crop(ty * ts, tx * ts, ts, ts)
+        return Tile(
+            level, tx, ty, block.height, block.node, block.extent, block.base
         )
 
     def tile_payload(self, level: int, tx: int, ty: int) -> Tuple[bytes, str]:

@@ -29,16 +29,9 @@ import numpy as np
 from ..accel.raster import forest_depths, stamp_points
 from .layout2d import TerrainLayout
 
-__all__ = ["Heightfield", "Tile", "rasterize", "RASTER_ORDER_VERSION"]
+__all__ = ["Heightfield", "Tile", "rasterize"]
 
 _TILE_MAGIC = b"RPTILE1\n"
-
-# Bumped whenever the canonical paint order changes, so persisted
-# artifacts derived from a heightfield (LOD tiles) can salt their cache
-# keys and never mix grids painted under different orders.  Version 1:
-# DFS subtree order; version 2: level-major (deepest boundary always
-# wins, full discs before sub-pixel stamps within a level).
-RASTER_ORDER_VERSION = 2
 
 
 class Heightfield:
@@ -254,8 +247,8 @@ class Tile:
     @staticmethod
     def check_header(doc) -> Tuple[int, int]:
         """``(rows, cols)`` of a tile header, the JSON object of
-        :meth:`to_bytes` (``tile_to_json`` has the same fields), after
-        checking every field; ``ValueError`` names the first bad one."""
+        :meth:`to_bytes`, after checking every field; ``ValueError``
+        names the first bad one."""
         if not isinstance(doc, dict):
             raise ValueError(f"tile header is not an object: {doc!r:.40}")
         checks = (

@@ -47,7 +47,6 @@ SUPER_TEXT = super_tree_to_json(_SUPER)
 ARTIFACT_TEXTS = [
     SCALAR_TEXT,
     SUPER_TEXT,
-    artifact_to_json(_TILE),
     artifact_to_json(np.arange(6.0).reshape(3, 2)),
     artifact_to_json(np.array([[1, -2], [3, 4]], dtype=np.int32)),
     artifact_to_json(np.array([True, False])),
@@ -103,8 +102,6 @@ def _valid_artifact(obj):
         _valid_super_tree(obj)
     elif isinstance(obj, ScalarTree):
         _valid_scalar_tree(obj)
-    elif isinstance(obj, Tile):
-        _valid_tile(obj)
     else:
         assert isinstance(obj, np.ndarray) and obj.dtype.kind in "fiub"
 
@@ -157,17 +154,17 @@ def test_tile_from_bytes_names_the_problem(payload, match):
      "'scalars'"),
     (super_tree_from_json, _with(SUPER_TEXT, kind=["vertex"]), "kind"),
     (artifact_from_json, "[1, 2, 3]", "not a JSON object"),
-    (artifact_from_json, _with(ARTIFACT_TEXTS[3], shape=[4, 2]),
+    (artifact_from_json, _with(ARTIFACT_TEXTS[2], shape=[4, 2]),
      "for 6 values"),
-    (artifact_from_json, _with(ARTIFACT_TEXTS[3], dtype="float128x"),
+    (artifact_from_json, _with(ARTIFACT_TEXTS[2], dtype="float128x"),
      "dtype"),
-    (artifact_from_json, _without(ARTIFACT_TEXTS[2], "height"),
-     "no 'height'"),
+    (artifact_from_json, _with(ARTIFACT_TEXTS[2], type="tile"),
+     "unknown artifact document type 'tile'"),
 ], ids=[
     "scalar-no-parent", "scalar-int-parent", "scalar-huge-parent",
     "scalar-null-scalars", "scalar-parent-past-end", "super-no-members",
     "super-int-members", "super-huge-scalars", "super-list-kind",
-    "artifact-list", "array-shape", "array-dtype", "tile-no-height",
+    "artifact-list", "array-shape", "array-dtype", "tile-document",
 ])
 def test_loaders_name_the_problem(decode, text, match):
     with pytest.raises(ValueError, match=match) as exc:

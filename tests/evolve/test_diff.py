@@ -1,9 +1,8 @@
-"""Signed terrain diffs and their cached tile artifacts."""
+"""Signed terrain diffs and the tiles cut from them."""
 
 import numpy as np
 import pytest
 
-from repro.engine import ArtifactCache
 from repro.evolve import DiffTiler, diff_heightfield, frames_from_rows
 from repro.graph.generators import dynamic_planted_partition
 from repro.terrain.heightfield import Heightfield, Tile
@@ -107,21 +106,20 @@ class TestDiffTiler:
         assert s["cells_raised"] == int(np.count_nonzero(delta > 0))
         assert s["cells_lowered"] == int(np.count_nonzero(delta < 0))
 
-    def test_diffs_are_cached_artifacts(self, frames, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        tiler = DiffTiler(cache=cache, resolution=128, tile_size=64)
-        for f in frames[:2]:
+    def test_tiles_are_crops_of_the_diff(self, frames):
+        """A tile cut from the two frames' fields is byte-identical to
+        the same crop of the whole diff field."""
+        tiler = DiffTiler(resolution=128, tile_size=64)
+        for f in frames[:3]:
             tiler.add_frame(f)
-        tiler.diff(1)
-        tiler.tile(1, 0, 0)
-        misses = cache.stats["misses"]
-        # Second tiler over the same cache: same content hashes, so
-        # every diff artifact is a hit and nothing is rebuilt.
-        again = DiffTiler(cache=cache, resolution=128, tile_size=64)
-        for f in frames[:2]:
-            again.add_frame(f)
-        field = again.diff(1)
-        tile = again.tile(1, 0, 0)
-        assert cache.stats["misses"] == misses
-        assert np.array_equal(field.height, tiler.diff(1).height)
-        assert np.array_equal(tile.height, tiler.tile(1, 0, 0).height)
+        for window in (1, 2):
+            field = tiler.diff(window)
+            for ty in range(2):
+                for tx in range(2):
+                    block = field.crop(ty * 64, tx * 64, 64, 64)
+                    want = Tile(
+                        0, tx, ty, block.height, block.node, block.extent,
+                        0.0,
+                    )
+                    got = tiler.tile(window, tx, ty)
+                    assert got.to_bytes() == want.to_bytes()

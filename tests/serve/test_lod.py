@@ -1,14 +1,23 @@
 """LOD pyramid coverage: stitching, downsampling, ETag semantics."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import ScalarGraph
 from repro.engine import ArtifactCache, Pipeline
-from repro.serve import LODPyramid, tile_etag
+from repro.graph.generators import dynamic_planted_partition
+from repro.serve import (
+    EvolveSession,
+    LODPyramid,
+    ServeApp,
+    ServerThread,
+    tile_etag,
+)
 from repro.terrain.heightfield import Heightfield, Tile
 
-from serve_client import toy_graph
+from serve_client import Client, toy_graph
 
 
 def kcore_pipeline(cache=None, scalars=None):
@@ -146,24 +155,74 @@ class TestETags:
 
 
 class TestCaching:
-    def test_tiles_are_cached_stages(self):
+    def test_tiles_are_crops_not_cache_entries(self):
+        """A tile is cut from its level's field when asked; serving
+        every tile adds nothing to the cache."""
         cache = ArtifactCache()
         pyramid = LODPyramid(kcore_pipeline(cache), tile_size=16, levels=2)
-        pyramid.tile(0, 0, 0)
-        misses = cache.stats["misses"]
-        pyramid.tile(0, 0, 0)
-        assert cache.stats["misses"] == misses  # pure hit the second time
+        pyramid.ensure_levels()
+        before = (len(cache), cache.stats["puts"])
+        for level in range(2):
+            field = pyramid.level_field(level)
+            per = pyramid.tiles_per_side(level)
+            for ty in range(per):
+                for tx in range(per):
+                    tile = pyramid.tile(level, tx, ty)
+                    block = field.crop(ty * 16, tx * 16, 16, 16)
+                    assert np.array_equal(tile.height, block.height)
+                    assert np.array_equal(tile.node, block.node)
+                    assert tile.extent == block.extent
+        assert (len(cache), cache.stats["puts"]) == before
 
-    def test_tiles_persist_to_disk(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        pyramid = LODPyramid(kcore_pipeline(cache), tile_size=16, levels=2)
-        key = pyramid.tile_cache_key(1, 0, 0)
-        tile = pyramid.tile(1, 0, 0)
-        assert (tmp_path / f"{key}.json").exists()
-        # A second cache (another process) reloads the identical tile.
-        reloaded = ArtifactCache(tmp_path).get(key)
-        assert isinstance(reloaded, Tile)
-        assert reloaded == tile
+    def test_no_tile_reaches_the_cache_directory(
+        self, tmp_path, edge_list_file
+    ):
+        """Every tile at every level and every diff tile of an evolve
+        run, served over a cache directory: no tile document is
+        written, and a second app over the directory serves the same
+        bytes under the same ETags."""
+        log = dynamic_planted_partition(
+            n_windows=3, community_size=12, noise_per_window=4, seed=0
+        )
+        log_path = tmp_path / "dyn.tsv"
+        log.write(log_path)
+        cache_dir = tmp_path / "cache"
+
+        def serve_everything():
+            app = ServeApp(
+                cache=ArtifactCache(cache_dir), tile_size=16, levels=2
+            )
+            app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
+            app.add_evolve_session(EvolveSession(
+                "demo", str(log_path), origin=log.origin,
+                resolution=32, tile_size=16,
+            ))
+            urls = [
+                f"/t/toy/kcore/{level}/{tx}/{ty}"
+                for level, per in ((0, 2), (1, 1))
+                for ty in range(per) for tx in range(per)
+            ]
+            urls += [
+                f"/evolve/diff/{w}/{tx}/{ty}"
+                for w in range(1, log.n_windows)
+                for ty in range(2) for tx in range(2)
+            ]
+            replies = {}
+            with ServerThread(app) as server:
+                client = Client(server.port)
+                for url in urls:
+                    status, headers, body = client.get(url)
+                    assert status == 200, url
+                    replies[url] = (headers["ETag"], body)
+            return replies
+
+        first = serve_everything()
+        kinds = {
+            json.loads(path.read_text()).get("type")
+            for path in cache_dir.glob("*.json")
+        }
+        assert kinds and "tile" not in kinds, kinds
+        assert serve_everything() == first
 
 
 class TestTileWireFormat:
