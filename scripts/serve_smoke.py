@@ -9,7 +9,11 @@ subprocess on an ephemeral port, then asserts over plain HTTP:
   ETag, and revalidating with ``If-None-Match`` answers 304;
 * ``/peaks`` and ``/hit`` answer 200 with the planted structure;
 * ``/treemap.svg`` and ``/profile.svg`` answer SVG;
-* ``/stream/smoke`` pushes at least one SSE frame and finishes.
+* ``/stream/smoke`` pushes at least one SSE frame and finishes;
+* ``examples/serve_client.py --url`` assembles the terrain and exits 0;
+* after a SIGTERM drain, a second server over the same ``--cache-dir``
+  answers the first tile with the same ETag and bytes, and no document
+  in that directory is a ``"type": "tile"`` (tiles are never cached).
 
 Exit code 0 on success.  Usage::
 
@@ -98,22 +102,25 @@ def main() -> int:
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--port", "0",
-            "--datasets", "",            # only the edge list below
-            "--edge-list", f"toy={edge_list}",
-            "--measures", "kcore",
-            "--tile-size", "16", "--levels", "2",
-            "--stream-log", f"smoke=toy:kcore:{log}",
-            "--cache-dir", str(tmp / "cache"),
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=env,
-    )
+    cache_dir = tmp / "cache"
+    argv = [
+        sys.executable, "-m", "repro", "serve",
+        "--port", "0",
+        "--datasets", "",            # only the edge list below
+        "--edge-list", f"toy={edge_list}",
+        "--measures", "kcore",
+        "--tile-size", "16", "--levels", "2",
+        "--stream-log", f"smoke=toy:kcore:{log}",
+        "--cache-dir", str(cache_dir),
+    ]
+
+    def boot():
+        return subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env,
+        )
+
+    proc = boot()
     try:
         port = wait_for_server(proc)
 
@@ -125,14 +132,14 @@ def main() -> int:
         print("[ok] /datasets")
 
         tile_url = "/t/toy/kcore/0/0/1"
-        status, headers, body = get(port, tile_url)
-        assert status == 200 and body, (status, len(body))
+        status, headers, tile_body = get(port, tile_url)
+        assert status == 200 and tile_body, (status, len(tile_body))
         etag = headers["ETag"]
         assert re.fullmatch(r'"[0-9a-f]{32}"', etag), etag
 
         from repro.terrain.heightfield import Tile
 
-        tile = Tile.from_bytes(body)
+        tile = Tile.from_bytes(tile_body)
         assert tile.size == 16 and (tile.tx, tile.ty) == (0, 1)
         print(f"[ok] {tile_url} -> 200, ETag {etag}")
 
@@ -180,11 +187,38 @@ def main() -> int:
         assert "resil" in stats, sorted(stats)
         print(f"[ok] /stats: {stats['runner']}")
 
+        client = subprocess.run(
+            [
+                sys.executable, str(REPO / "examples" / "serve_client.py"),
+                "--url", f"http://127.0.0.1:{port}", "--stream", "smoke",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env, timeout=120,
+        )
+        assert client.returncode == 0, client.stdout
+        assert "summit hit-test" in client.stdout, client.stdout
+        print("[ok] examples/serve_client.py --url")
+
         # SIGTERM must drain: finish in-flight work and exit cleanly.
         proc.terminate()
         rc = proc.wait(timeout=30)
         assert rc == 0, f"SIGTERM drain exited rc={rc}"
         print("[ok] SIGTERM -> drained, clean exit")
+
+        # A restart over the same cache directory serves the same tile.
+        proc.stdout.close()
+        proc = boot()
+        port = wait_for_server(proc)
+        status, headers, again = get(port, tile_url)
+        assert status == 200 and headers["ETag"] == etag, (status, headers)
+        assert again == tile_body
+        kinds = {
+            json.loads(path.read_text()).get("type")
+            for path in cache_dir.glob("*.json")
+        }
+        assert kinds and "tile" not in kinds, kinds
+        print(f"[ok] restart over --cache-dir: {tile_url} same ETag and "
+              f"bytes; cached document types {sorted(kinds)}")
 
         print("serve smoke: all endpoints healthy")
         return 0
@@ -194,6 +228,7 @@ def main() -> int:
             proc.wait(timeout=10)
         except subprocess.TimeoutExpired:
             proc.kill()
+        proc.stdout.close()
 
 
 if __name__ == "__main__":

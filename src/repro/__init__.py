@@ -59,9 +59,9 @@ Subpackages
 ``repro.serve``
     The concurrent terrain tile/query server (``repro serve``): a
     stdlib-only asyncio HTTP service that rasterizes each (dataset,
-    measure, bins) once into an LOD tile pyramid of cached,
-    content-hash-ETagged :class:`~repro.terrain.heightfield.Tile`
-    artifacts, with peak/hit-test/treemap/profile endpoints, per-key
+    measure, bins) once into an LOD pyramid of cached levels, serves
+    content-hash-ETagged :class:`~repro.terrain.heightfield.Tile` crops
+    of them, with peak/hit-test/treemap/profile endpoints, per-key
     request coalescing over a bounded worker pool, and SSE replay of
     edit logs with dirty-tile invalidations.
 ``repro.accel``

@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -293,11 +294,12 @@ def _cmd_correlate(args) -> int:
     return 0
 
 
+@contextmanager
 def _edit_log_exit(path: str):
-    """The batches of edit log ``path``, or a one-line exit naming the
-    missing file or the bad line."""
+    """Reading edit log ``path`` in this block: a missing file or a bad
+    line is a one-line exit naming it."""
     try:
-        return read_edit_log(path)
+        yield
     except FileNotFoundError:
         raise SystemExit(f"edit log not found: {path}")
     except EditLogError as exc:
@@ -312,7 +314,8 @@ def _cmd_stream(args) -> int:
         raise SystemExit("--window must be a positive horizon")
     if args.frame_every < 1:
         raise SystemExit("--frame-every must be >= 1")
-    batches = _edit_log_exit(args.log)
+    with _edit_log_exit(args.log):
+        batches = read_edit_log(args.log)
 
     pipeline = StreamingPipeline(
         _source(args), args.measure,
@@ -576,14 +579,15 @@ def _cmd_serve(args) -> int:
                 f"--stream-log {name}: dataset {ds!r} is not served"
             )
         _vertex_measure_arg_exit(measure)
-        # Replays read the log per request; read it once now so a
-        # malformed line fails the boot, not every replay.
-        _edit_log_exit(log_path)
-        app.add_stream_session(StreamSession(
-            name, entry.source, measure, log_path,
-            bins=args.bins,
-            tile_size=args.tile_size, levels=args.levels,
-        ))
+        # The session reads the log once, now: a malformed line fails
+        # the boot, and every replay steps through these batches.
+        with _edit_log_exit(log_path):
+            session = StreamSession(
+                name, entry.source, measure, log_path,
+                bins=args.bins,
+                tile_size=args.tile_size, levels=args.levels,
+            )
+        app.add_stream_session(session)
 
     for spec in args.evolve_log or []:
         name, sep, rest = spec.partition("=")
@@ -957,7 +961,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-memory-mb", type=int, default=None, metavar="MB",
         help="LRU-bound the server's cache memory (stage artifacts plus "
-             "the encoded-tile memo share this budget; default: unbounded)",
+             "the encoded-tile memo share this budget; the up to 512 "
+             "evicted tiles kept for stale fallbacks are outside it; "
+             "default: unbounded)",
     )
     serve.add_argument(
         "--stream-log", action="append", metavar="NAME=DATASET:MEASURE:PATH",

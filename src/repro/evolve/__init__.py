@@ -13,7 +13,7 @@ window, and served by :mod:`repro.serve`:
   :func:`~repro.evolve.tracker.event_f1` against planted ground truth
   (:func:`repro.graph.generators.dynamic_planted_partition`);
 * :mod:`~repro.evolve.diff` — signed terrain-diff heightfields
-  between windows, cached as first-class tile artifacts.
+  between windows, and the tiles cut from them.
 """
 
 from .diff import DiffTiler, diff_heightfield

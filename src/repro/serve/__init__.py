@@ -8,8 +8,8 @@ service on ``asyncio.start_server``, zero new runtime dependencies.
 ``repro.serve.lod``
     :class:`LODPyramid` — rasterize once at maximum resolution per
     (dataset, measure, bins), derive power-of-two downsampled levels,
-    cut fixed-size ``(level, tx, ty)`` tiles, each a cached artifact
-    with a strong content-hash ETag.
+    cut fixed-size ``(level, tx, ty)`` tiles from them, each served with
+    a strong content-hash ETag; the app keeps the encoded tiles.
 ``repro.serve.http``
     The minimal HTTP layer: request parsing, segment router,
     keep-alive, Server-Sent Events.

@@ -4,8 +4,9 @@
 :class:`StageRunner`, and a registry of datasets × measures.  Nothing is
 built at boot: the first request for a (dataset, measure) triggers one
 coalesced cold build (source → field → tree → layout → heightfield →
-LOD levels) through the runner, and everything after that serves from
-the cache — a warm tile request is a dictionary lookup, with zero
+LOD levels) through the runner, and everything after that reads the
+cache: a tile is cut from its cached level on its first request, and a
+warm tile request is a lookup of its encoded payload, with zero
 pipeline recomputation.
 
 Routes
@@ -48,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import accel
 from ..accel import native as accel_native
 from ..engine import ArtifactCache, Pipeline, registry
+from ..engine.pipeline import DatasetSource, EdgeListSource, Source
 from ..obs import metrics as obs_metrics
 from ..obs import prof as obs_prof
 from ..obs import trace as obs_trace
@@ -58,7 +60,7 @@ from .evolve import EvolveRun, EvolveSession, evolve_sse_events
 from .http import EventStreamResponse, HTTPError, Request, Response, Router
 from .lod import LODPyramid, tile_etag
 from .stream import StreamSession, sse_events
-from .workers import StageRunner, source_from_spec
+from .workers import StageRunner
 
 __all__ = ["ServeApp"]
 
@@ -108,16 +110,16 @@ _M_STALE = obs_metrics.REGISTRY.counter(
 #: Last-known-good tile payloads kept for graceful degradation.  Bounded
 #: by entry count, separate from the LRU payload memo: the memo is a
 #: performance cache (evicted under memory pressure), this is a safety
-#: net consulted only when a rebuild fails.
+#: net consulted only when a rebuild fails.  The payloads it alone
+#: holds (``/stats`` ``resil.stale_tiles.bytes``) sit outside
+#: ``--cache-memory-mb``: up to ~32 MiB of 64-cell tiles.
 _MAX_STALE_TILES = 512
 
 
 class _DatasetEntry:
     __slots__ = ("name", "source", "measures")
 
-    def __init__(
-        self, name: str, source: Dict[str, str], measures: List[str]
-    ) -> None:
+    def __init__(self, name: str, source: Source, measures: List[str]) -> None:
         self.name = name
         self.source = source
         self.measures = measures
@@ -159,9 +161,9 @@ class ServeApp:
         # content is immutable for the server's lifetime (content-hash
         # keyed), so this memo never needs invalidation — and it shares
         # the cache's memory budget (artifacts + payloads together stay
-        # under max_memory_bytes) so --cache-memory-mb bounds the whole
-        # server; evicted payloads re-encode from the cache, or rebuild
-        # through the coalesced funnel.
+        # under max_memory_bytes; the stale store below is outside it).
+        # An evicted payload is cut again from its level's field, which
+        # the tile's job rebuilds if it was evicted too.
         self._payloads: "OrderedDict[str, Tuple[bytes, str]]" = OrderedDict()
         self._payload_bytes = 0
         #: Per-request build deadline (seconds); None = unbounded.  The
@@ -207,7 +209,8 @@ class ServeApp:
             return
         # One budget covers artifacts AND encoded payloads: the memo
         # yields whatever headroom the cache's own tier isn't using, so
-        # --cache-memory-mb bounds the server's total, not each tier.
+        # --cache-memory-mb bounds the two together, not each tier (the
+        # stale store's copies of evicted payloads are not counted).
         while (
             self._payload_bytes + self.cache.memory_bytes > budget
             and len(self._payloads) > 1
@@ -234,9 +237,9 @@ class ServeApp:
                     f"unknown measure {measure!r}; known: {', '.join(known)}"
                 )
         if edge_list is not None:
-            source = {"kind": "edge_list", "path": str(edge_list)}
+            source = EdgeListSource(edge_list)
         else:
-            source = {"kind": "dataset", "name": name}
+            source = DatasetSource(name)
         self.datasets[name] = _DatasetEntry(name, source, list(measures))
 
     def add_stream_session(self, session: StreamSession) -> None:
@@ -373,7 +376,7 @@ class ServeApp:
         pyramid = self._pyramids.get(key)
         if pyramid is None:
             pipeline = Pipeline(
-                source_from_spec(entry.source),
+                entry.source,
                 measure,
                 bins=self.bins,
                 scheme=self.scheme,
@@ -497,6 +500,12 @@ class ServeApp:
                 stale_tiles={
                     "held": len(self._stale),
                     "served": self._tally["stale_served"],
+                    # Evicted from the memo, held outside the budget.
+                    "bytes": sum(
+                        len(payload)
+                        for key, (payload, _) in self._stale.items()
+                        if key not in self._payloads
+                    ),
                 },
                 request_timeout=self.request_timeout,
                 faults=resil_faults.snapshot(),
@@ -546,7 +555,11 @@ class ServeApp:
             geometry = self.pyramid(entry, entry.measures[0])
             row = {
                 "name": entry.name,
-                "source": entry.source["kind"],
+                "source": (
+                    "edge_list"
+                    if isinstance(entry.source, EdgeListSource)
+                    else "dataset"
+                ),
                 "measures": entry.measures,
                 "tile_size": geometry.tile_size,
                 "levels": geometry.levels,

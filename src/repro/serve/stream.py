@@ -11,8 +11,10 @@
   stats).
 
 The stream opens with a ``hello`` event carrying the session's pyramid
-geometry and closes with ``done``.  Each request gets its own replay
-(the session is a recorded log, not shared mutable state), and every
+geometry and closes with ``done``.  The log is read once, when the
+session is created, so a replay never reads a file after the ``200``
+head is sent.  Each request gets its own replay of those batches (the
+session is a recorded log, not shared mutable state), and every
 pipeline step runs on the runner's executor so the event loop stays
 responsive while frames are computed.
 
@@ -29,12 +31,11 @@ from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.pipeline import StreamingPipeline
+from ..engine.pipeline import Source, StreamingPipeline
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..stream import read_edit_log
 from ..terrain.heightfield import Heightfield
-from .workers import source_from_spec
 
 __all__ = ["StreamSession", "sse_events", "dirty_tiles"]
 
@@ -45,12 +46,15 @@ _M_REPLAY_ABORTS = obs_metrics.REGISTRY.counter(
 
 
 class StreamSession:
-    """One replayable SSE session registered with the app."""
+    """One replayable SSE session registered with the app.  The edit
+    log is read here, once: a missing file raises
+    ``FileNotFoundError`` and a malformed line
+    :class:`~repro.stream.EditLogError`."""
 
     def __init__(
         self,
         name: str,
-        source: Dict[str, str],
+        source: Source,
         measure: str,
         log_path: str,
         *,
@@ -62,9 +66,10 @@ class StreamSession:
         interval: float = 0.0,
     ) -> None:
         self.name = name
-        self.source = dict(source)
+        self.source = source
         self.measure = measure
         self.log_path = str(log_path)
+        self.batches = read_edit_log(self.log_path)
         self.bins = bins
         self.scheme = scheme
         self.tile_size = int(tile_size)
@@ -128,9 +133,8 @@ class _Replay:
 
     def __init__(self, session: StreamSession, cache) -> None:
         self.session = session
-        self.batches = read_edit_log(session.log_path)
         self.pipeline = StreamingPipeline(
-            source_from_spec(session.source),
+            session.source,
             session.measure,
             bins=session.bins,
             scheme=session.scheme,
@@ -140,7 +144,7 @@ class _Replay:
         self.prev = self.pipeline.heightfield(session.base_resolution)
 
     def step(self, index: int) -> Dict[str, object]:
-        when, batch = self.batches[index]
+        when, batch = self.session.batches[index]
         with obs_trace.span(
             "stream.frame",
             session=self.session.name,
@@ -173,10 +177,10 @@ async def sse_events(
     # One fresh replay per request, on the runner's bounded pool.
     executor = runner.executor
     replay = await loop.run_in_executor(executor, _Replay, session, cache)
-    hello = dict(session.describe(), batches=len(replay.batches))
+    n_batches = len(session.batches)
     try:
-        yield "hello", json.dumps(hello)
-        for index in range(len(replay.batches)):
+        yield "hello", json.dumps(dict(session.describe(), batches=n_batches))
+        for index in range(n_batches):
             frame = await loop.run_in_executor(executor, replay.step, index)
             dirty = frame.pop("dirty")
             if dirty:
@@ -186,7 +190,7 @@ async def sse_events(
             yield "frame", json.dumps(frame)
             if session.interval > 0:
                 await asyncio.sleep(session.interval)
-        yield "done", json.dumps({"batches": len(replay.batches)})
+        yield "done", json.dumps({"batches": n_batches})
     except GeneratorExit:
         # The client went away (or the server is draining): the generator
         # is closed at its current yield, so no further frames are built.

@@ -25,7 +25,6 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional
 
-from ..engine.pipeline import DatasetSource, EdgeListSource, Source
 from ..obs.metrics import Tally
 from ..resil import faults
 from ..resil.retry import (
@@ -53,7 +52,6 @@ THREADS = 4
 
 __all__ = [
     "StageRunner",
-    "source_from_spec",
     "peaks",
     "hit",
     "treemap_svg",
@@ -258,18 +256,8 @@ class StageRunner:
 
 
 # ----------------------------------------------------------------------
-# Sources from plain dicts, and the jobs: functions of a pyramid
+# The jobs: functions of a pyramid
 # ----------------------------------------------------------------------
-def source_from_spec(spec_source: Dict[str, str]) -> Source:
-    """The source a served dataset's ``{"kind": ...}`` dict names."""
-    kind = spec_source.get("kind")
-    if kind == "dataset":
-        return DatasetSource(spec_source["name"])
-    if kind == "edge_list":
-        return EdgeListSource(spec_source["path"])
-    raise ValueError(f"unknown source spec kind {kind!r}")
-
-
 def peaks(pyramid: LODPyramid, count: int) -> List[Dict[str, object]]:
     """JSON-ready rows for the ``count`` highest disconnected peaks."""
     pipeline = pyramid.pipeline

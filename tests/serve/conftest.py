@@ -3,6 +3,7 @@ graph, an app over it, and a live server on an ephemeral port."""
 
 import pytest
 
+from repro.engine.pipeline import EdgeListSource
 from repro.graph.io import write_edge_list
 from repro.serve import ServeApp, ServerThread, StreamSession
 from repro.stream import AddEdge, SetScalar, write_edit_log
@@ -35,7 +36,7 @@ def app(edge_list_file, edit_log_file):
     app.add_dataset("toy", ["kcore", "degree"], edge_list=edge_list_file)
     app.add_stream_session(StreamSession(
         "replay",
-        {"kind": "edge_list", "path": edge_list_file},
+        EdgeListSource(edge_list_file),
         "kcore",
         edit_log_file,
         tile_size=16,

@@ -1,15 +1,19 @@
 """End-to-end endpoint tests against a live server on a real socket."""
 
 import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.engine import Pipeline
-from repro.serve.workers import source_from_spec
+from repro.engine.pipeline import EdgeListSource
+from repro.serve import ServeApp, ServerThread, StreamSession
+from repro.stream import AddEdge, SetScalar, write_edit_log
 from repro.terrain.heightfield import Tile
 
-from serve_client import exchange, read_sse
+from serve_client import Client, exchange, read_sse
 
 
 class TestMetaEndpoints:
@@ -29,7 +33,19 @@ class TestMetaEndpoints:
         assert toy["measures"] == ["kcore", "degree"]
         assert toy["tile_size"] == 16
         assert toy["tiles_per_side"] == [4, 2, 1]
+        assert toy["source"] == "edge_list"
         assert doc["sessions"] == ["replay"]
+
+    def test_datasets_name_their_source_kind(self, edge_list_file):
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_dataset("amazon", ["kcore"])
+        app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
+        with ServerThread(app) as server:
+            status, doc = Client(server.port).get_json("/datasets")
+        assert status == 200
+        assert {d["name"]: d["source"] for d in doc["datasets"]} == {
+            "amazon": "dataset", "toy": "edge_list",
+        }
 
     def test_stats(self, client):
         status, doc = client.get_json("/stats")
@@ -67,9 +83,7 @@ class TestTiles:
     def test_tile_roundtrip_and_assembly(self, client, app):
         """Fetched tiles parse and stitch to the pipeline's heightfield."""
         entry = app.datasets["toy"]
-        pipeline = Pipeline(
-            source_from_spec(entry.source), "kcore", cache=app.cache
-        )
+        pipeline = Pipeline(entry.source, "kcore", cache=app.cache)
         full = pipeline.heightfield(64)  # tile_size 16 * 2**(3-1) levels
         assembled = np.empty((64, 64))
         for ty in range(4):
@@ -220,6 +234,35 @@ class TestStream:
     def test_unknown_session_404(self, client):
         status, _ = client.get_json("/stream/ghost")
         assert status == 404
+
+    def test_replay_steps_through_the_batches_read_at_registration(
+        self, tmp_path, edge_list_file, caplog
+    ):
+        """The log is read when the session is created: overwriting it
+        with a malformed line, then deleting it, changes no replay, and
+        the server logs no exception."""
+        log = write_edit_log(
+            tmp_path / "edits.jsonl",
+            [[SetScalar(8, 4.0)], [AddEdge(0, 8)]],
+            times=[1.0, 2.0],
+        )
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_dataset("toy", ["kcore"], edge_list=edge_list_file)
+        app.add_stream_session(StreamSession(
+            "s", EdgeListSource(edge_list_file), "kcore", str(log),
+            tile_size=16, levels=2,
+        ))
+        with caplog.at_level(logging.ERROR), ServerThread(app) as server:
+            Path(log).write_text('{"op": "set" "v": 1}\n')
+            overwritten = read_sse(server.port, "/stream/s")
+            Path(log).unlink()
+            deleted = read_sse(server.port, "/stream/s")
+        names = [name for name, _ in overwritten]
+        assert names[0] == "hello" and names[-1] == "done"
+        assert names.count("frame") == 2
+        assert overwritten[0][1]["batches"] == 2
+        assert deleted == overwritten
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestPayloadMemoBound:

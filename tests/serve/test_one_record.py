@@ -243,7 +243,7 @@ STATS_TREE = {
             "shed": None,
         },
         "breakers": {"tracked": None, "open": None},
-        "stale_tiles": {"held": None, "served": None},
+        "stale_tiles": {"held": None, "served": None, "bytes": None},
         "request_timeout": None,
         "faults": {"spec": None, "passes": ANY, "fired": ANY},
     },

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.engine import ArtifactCache
+from repro.engine.pipeline import EdgeListSource
 from repro.resil import faults
 from repro.resil.retry import RetryPolicy, Saturated
 from repro.serve import ServeApp, ServerThread, StageRunner, StreamSession
@@ -29,7 +30,7 @@ def make_app(edge_list_file, log=None, interval=0.0, **app_kwargs):
     if log is not None:
         app.add_stream_session(StreamSession(
             "replay",
-            {"kind": "edge_list", "path": edge_list_file},
+            EdgeListSource(edge_list_file),
             "kcore",
             log,
             tile_size=16,
@@ -157,6 +158,27 @@ class TestStaleTileDegradation:
             status, stats = client.get_json("/stats")
             assert stats["resil"]["stale_tiles"]["served"] == 1
             assert stats["resil"]["stale_tiles"]["held"] >= 1
+
+    def test_stale_bytes_are_payloads_evicted_from_the_memo(
+        self, edge_list_file
+    ):
+        """``resil.stale_tiles.bytes`` counts the payloads only the
+        stale store holds: outside the ``--cache-memory-mb`` budget."""
+        app = make_app(edge_list_file, cache=ArtifactCache(max_memory_bytes=1))
+        with ServerThread(app) as server:
+            client = Client(server.port)
+            bodies = [
+                client.get(f"/t/toy/kcore/0/{tx}/{ty}")[2]
+                for ty in range(2) for tx in range(2)
+            ]
+            status, stats = client.get_json("/stats")
+        assert status == 200
+        # A 1-byte budget keeps only the newest payload in the memo.
+        assert stats["warm_tiles"] == 1
+        assert stats["resil"]["stale_tiles"]["held"] == 4
+        assert stats["resil"]["stale_tiles"]["bytes"] == sum(
+            len(body) for body in bodies[:-1]
+        )
 
     def test_no_stale_copy_means_the_error_stands(
         self, edge_list_file, fault_spec

@@ -9,7 +9,6 @@ import pytest
 
 from repro.engine import ArtifactCache
 from repro.serve import ServeApp, ServerThread, StageRunner
-from repro.serve.workers import source_from_spec
 
 
 class CountingCache(ArtifactCache):
@@ -144,11 +143,3 @@ class TestColdTileConcurrency:
         # And the runner saw exactly one levels build + one tile build.
         assert app.runner.stats["builds"] == 2
         assert app.runner.stats["coalesced"] >= 1
-
-
-def test_source_from_spec(edge_list_file):
-    """A served dataset's plain source dict rebuilds its source."""
-    source = source_from_spec({"kind": "edge_list", "path": edge_list_file})
-    assert source.load().n_vertices == 9
-    with pytest.raises(ValueError):
-        source_from_spec({"kind": "carrier-pigeon"})
