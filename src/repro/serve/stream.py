@@ -68,8 +68,7 @@ class StreamSession:
         self.name = name
         self.source = source
         self.measure = measure
-        self.log_path = str(log_path)
-        self.batches = read_edit_log(self.log_path)
+        self.batches = read_edit_log(log_path)
         self.bins = bins
         self.scheme = scheme
         self.tile_size = int(tile_size)
@@ -177,10 +176,10 @@ async def sse_events(
     # One fresh replay per request, on the runner's bounded pool.
     executor = runner.executor
     replay = await loop.run_in_executor(executor, _Replay, session, cache)
-    n_batches = len(session.batches)
+    hello = dict(session.describe(), batches=len(session.batches))
     try:
-        yield "hello", json.dumps(dict(session.describe(), batches=n_batches))
-        for index in range(n_batches):
+        yield "hello", json.dumps(hello)
+        for index in range(len(session.batches)):
             frame = await loop.run_in_executor(executor, replay.step, index)
             dirty = frame.pop("dirty")
             if dirty:
@@ -190,7 +189,7 @@ async def sse_events(
             yield "frame", json.dumps(frame)
             if session.interval > 0:
                 await asyncio.sleep(session.interval)
-        yield "done", json.dumps({"batches": n_batches})
+        yield "done", json.dumps({"batches": len(session.batches)})
     except GeneratorExit:
         # The client went away (or the server is draining): the generator
         # is closed at its current yield, so no further frames are built.
