@@ -5,7 +5,10 @@ in-process job result, and each result matches ``tests/golden/serve.json``
 The jobs are :func:`golden.serve_jobs` on amazon × {kcore, ktruss}:
 every tile at every level, the peaks, a hit at the highest summit and
 one off the terrain, the treemap and the profile.  A served body must
-carry its job's result on any numpy version.  The digests of results
+carry its job's result on any numpy version, from an app over an
+unbounded cache and from one over a zero budget, where every stage
+result is evicted as soon as the next is stored and each job rebuilds
+what it reads.  The digests of results
 that layout geometry enters are compared only under the numpy version
 that recorded them, as in ``tests/golden/test_golden.py``.
 """
@@ -18,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.engine import ArtifactCache
 from repro.serve import LODPyramid, ServeApp, ServerThread
 from repro.serve import workers
 
@@ -32,6 +36,8 @@ _SPEC.loader.exec_module(golden)
 
 SERVE = golden.load(golden.SERVE_CORPUS)
 DS = golden.SERVE_DATASET
+#: Memory budgets of the served apps' caches: unbounded, and zero.
+BUDGETS = (None, 0)
 
 
 def url(measure, job, args):
@@ -75,18 +81,29 @@ def digests(measure):
 
 @pytest.fixture(scope="module")
 def served():
-    """``{measure: {name: (job, reply)}}`` from one live server."""
-    app = ServeApp(tile_size=golden.SERVE_TILE_SIZE, levels=golden.SERVE_LEVELS)
-    app.add_dataset(DS, list(golden.SERVE_MEASURES))
+    """``{budget: {measure: {name: (job, reply)}}}``, one live server
+    per cache budget."""
     replies = {}
-    with ServerThread(app) as server:
-        client = Client(server.port)
-        for measure in golden.SERVE_MEASURES:
-            jobs = golden.serve_jobs(golden.serve_pyramid(measure))
-            replies[measure] = {
-                name: (job, client.get(url(measure, job, args)))
-                for name, (job, *args) in jobs.items()
+    for budget in BUDGETS:
+        app = ServeApp(
+            cache=ArtifactCache(max_memory_bytes=budget),
+            tile_size=golden.SERVE_TILE_SIZE,
+            levels=golden.SERVE_LEVELS,
+        )
+        app.add_dataset(DS, list(golden.SERVE_MEASURES))
+        with ServerThread(app) as server:
+            client = Client(server.port)
+            replies[budget] = {
+                measure: {
+                    name: (job, client.get(url(measure, job, args)))
+                    for name, (job, *args) in golden.serve_jobs(
+                        golden.serve_pyramid(measure)
+                    ).items()
+                }
+                for measure in golden.SERVE_MEASURES
             }
+        if budget == 0:
+            assert app.cache.stats["evictions"] > 0
     return replies
 
 
@@ -105,9 +122,10 @@ def test_corpus_covers_every_measure_and_job():
 @pytest.mark.parametrize("measure", golden.SERVE_MEASURES)
 def test_served_bodies_carry_job_results(served, measure):
     want = results(measure)
-    for name, (job, (status, headers, body)) in served[measure].items():
-        assert status == 200, (name, body)
-        assert carried(job, headers, body) == want[name], name
+    for budget, by_measure in served.items():
+        for name, (job, (status, headers, body)) in by_measure[measure].items():
+            assert status == 200, (budget, name, body)
+            assert carried(job, headers, body) == want[name], (budget, name)
 
 
 @pytest.mark.parametrize("measure", golden.SERVE_MEASURES)
