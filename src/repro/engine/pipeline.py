@@ -259,6 +259,12 @@ class Pipeline(_TreeSinks):
         An :class:`ArtifactCache`; defaults to a fresh memory-only cache.
         Share one instance (or point several at one directory) to reuse
         artifacts across builds.
+
+    A pipeline holds only its inputs: the graph, the field and their
+    content fingerprints, which every stage key hashes.  Each stage
+    result (tree, display tree, layout, heightfields) lives only in the
+    cache, so a memory budget on the cache bounds them all; a result it
+    evicts is freed, and rebuilt from the inputs on its next use.
     """
 
     def __init__(
@@ -270,15 +276,16 @@ class Pipeline(_TreeSinks):
         scheme: str = "quantile",
         cache: Optional[ArtifactCache] = None,
     ) -> None:
-        self._explicit_field: Optional[FieldGraph] = None
+        self._field: Optional[FieldGraph] = None
         if isinstance(source, (ScalarGraph, EdgeScalarGraph)):
             if measure is not None:
                 raise ValueError(
                     "measure must be omitted when the source already "
                     "carries scalars"
                 )
-            self._explicit_field = source
+            self._field = source
             self.source: Source = GraphSource(source.graph)
+            kind = "vertex" if isinstance(source, ScalarGraph) else "edge"
         else:
             self.source = _as_source(source)
             if measure is None:
@@ -288,18 +295,16 @@ class Pipeline(_TreeSinks):
                     f"unknown measure {measure!r}; known measures: "
                     f"{', '.join(registry.measure_names())}"
                 )
+            kind = registry.get_measure(measure).kind
+        #: ``"vertex"`` or ``"edge"``: which tree algorithm runs.
+        self.kind = kind
         self.measure = measure
         self.bins = bins
         self.scheme = scheme
         self.cache = cache if cache is not None else ArtifactCache()
         self._graph: Optional[CSRGraph] = None
         self._graph_fp: Optional[str] = None
-        self._field: Optional[FieldGraph] = None
         self._field_fp: Optional[str] = None
-        self._tree: Optional[ScalarTree] = None
-        self._display: Optional[SuperTree] = None
-        self._layout = None
-        self._heightfields: dict = {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -335,9 +340,9 @@ class Pipeline(_TreeSinks):
 
     # -- stage-level entry points --------------------------------------
     def stage(self, name: str, params: Dict[str, object], build, disk=True):
-        """Run ``build()`` as a *custom* cached stage of this pipeline.
+        """Run ``build()`` as a cached stage of this pipeline.
 
-        The stage is keyed exactly like the built-in ones — name +
+        The stage is keyed like every stage past the field — name +
         params + the graph and field content fingerprints — so derived
         artifacts (e.g. :mod:`repro.serve`'s LOD levels) share the
         pipeline's cache identity: same inputs hit, changed inputs miss.
@@ -390,13 +395,9 @@ class Pipeline(_TreeSinks):
     def field(self) -> FieldGraph:
         """Field stage: the scalar graph (measure evaluated, cached)."""
         if self._field is None:
-            if self._explicit_field is not None:
-                self._field = self._explicit_field
-            else:
-                spec = registry.get_measure(self.measure)
-                values = self._field_stage(spec)
-                wrap = ScalarGraph if spec.kind == "vertex" else EdgeScalarGraph
-                self._field = wrap(self.graph, values)
+            spec = registry.get_measure(self.measure)
+            wrap = ScalarGraph if self.kind == "vertex" else EdgeScalarGraph
+            self._field = wrap(self.graph, self._field_stage(spec))
         return self._field
 
     @property
@@ -406,71 +407,44 @@ class Pipeline(_TreeSinks):
         return self._field_fp
 
     @property
-    def kind(self) -> str:
-        """``"vertex"`` or ``"edge"`` — which tree algorithm runs."""
-        return "vertex" if isinstance(self.field, ScalarGraph) else "edge"
-
-    @property
     def tree(self) -> ScalarTree:
         """Tree stage: the raw scalar tree (Algorithm 1 or 3, cached)."""
-        if self._tree is None:
-            kind = self.kind
-            builder = (
-                build_vertex_tree if kind == "vertex" else build_edge_tree
-            )
-            self._tree = self._stage(
-                "tree",
-                {"kind": kind},
-                [self.graph_fingerprint, self.field_fingerprint],
-                lambda: builder(self.field),
-            )
-        return self._tree
+        builder = (
+            build_vertex_tree if self.kind == "vertex" else build_edge_tree
+        )
+        return self.stage(
+            "tree", {"kind": self.kind}, lambda: builder(self.field)
+        )
 
     @property
     def display_tree(self) -> SuperTree:
         """Display stage: super tree (Algorithm 2), simplified if
         ``bins`` is set.  A cache hit here skips the tree stage too."""
-        if self._display is None:
-            params = self.display_params()
-            if self.bins:
-                build = lambda: simplify_tree(  # noqa: E731
-                    self.tree, self.bins, scheme=self.scheme
-                )
-            else:
-                build = lambda: build_super_tree(self.tree)  # noqa: E731
-            self._display = self._stage(
-                "display",
-                params,
-                [self.graph_fingerprint, self.field_fingerprint],
-                build,
+        if self.bins:
+            build = lambda: simplify_tree(  # noqa: E731
+                self.tree, self.bins, scheme=self.scheme
             )
-        return self._display
+        else:
+            build = lambda: build_super_tree(self.tree)  # noqa: E731
+        return self.stage("display", self.display_params(), build)
 
     def layout(self):
         """Layout stage: the nested-disc 2D layout (memory-cached —
         layouts have no on-disk form)."""
-        if self._layout is None:
-            params = self.display_params()
-            self._layout = self._stage(
-                "layout",
-                params,
-                [self.graph_fingerprint, self.field_fingerprint],
-                lambda: layout_tree(self.display_tree),
-                disk=False,
-            )
-        return self._layout
+        return self.stage(
+            "layout",
+            self.display_params(),
+            lambda: layout_tree(self.display_tree),
+            disk=False,
+        )
 
     def heightfield(self, resolution: int = 160):
-        if resolution not in self._heightfields:
-            params = dict(self.display_params(), resolution=resolution)
-            self._heightfields[resolution] = self._stage(
-                "heightfield",
-                params,
-                [self.graph_fingerprint, self.field_fingerprint],
-                lambda: rasterize(self.layout(), resolution=resolution),
-                disk=False,
-            )
-        return self._heightfields[resolution]
+        return self.stage(
+            "heightfield",
+            dict(self.display_params(), resolution=resolution),
+            lambda: rasterize(self.layout(), resolution=resolution),
+            disk=False,
+        )
 
     # -- extras ---------------------------------------------------------
     def measure_field(self, name: str) -> np.ndarray:
@@ -533,14 +507,9 @@ class StreamingPipeline(_TreeSinks):
         cache: Optional[ArtifactCache] = None,
     ) -> None:
         base = Pipeline(source, measure, bins=bins, scheme=scheme, cache=cache)
-        # Reject edge measures from the registry's declared kind, before
-        # the (possibly expensive) field stage ever runs.  For an
-        # explicit field, base.kind is a free isinstance check.
-        if base.measure is not None:
-            kind = registry.get_measure(base.measure).kind
-        else:
-            kind = base.kind
-        if kind != "vertex":
+        # base.kind is the measure's declared kind: edge measures are
+        # rejected before the (possibly expensive) field stage runs.
+        if base.kind != "vertex":
             raise ValueError(
                 "streaming mode needs a vertex measure; pick from "
                 f"{', '.join(registry.measure_names(kind='vertex'))}"

@@ -2,6 +2,9 @@
 the scalar field or graph changes, and round-trip equality of cached
 trees through :mod:`repro.core.serialize`."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,23 @@ class TestInvalidation:
         p2.build()
         assert cache.stats["hits"] == hits
         assert p2.display_tree.n_items == bigger.n_vertices
+
+
+class TestOneStore:
+    def test_evicted_stage_result_is_freed_and_rebuilt(self, field):
+        # The pipeline pins no stage result: once the cache evicts a
+        # heightfield nothing holds it, and the next call rebuilds it.
+        pipeline = Pipeline(field, cache=ArtifactCache(max_memory_bytes=1))
+        first = pipeline.heightfield(64)
+        height = weakref.ref(first.height)
+        want = first.height.copy(), first.node.copy()
+        del first
+        pipeline.heightfield(32)  # each put evicts the entry before it
+        gc.collect()
+        assert height() is None
+        again = pipeline.heightfield(64)
+        np.testing.assert_array_equal(again.height, want[0])
+        np.testing.assert_array_equal(again.node, want[1])
 
 
 class TestDiskTier:
