@@ -127,13 +127,18 @@ class DatasetSource(Source):
 
 
 class EdgeListSource(Source):
-    """A SNAP-style edge-list file."""
+    """A SNAP-style edge-list file, read on the first load and kept, so
+    every pipeline and stream replay over one source shares one graph
+    (a :class:`~repro.stream.delta.DeltaGraph` never mutates its base)."""
 
     def __init__(self, path: PathLike) -> None:
         self.path = path
+        self._graph: Optional[CSRGraph] = None
 
     def load(self) -> CSRGraph:
-        return read_edge_list(self.path)
+        if self._graph is None:
+            self._graph = read_edge_list(self.path)
+        return self._graph
 
     def __repr__(self) -> str:
         return f"EdgeListSource({str(self.path)!r})"

@@ -162,8 +162,7 @@ def iter_edge_chunks(
 
     Yields at most ``chunk_edges`` edges per array, so peak memory is
     one chunk regardless of the file size — the primitive
-    :func:`read_edge_list` and ``repro serve``'s boot-time check of
-    ``--edge-list`` files are built on.  Comments (``#``) and
+    :func:`read_edge_list` is built on.  Comments (``#``) and
     blank lines are skipped; extra columns beyond ``u v`` are ignored.
     A line with fewer than two fields, or an endpoint that is not a
     non-negative int64, raises :class:`EdgeListError`.

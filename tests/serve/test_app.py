@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.engine import Pipeline
+from repro.engine import pipeline as pipeline_module
 from repro.engine.pipeline import EdgeListSource
+from repro.graph.io import read_edge_list
 from repro.serve import ServeApp, ServerThread, StreamSession
 from repro.stream import AddEdge, SetScalar, write_edit_log
 from repro.terrain.heightfield import Tile
@@ -263,6 +265,35 @@ class TestStream:
         assert overwritten[0][1]["batches"] == 2
         assert deleted == overwritten
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestEdgeListReads:
+    def test_one_read_serves_every_measure_and_replay(
+        self, edge_list_file, edit_log_file, monkeypatch
+    ):
+        """The dataset's source keeps the graph it read: both measures'
+        pipelines and a replay over that source share one read."""
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_edge_list(path)
+
+        monkeypatch.setattr(pipeline_module, "read_edge_list", counting)
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_dataset("toy", ["kcore", "degree"], edge_list=edge_list_file)
+        app.add_stream_session(StreamSession(
+            "s", app.datasets["toy"].source, "kcore", edit_log_file,
+            tile_size=16, levels=2,
+        ))
+        with ServerThread(app) as server:
+            client = Client(server.port)
+            for measure in ("kcore", "degree"):
+                status, _, body = client.get(f"/t/toy/{measure}/0/0/0")
+                assert status == 200, body
+            names = [name for name, _ in read_sse(server.port, "/stream/s")]
+        assert names[-1] == "done"
+        assert reads == [edge_list_file]
 
 
 class TestPayloadMemoBound:
