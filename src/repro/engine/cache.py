@@ -112,16 +112,17 @@ def stage_key(stage: str, params: Dict[str, object], *fingerprints: str) -> str:
 def artifact_nbytes(value) -> int:
     """Approximate memory footprint of a cached artifact.
 
-    Arrays and array-backed objects (trees, heightfields) report
-    their buffer sizes; anything else falls back to ``sys.getsizeof``.
-    Used by the cache's LRU accounting — an estimate is fine, the bound
-    exists to stop unbounded growth, not to meter bytes exactly.
+    Arrays and array-backed objects (trees, layouts, heightfields)
+    report their buffer sizes; anything else falls back to
+    ``sys.getsizeof``.  Used by the cache's LRU accounting — an
+    estimate is fine, the bound exists to stop unbounded growth, not to
+    meter bytes exactly.
     """
     if isinstance(value, np.ndarray):
         return int(value.nbytes)
     total = 0
     seen = False
-    for attr in ("parent", "scalars", "height", "node"):
+    for attr in ("parent", "scalars", "height", "node", "cx", "cy", "r"):
         part = getattr(value, attr, None)
         if isinstance(part, np.ndarray):
             total += int(part.nbytes)

@@ -5,8 +5,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import ScalarGraph, build_super_tree, build_vertex_tree
 from repro.engine import ArtifactCache, artifact_nbytes
 from repro.core.scalar_tree import ScalarTree
+from repro.graph import from_edges
+from repro.terrain import layout_tree
 
 
 def array_kb(fill: float) -> np.ndarray:
@@ -23,6 +26,13 @@ class TestSizeAccounting:
             np.array([3.0, 2.0, 1.0]),
         )
         assert artifact_nbytes(tree) == 3 * 8 + 3 * 8
+
+    def test_layout_nbytes_counts_disc_arrays(self):
+        tree = build_super_tree(build_vertex_tree(ScalarGraph(
+            from_edges([(0, 1), (1, 2), (2, 3)]), np.array([1.0, 3.0, 2.0, 4.0])
+        )))
+        layout = layout_tree(tree)
+        assert artifact_nbytes(layout) == 3 * 8 * tree.n_nodes
 
     def test_fallback_for_opaque_objects(self):
         assert artifact_nbytes(object()) > 0
