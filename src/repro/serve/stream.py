@@ -62,7 +62,6 @@ class StreamSession:
         scheme: str = "quantile",
         tile_size: int = 64,
         levels: int = 3,
-        rebuild_threshold: float = 0.5,
         interval: float = 0.0,
     ) -> None:
         self.name = name
@@ -73,7 +72,6 @@ class StreamSession:
         self.scheme = scheme
         self.tile_size = int(tile_size)
         self.levels = int(levels)
-        self.rebuild_threshold = rebuild_threshold
         self.interval = interval
 
     @property
@@ -137,7 +135,6 @@ class _Replay:
             session.measure,
             bins=session.bins,
             scheme=session.scheme,
-            rebuild_threshold=session.rebuild_threshold,
             cache=cache,
         )
         self.prev = self.pipeline.heightfield(session.base_resolution)
