@@ -12,8 +12,11 @@ subprocess on an ephemeral port, then asserts over plain HTTP:
 * ``/stream/smoke`` pushes at least one SSE frame and finishes;
 * ``examples/serve_client.py --url`` assembles the terrain and exits 0;
 * after a SIGTERM drain, a second server over the same ``--cache-dir``
-  answers the first tile with the same ETag and bytes, and no document
-  in that directory is a ``"type": "tile"`` (tiles are never cached).
+  and with ``--cache-memory-mb 0`` (every stage result is evicted as
+  soon as the next is stored) answers every tile of the pyramid with
+  the same ETag and bytes as the first, ``/stats`` counts evictions,
+  and no document in that directory is a ``"type": "tile"`` (tiles are
+  never cached).
 
 Exit code 0 on success.  Usage::
 
@@ -32,6 +35,14 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
+
+#: Every tile of the served pyramid (16-cell tiles, 2 levels).
+TILE_URLS = [
+    f"/t/toy/kcore/{level}/{tx}/{ty}"
+    for level, per in ((0, 2), (1, 1))
+    for ty in range(per)
+    for tx in range(per)
+]
 
 
 def get(port, url, headers=None, timeout=120):
@@ -114,10 +125,10 @@ def main() -> int:
         "--cache-dir", str(cache_dir),
     ]
 
-    def boot():
+    def boot(*extra):
         return subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env,
+            argv + list(extra), stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, env=env,
         )
 
     proc = boot()
@@ -149,6 +160,14 @@ def main() -> int:
         assert status == 304 and body == b"", (status, body)
         assert headers["ETag"] == etag
         print(f"[ok] {tile_url} revalidation -> 304")
+
+        tiles = {}
+        for url in TILE_URLS:
+            status, headers, body = get(port, url)
+            assert status == 200 and body, (url, status)
+            tiles[url] = (headers["ETag"], body)
+        assert tiles[tile_url] == (etag, tile_body)
+        print(f"[ok] all {len(tiles)} tiles of the pyramid")
 
         status, _, _ = get(port, "/t/toy/kcore/9/0/0")
         assert status == 404, status
@@ -205,20 +224,28 @@ def main() -> int:
         assert rc == 0, f"SIGTERM drain exited rc={rc}"
         print("[ok] SIGTERM -> drained, clean exit")
 
-        # A restart over the same cache directory serves the same tile.
+        # A restart over the same cache directory, with a zero memory
+        # budget, rebuilds what it evicts and serves the same tiles.
         proc.stdout.close()
-        proc = boot()
+        proc = boot("--cache-memory-mb", "0")
         port = wait_for_server(proc)
-        status, headers, again = get(port, tile_url)
-        assert status == 200 and headers["ETag"] == etag, (status, headers)
-        assert again == tile_body
+        for url, (want_etag, want_body) in tiles.items():
+            status, headers, again = get(port, url)
+            assert status == 200 and headers["ETag"] == want_etag, (
+                url, status, headers,
+            )
+            assert again == want_body, url
+        status, _, body = get(port, "/stats")
+        evictions = json.loads(body)["cache"]["evictions"]
+        assert evictions > 0, evictions
         kinds = {
             json.loads(path.read_text()).get("type")
             for path in cache_dir.glob("*.json")
         }
         assert kinds and "tile" not in kinds, kinds
-        print(f"[ok] restart over --cache-dir: {tile_url} same ETag and "
-              f"bytes; cached document types {sorted(kinds)}")
+        print(f"[ok] restart over --cache-dir with --cache-memory-mb 0: "
+              f"all {len(tiles)} tiles same ETag and bytes, {evictions} "
+              f"evictions; cached document types {sorted(kinds)}")
 
         print("serve smoke: all endpoints healthy")
         return 0
