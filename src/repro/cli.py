@@ -959,10 +959,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--cache-memory-mb", type=int, default=None, metavar="MB",
-        help="LRU-bound the server's cache memory (stage artifacts plus "
-             "the encoded-tile memo share this budget; the up to 512 "
-             "evicted tiles kept for stale fallbacks are outside it; "
-             "default: unbounded)",
+        help="LRU-bound the server's cache memory (every stage artifact "
+             "plus the encoded-tile memo share this budget, and an "
+             "evicted artifact is rebuilt when next needed; each "
+             "dataset's graph and field, and the up to 512 evicted tiles "
+             "kept for stale fallbacks, are outside it; default: "
+             "unbounded)",
     )
     serve.add_argument(
         "--stream-log", action="append", metavar="NAME=DATASET:MEASURE:PATH",

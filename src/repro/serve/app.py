@@ -160,10 +160,12 @@ class ServeApp:
         # Encoded warm tiles: logical key -> (payload, etag).  Static
         # content is immutable for the server's lifetime (content-hash
         # keyed), so this memo never needs invalidation — and it shares
-        # the cache's memory budget (artifacts + payloads together stay
-        # under max_memory_bytes; the stale store below is outside it).
-        # An evicted payload is cut again from its level's field, which
-        # the tile's job rebuilds if it was evicted too.
+        # the cache's memory budget: every stage artifact and these
+        # payloads together stay under max_memory_bytes.  Outside it are
+        # the stale store below and each pipeline's inputs (its graph
+        # and field).  An evicted payload is cut again from its level's
+        # field, which the tile's job rebuilds from those inputs if it
+        # was evicted too.
         self._payloads: "OrderedDict[str, Tuple[bytes, str]]" = OrderedDict()
         self._payload_bytes = 0
         #: Per-request build deadline (seconds); None = unbounded.  The
@@ -207,10 +209,11 @@ class ServeApp:
         budget = self.cache.max_memory_bytes
         if budget is None:
             return
-        # One budget covers artifacts AND encoded payloads: the memo
-        # yields whatever headroom the cache's own tier isn't using, so
-        # --cache-memory-mb bounds the two together, not each tier (the
-        # stale store's copies of evicted payloads are not counted).
+        # One budget covers every stage artifact AND the encoded
+        # payloads: the memo yields whatever headroom the cache's own
+        # tier isn't using, so --cache-memory-mb bounds the two together,
+        # not each tier (the stale store's copies of evicted payloads
+        # and the pipelines' graphs and fields are not counted).
         while (
             self._payload_bytes + self.cache.memory_bytes > budget
             and len(self._payloads) > 1
