@@ -37,6 +37,7 @@ Example::
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -134,11 +135,13 @@ class EdgeListSource(Source):
     def __init__(self, path: PathLike) -> None:
         self.path = path
         self._graph: Optional[CSRGraph] = None
+        self._lock = threading.Lock()
 
     def load(self) -> CSRGraph:
-        if self._graph is None:
-            self._graph = read_edge_list(self.path)
-        return self._graph
+        with self._lock:
+            if self._graph is None:
+                self._graph = read_edge_list(self.path)
+            return self._graph
 
     def __repr__(self) -> str:
         return f"EdgeListSource({str(self.path)!r})"
@@ -290,7 +293,8 @@ class Pipeline(_TreeSinks):
                 )
             self._field = source
             self.source: Source = GraphSource(source.graph)
-            kind = "vertex" if isinstance(source, ScalarGraph) else "edge"
+            #: ``"vertex"`` or ``"edge"``: which tree algorithm runs.
+            self.kind = "vertex" if isinstance(source, ScalarGraph) else "edge"
         else:
             self.source = _as_source(source)
             if measure is None:
@@ -300,9 +304,7 @@ class Pipeline(_TreeSinks):
                     f"unknown measure {measure!r}; known measures: "
                     f"{', '.join(registry.measure_names())}"
                 )
-            kind = registry.get_measure(measure).kind
-        #: ``"vertex"`` or ``"edge"``: which tree algorithm runs.
-        self.kind = kind
+            self.kind = registry.get_measure(measure).kind
         self.measure = measure
         self.bins = bins
         self.scheme = scheme

@@ -1,6 +1,9 @@
 """The static pipeline: stage equivalence with the direct API, sinks,
 sources, and the field stage for correlation."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,12 +18,14 @@ from repro.core import (
 from repro.engine import (
     ArtifactCache,
     DatasetSource,
+    EdgeListSource,
     GraphSource,
     Pipeline,
     registry,
 )
+from repro.engine import pipeline as pipeline_module
 from repro.graph import from_edges
-from repro.graph.io import write_edge_list
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.measures import core_numbers, truss_numbers
 
 
@@ -99,6 +104,29 @@ class TestSources:
         assert_super_equal(
             p.display_tree, Pipeline(GraphSource(graph), "kcore").display_tree
         )
+
+    def test_edge_list_is_read_once_under_concurrent_loads(
+        self, graph, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "g.txt"
+        write_edge_list(graph, path)
+        reads = []
+
+        def counting(p):
+            reads.append(p)
+            return read_edge_list(p)
+
+        monkeypatch.setattr(pipeline_module, "read_edge_list", counting)
+        source = EdgeListSource(str(path))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                graphs = list(pool.map(lambda _: source.load(), range(32)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == [str(path)]
+        assert all(g is graphs[0] for g in graphs)
 
     def test_bad_source_type(self):
         with pytest.raises(TypeError, match="source must be"):
