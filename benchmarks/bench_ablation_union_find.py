@@ -46,7 +46,7 @@ def _build_tree_with(uf_cls, scalar_graph):
     return ScalarTree(np.array(parent), scalars.copy())
 
 
-def test_ablation_compression(benchmark, report, report_json, kcore_field):
+def test_ablation_compression(benchmark, report, kcore_field):
     field = kcore_field("wikipedia")
     have_native = accel_native.available()
 
@@ -82,19 +82,6 @@ def test_ablation_compression(benchmark, report, report_json, kcore_field):
         f"without path compression: {naive:.3f}s\n"
         f"slowdown: {naive / fast:.1f}x\n" + native_text,
     )
-    report_json("accel_ablation_union_find", {
-        "bench": "ablation_union_find",
-        "n_vertices": field.n_vertices,
-        "n_edges": field.n_edges,
-        "compressed_s": fast,
-        "uncompressed_s": naive,
-        "uncompressed_slowdown": naive / fast,
-        "native_available": have_native,
-        "native_s": native if have_native else None,
-        "native_speedup_vs_compressed": (
-            fast / native if have_native else None
-        ),
-    })
 
 
 def test_bench_compressed(benchmark, kcore_field):

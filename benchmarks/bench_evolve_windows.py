@@ -137,7 +137,7 @@ def _steady(per_frame: List[float]) -> float:
     return statistics.median(per_frame[1:])
 
 
-def test_evolve_timeline_speedup(report, report_json):
+def test_evolve_timeline_speedup(report):
     n, rows = _temporal_scenario(_SEED)
 
     # One un-timed pass for the node-identity cross-check and the
@@ -177,25 +177,6 @@ def test_evolve_timeline_speedup(report, report_json):
             f"{1e3 * t_timeline:>12.2f}",
             f"steady-state speedup: {speedup:.2f}x",
         ]),
-    )
-    report_json(
-        "evolve_windows",
-        {
-            "tiny": _TINY,
-            "n_vertices": n,
-            "edges_per_window": m_window,
-            "n_windows": _N_WINDOWS,
-            "churn_fraction": churn_frac,
-            "frame0_ms": {
-                "pipeline": 1e3 * pipeline_first,
-                "timeline": 1e3 * timeline_first,
-            },
-            "steady_ms": {
-                "pipeline": 1e3 * t_pipeline,
-                "timeline": 1e3 * t_timeline,
-            },
-            "steady_speedup": speedup,
-        },
     )
 
     # The contract this benchmark certifies — and unlike the generic

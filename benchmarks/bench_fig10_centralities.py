@@ -67,7 +67,7 @@ def test_fig10a_outlier_terrain(benchmark, report):
     report("fig10a_outlier_terrain", "\n".join(lines))
 
 
-def test_accel_harmonic_speedup(report, report_json):
+def test_accel_harmonic_speedup(report):
     """Vector harmonic centrality vs its loop oracle on a ≥5e4-vertex
     graph.
 
@@ -101,17 +101,6 @@ def test_accel_harmonic_speedup(report, report_json):
         f"  naive  {t_naive * 1e3:8.1f} ms\n"
         f"  vector {t_vector * 1e3:8.1f} ms   ({speedup:.1f}x)",
     )
-    report_json("accel_harmonic_speedup", {
-        "bench": "harmonic_centrality",
-        "n_vertices": n,
-        "n_edges": m,
-        "n_sources": len(sources),
-        "naive_s": t_naive,
-        "vector_s": t_vector,
-        "speedup": speedup,
-        "floor": 5.0,
-        "asserted": not _TINY,
-    })
     if not _TINY:
         assert speedup >= 5.0, (
             f"vector harmonic only {speedup:.2f}x faster than naive at "

@@ -138,7 +138,7 @@ def _on(tier, fn, *args):
         return fn(*args)
 
 
-def test_accel_tree_construction_speedup(report, report_json):
+def test_accel_tree_construction_speedup(report):
     """Loop oracle vs vector vs native Algorithm 1/3 on a ≥1e5-edge graph.
 
     The floors: at 1e5+ edges the edge-ordered merge-scan kernel must
@@ -214,32 +214,6 @@ def test_accel_tree_construction_speedup(report, report_json):
         f"vector {te_vector * 1e3:8.1f} ms ({e_speedup:4.1f}x)   "
         f"native {_ms(te_native)} ({e_nat_speedup:4.1f}x naive)",
     )
-    report_json("accel_tree_speedup", {
-        "bench": "tree_construction",
-        "n_vertices": n,
-        "n_edges": m,
-        "native_available": have_native,
-        "vertex_tree": {
-            "naive_s": t_naive, "vector_s": t_vector,
-            "native_s": t_native if have_native else None,
-            "speedup": speedup,
-            "native_speedup": nat_speedup if have_native else None,
-            "native_over_vector": (
-                nat_over_vector if have_native else None
-            ),
-        },
-        "edge_tree": {
-            "naive_s": te_naive, "vector_s": te_vector,
-            "native_s": te_native if have_native else None,
-            "speedup": e_speedup,
-            "native_speedup": e_nat_speedup if have_native else None,
-        },
-        "floor": 2.0,
-        "native_floor_vs_naive": 10.0,
-        "native_floor_vs_vector": 4.0,
-        "asserted": not _TINY,
-        "native_asserted": not _TINY and have_native,
-    })
     if not _TINY:
         assert speedup >= 2.0, (
             f"vector tree build only {speedup:.2f}x faster than naive at "
@@ -256,7 +230,7 @@ def test_accel_tree_construction_speedup(report, report_json):
             )
 
 
-def test_paper_scale_ktruss(report, report_json):
+def test_paper_scale_ktruss(report):
     """KT(e) plus Algorithm 3 at the paper's Table 2 scale.
 
     A generated 1e6-edge ``powerlaw_cluster(200000, 5, 0.3)`` graph
@@ -296,18 +270,6 @@ def test_paper_scale_ktruss(report, report_json):
         f"native {native_text}\n"
         f"  build_edge_tree + super tree: {t_tree:8.3f} s",
     )
-    report_json("table2_paper_scale", {
-        "bench": "ktruss_paper_scale",
-        "n_vertices": graph.n_vertices,
-        "n_edges": graph.n_edges,
-        "native_available": have_native,
-        "dict_peel_s": t_dict,
-        "native_s": t_native if have_native else None,
-        "native_speedup": speedup if have_native else None,
-        "edge_tree_s": t_tree,
-        "native_floor": 4.0,
-        "asserted": not _TINY and have_native,
-    })
     if not _TINY and have_native:
         assert speedup >= 4.0, (
             f"native k-truss only {speedup:.2f}x faster than the dict "

@@ -2,8 +2,7 @@
 
 Every benchmark writes its reproduced table/series to
 ``benchmarks/out/<name>.txt`` (and echoes it to stdout) so the numbers
-survive pytest's output capture; EXPERIMENTS.md summarises them against
-the paper.
+survive pytest's output capture.
 
 The loop oracles of ``tests/accel/oracles.py`` are the baselines the
 kernel benches time the accel tiers against; this file puts that
@@ -12,7 +11,6 @@ directory on ``sys.path`` so a bench can ``from oracles import ...``.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
@@ -42,23 +40,6 @@ def report():
     def write(name: str, text: str) -> None:
         (OUT_DIR / f"{name}.txt").write_text(text + "\n")
         print(f"\n===== {name} =====\n{text}\n")
-
-    return write
-
-
-@pytest.fixture(scope="session")
-def report_json():
-    """Writer: report_json(name, payload) → benchmarks/out/name.json.
-
-    Machine-readable sidecar to ``report`` — ``scripts/bench_all.py``
-    consolidates every ``accel_*.json`` into the PR-level speedup
-    ledger.
-    """
-    OUT_DIR.mkdir(exist_ok=True)
-
-    def write(name: str, payload: dict) -> None:
-        path = OUT_DIR / f"{name}.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     return write
 

@@ -100,9 +100,9 @@ def _vertex_measure_arg(value: str) -> str:
     return value
 
 
-def _number_arg(kind, low, strict=False):
+def _number_arg(kind, low, strict=False, high=None):
     """argparse type: a finite ``kind`` (int or float) that is at least
-    ``low``, or above it when ``strict``."""
+    ``low``, or above it when ``strict``, and at most ``high`` if set."""
 
     def parse(value: str):
         try:
@@ -117,16 +117,22 @@ def _number_arg(kind, low, strict=False):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {value!r}"
             )
+        if high is not None and number > high:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {high}, got {value!r}"
+            )
         return number
 
     return parse
 
 
 # Image sizes in pixels, heightfield resolution (the minimum
-# ``rasterize`` accepts), and the camera zoom factor.
+# ``rasterize`` accepts), the camera zoom factor, and simplification
+# bins (0 draws the exact tree).
 _positive_int_arg = _number_arg(int, 1)
 _resolution_arg = _number_arg(int, 4)
 _zoom_arg = _number_arg(float, 0, strict=True)
+_bins_arg = _number_arg(int, 0)
 
 
 def _source(args):
@@ -155,7 +161,7 @@ def _add_common(
     parser.add_argument("--dataset", help="registered dataset name")
     parser.add_argument("--edge-list", help="path to a SNAP-style edge list")
     parser.add_argument(
-        "--bins", type=int, default=None,
+        "--bins", type=_bins_arg, default=None,
         help="simplify the tree to ~N scalar levels before drawing",
     )
     kind = "vertex" if measure_type is _vertex_measure_arg else None
@@ -399,16 +405,19 @@ def _cmd_evolve(args) -> int:
     truth_events = None
     origin = args.origin
     if args.synthetic:
-        log = dynamic_planted_partition(
-            n_vertices=args.vertices,
-            n_windows=args.windows,
-            n_communities=args.communities,
-            community_size=args.community_size,
-            p_in=args.p_in,
-            churn=args.churn,
-            noise_per_window=args.noise,
-            seed=args.seed,
-        )
+        try:
+            log = dynamic_planted_partition(
+                n_vertices=args.vertices,
+                n_windows=args.windows,
+                n_communities=args.communities,
+                community_size=args.community_size,
+                p_in=args.p_in,
+                churn=args.churn,
+                noise_per_window=args.noise,
+                seed=args.seed,
+            )
+        except ValueError as exc:
+            raise SystemExit(f"--synthetic: {exc}")
         truth_events = log.events
         if origin is None:
             origin = log.origin
@@ -509,7 +518,7 @@ def _cmd_serve(args) -> int:
     if not measures:
         raise SystemExit("--measures must name at least one measure")
     for measure in measures:
-        _measure_arg_exit(measure)
+        _arg_exit("--measures", _measure_arg, measure)
 
     cache = _cache(args)
     if args.cache_memory_mb is not None:
@@ -577,7 +586,7 @@ def _cmd_serve(args) -> int:
             raise SystemExit(
                 f"--stream-log {name}: dataset {ds!r} is not served"
             )
-        _vertex_measure_arg_exit(measure)
+        _arg_exit("--stream-log", _vertex_measure_arg, measure)
         # The session reads the log once, now: a malformed line fails
         # the boot, and every replay steps through these batches.
         with _edit_log_exit(log_path):
@@ -597,7 +606,7 @@ def _cmd_serve(args) -> int:
                 f"got {spec!r}"
             )
         measure, window, log_path = parts
-        _vertex_measure_arg_exit(measure)
+        _arg_exit("--evolve-log", _vertex_measure_arg, measure)
         try:
             horizon = float(window)
         except ValueError:
@@ -673,19 +682,13 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _measure_arg_exit(value: str) -> str:
-    """Like :func:`_measure_arg`, but for post-parse validation."""
+def _arg_exit(flag: str, parse, value: str) -> str:
+    """Post-parse validation: ``parse(value)``, or a one-line exit
+    naming ``flag``."""
     try:
-        return _measure_arg(value)
+        return parse(value)
     except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"--measures: {exc}")
-
-
-def _vertex_measure_arg_exit(value: str) -> str:
-    try:
-        return _vertex_measure_arg(value)
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"--stream-log: {exc}")
+        raise SystemExit(f"{flag}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -746,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output basename (writes <name>.collapsed and <name>.svg)",
     )
     prof.add_argument(
-        "--hz", type=int, default=97,
+        "--hz", type=_positive_int_arg, default=97,
         help="sampling frequency (default: 97)",
     )
     prof.add_argument(
@@ -785,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sliding-window horizon W: edits expire after W time units",
     )
     stream.add_argument(
-        "--rebuild-threshold", type=float, default=0.5,
+        "--rebuild-threshold", type=_number_arg(float, 0, high=1),
+        default=0.5,
         help="dirty-vertex fraction beyond which a full rebuild is used",
     )
     stream.add_argument("--resolution", type=_resolution_arg, default=120)
@@ -844,7 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore peaks smaller than this (default: %(default)s)",
     )
     evolve.add_argument(
-        "--jaccard", type=float, default=0.3,
+        "--jaccard", type=_number_arg(float, 0, strict=True, high=1),
+        default=0.3,
         help="member-set Jaccard threshold for matching peaks across "
              "windows (default: %(default)s)",
     )
@@ -854,11 +859,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s)",
     )
     evolve.add_argument(
-        "--tile-size", type=int, default=64,
+        "--tile-size", type=_positive_int_arg, default=64,
         help="diff tile edge length (default: %(default)s)",
     )
     evolve.add_argument(
-        "--bins", type=int, default=None,
+        "--bins", type=_bins_arg, default=None,
         help="simplify display trees to ~N scalar levels",
     )
     evolve.add_argument(
@@ -921,7 +926,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: %(default)s)")
-    serve.add_argument("--port", type=int, default=8321,
+    serve.add_argument("--port", type=_number_arg(int, 0, high=65535),
+                       default=8321,
                        help="TCP port; 0 picks an ephemeral port "
                             "(default: %(default)s)")
     serve.add_argument(
@@ -940,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(repeatable)",
     )
     serve.add_argument(
-        "--bins", type=int, default=None,
+        "--bins", type=_bins_arg, default=None,
         help="simplify display trees to ~N scalar levels",
     )
     serve.add_argument(

@@ -89,9 +89,9 @@ __all__ = [
 PathLike = Union[str, Path]
 FieldGraph = Union[ScalarGraph, EdgeScalarGraph]
 
-#: Wall time of every cold stage build, by stage name — the histogram
-#: behind the per-stage p50/p95 rollups in the bench ledger and the
-#: ``repro_stage_build_seconds`` family on ``GET /metrics``.
+#: Wall time of every cold stage build, by stage name — the
+#: ``repro_stage_build_seconds`` family on ``GET /metrics`` and the
+#: stage-build panel of ``/dash``.
 STAGE_BUILD_SECONDS = obs_metrics.REGISTRY.histogram(
     "repro_stage_build_seconds",
     "Cold pipeline stage build time by stage.",

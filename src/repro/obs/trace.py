@@ -330,7 +330,7 @@ def rollup(
 ) -> Dict[str, Dict[str, float]]:
     """Per-span-name duration rollups: count, p50/p95/max/total ms.
 
-    The shape embedded in bench ledgers and served under ``/stats`` —
+    The shape served under ``/stats`` and ``/dash`` —
     enough to localize a regression to a stage without opening the
     full trace.  ``top=N`` keeps only the N names with the largest
     ``total_ms`` (ordered hottest first), bounding the payload on

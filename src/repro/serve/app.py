@@ -136,7 +136,6 @@ class ServeApp:
         tile_size: int = 64,
         levels: int = 3,
         bins: Optional[int] = None,
-        scheme: str = "quantile",
         max_disk_bytes: Optional[int] = None,
         request_timeout: Optional[float] = None,
     ) -> None:
@@ -145,7 +144,6 @@ class ServeApp:
         self.tile_size = tile_size
         self.levels = levels
         self.bins = bins
-        self.scheme = scheme
         # Disk-tier budget: pruned after every cold build funnel so a
         # long-lived server's cache directory cannot grow unboundedly.
         self.max_disk_bytes = max_disk_bytes
@@ -379,11 +377,7 @@ class ServeApp:
         pyramid = self._pyramids.get(key)
         if pyramid is None:
             pipeline = Pipeline(
-                entry.source,
-                measure,
-                bins=self.bins,
-                scheme=self.scheme,
-                cache=self.cache,
+                entry.source, measure, bins=self.bins, cache=self.cache
             )
             pyramid = self._pyramids[key] = LODPyramid(
                 pipeline, tile_size=self.tile_size, levels=self.levels

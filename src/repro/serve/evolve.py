@@ -66,8 +66,6 @@ class EvolveSession:
         resolution: int = 256,
         tile_size: int = 64,
         bins: Optional[int] = None,
-        scheme: str = "quantile",
-        max_windows: Optional[int] = None,
     ) -> None:
         self.name = name
         self.log_path = str(log_path)
@@ -81,8 +79,6 @@ class EvolveSession:
         self.resolution = int(resolution)
         self.tile_size = int(tile_size)
         self.bins = bins
-        self.scheme = scheme
-        self.max_windows = max_windows
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -121,14 +117,8 @@ class EvolveRun:
                 stride=session.stride,
                 origin=session.origin,
                 bins=session.bins,
-                scheme=session.scheme,
             )
             for frame in frames:
-                if (
-                    session.max_windows is not None
-                    and frame.index >= session.max_windows
-                ):
-                    break
                 peaks = peaks_from_tree(
                     frame.super,
                     session.alpha,

@@ -115,9 +115,9 @@ class LODPyramid:
     def ensure_levels(self) -> Dict[str, object]:
         """Build every level (the coalesced cold-start unit) and return
         a JSON-ready summary of the pyramid's geometry."""
-        for level in range(self.levels):
-            self.level_field(level)
         base = self.level_field(0)
+        for level in range(1, self.levels):
+            self.level_field(level)
         return {
             "tile_size": self.tile_size,
             "levels": self.levels,

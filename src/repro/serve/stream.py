@@ -59,7 +59,6 @@ class StreamSession:
         log_path: str,
         *,
         bins: Optional[int] = None,
-        scheme: str = "quantile",
         tile_size: int = 64,
         levels: int = 3,
         interval: float = 0.0,
@@ -69,7 +68,6 @@ class StreamSession:
         self.measure = measure
         self.batches = read_edit_log(log_path)
         self.bins = bins
-        self.scheme = scheme
         self.tile_size = int(tile_size)
         self.levels = int(levels)
         self.interval = interval
@@ -134,7 +132,6 @@ class _Replay:
             session.source,
             session.measure,
             bins=session.bins,
-            scheme=session.scheme,
             cache=cache,
         )
         self.prev = self.pipeline.heightfield(session.base_resolution)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import ScalarGraph
-from repro.engine import ArtifactCache, Pipeline
+from repro.engine import ArtifactCache, DatasetSource, Pipeline
 from repro.graph.generators import dynamic_planted_partition
 from repro.serve import (
     EvolveSession,
@@ -223,6 +223,26 @@ class TestCaching:
         }
         assert kinds and "tile" not in kinds, kinds
         assert serve_everything() == first
+
+    @pytest.mark.parametrize("budget", [1 << 20, 3 << 20, None])
+    def test_cold_funnel_builds_the_tree_once(self, monkeypatch, budget):
+        """``ensure_levels`` reads the base level once, before the
+        coarser levels' puts can evict it, so a budget smaller than one
+        key's levels does not rebuild tree → display → heightfield."""
+        import repro.engine.pipeline as pipeline_module
+
+        builds = []
+        real = pipeline_module.build_vertex_tree
+
+        def counting(field):
+            builds.append(1)
+            return real(field)
+
+        monkeypatch.setattr(pipeline_module, "build_vertex_tree", counting)
+        cache = ArtifactCache(max_memory_bytes=budget)
+        pipeline = Pipeline(DatasetSource("amazon"), "kcore", cache=cache)
+        LODPyramid(pipeline, tile_size=64, levels=3).ensure_levels()
+        assert len(builds) == 1
 
 
 class TestTileWireFormat:

@@ -22,6 +22,38 @@ def edge_list_file(tmp_path):
 
 
 class TestParser:
+    @pytest.mark.parametrize("argv, flag, value, message", [
+        (["evolve", "--synthetic"], "--jaccard", "0", "must be > 0"),
+        (["evolve", "--synthetic"], "--jaccard", "1.5", "must be <= 1"),
+        (["evolve", "--synthetic"], "--tile-size", "0", "must be >= 1"),
+        (["evolve", "--synthetic"], "--bins", "-1", "must be >= 0"),
+        (["serve"], "--bins", "-2", "must be >= 0"),
+        (["serve"], "--port", "70000", "must be <= 65535"),
+        (["serve"], "--port", "-1", "must be >= 0"),
+        (["prof", "-o", "p"], "--hz", "0", "must be >= 1"),
+    ])
+    def test_bad_flag_is_one_line_usage_error(
+        self, capsys, monkeypatch, argv, flag, value, message
+    ):
+        # Refused at parse time: past the parser most of these end in
+        # a traceback, and serve --bins in a server answering 500.
+        import asyncio
+
+        def no_server(coro):
+            coro.close()
+            raise AssertionError("the server booted")
+
+        monkeypatch.setattr(asyncio, "run", no_server)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], f"{flag}={value}", *argv[1:]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1] == (
+            f"repro {argv[0]}: error: argument {flag}: "
+            f"{message}, got {value!r}"
+        )
+
     def test_commands_registered(self):
         parser = build_parser()
         args = parser.parse_args(["peaks", "--dataset", "grqc"])
@@ -240,6 +272,7 @@ class TestTerrainCommand:
         ("--zoom", "0", "must be > 0, got '0'"),
         ("--zoom", "-2", "must be > 0, got '-2'"),
         ("--zoom", "nan", "must be finite, got 'nan'"),
+        ("--bins", "-3", "must be >= 0, got '-3'"),
     ])
     def test_bad_render_flag_is_one_line_usage_error(
         self, edge_list_file, capsys, flag, value, message
@@ -398,6 +431,8 @@ class TestStreamCommand:
         ("--width", "0", "must be >= 1, got '0'"),
         ("--height", "-1", "must be >= 1, got '-1'"),
         ("--resolution", "3", "must be >= 4, got '3'"),
+        ("--rebuild-threshold", "2", "must be <= 1, got '2'"),
+        ("--rebuild-threshold", "nan", "must be finite, got 'nan'"),
     ])
     def test_bad_render_flag_is_one_line_usage_error(
         self, edge_list_file, edit_log, capsys, flag, value, message
@@ -568,6 +603,13 @@ class TestEvolveCommand:
         with pytest.raises(SystemExit, match=f"^{flag} must be"):
             main(["evolve", "--synthetic", f"{flag}={value}"])
 
+    def test_synthetic_sizes_that_do_not_fit_are_one_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--synthetic", "--vertices", "0"])
+        assert str(exc.value.code) == (
+            "--synthetic: communities do not fit in n_vertices"
+        )
+
     def test_edge_measure_rejected_at_parse_time(self, capsys):
         with pytest.raises(SystemExit):
             main(["evolve", "--synthetic", "--measure", "ktruss"])
@@ -598,6 +640,15 @@ class TestServeEvolveFlags:
     def test_bad_evolve_log_spec_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--evolve-log"):
             main(["serve", "--evolve-log", "demo=degree:notaspec"])
+
+    def test_edge_measure_names_the_evolve_log_flag(self, tmp_path):
+        log = tmp_path / "t.tsv"
+        log.write_text("0 1 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--evolve-log", f"demo=ktruss:1:{log}"])
+        assert str(exc.value.code).startswith(
+            "--evolve-log: invalid choice: 'ktruss' (vertex measures only;"
+        )
 
     def test_bad_window_rejected(self, tmp_path):
         log = tmp_path / "t.tsv"
