@@ -29,15 +29,15 @@ Exit code 0 on success.  Usage::
     PYTHONPATH=src python scripts/obs_smoke.py prof   # prof legs only
 """
 
-import http.client
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
+
+from smoke_http import get, wait_for_server
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -75,60 +75,12 @@ SHARED_COUNTS = [
 ]
 
 
-def get(port, url, headers=None, timeout=120):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        conn.request("GET", url, headers=headers or {})
-        response = conn.getresponse()
-        return response.status, dict(response.getheaders()), response.read()
-    finally:
-        conn.close()
-
-
 def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
     return env
-
-
-def wait_for_server(proc, boot_timeout=60):
-    """Read the listening banner, then poll ``/healthz`` with bounded
-    retries — failing fast with the child's output if the server dies
-    during boot instead of hanging until the timeout."""
-    line = proc.stdout.readline()
-    if not line:
-        proc.wait(timeout=10)
-        raise AssertionError(
-            f"server exited before its banner (rc={proc.returncode})"
-        )
-    print(f"[server] {line.rstrip()}")
-    match = re.search(r"http://[\d.]+:(\d+)", line)
-    assert match, f"no listening banner in: {line!r}"
-    port = int(match.group(1))
-    deadline = time.time() + boot_timeout
-    attempt = 0
-    last_error = "no probe ran"
-    while time.time() < deadline:
-        if proc.poll() is not None:
-            tail = (proc.stdout.read() or "").strip()
-            raise AssertionError(
-                f"server died during boot (rc={proc.returncode}): {tail}"
-            )
-        attempt += 1
-        try:
-            status, _, _ = get(port, "/healthz", timeout=5)
-            if status == 200:
-                return port
-            last_error = f"/healthz -> {status}"
-        except OSError as exc:
-            last_error = repr(exc)
-        time.sleep(min(0.05 * attempt, 1.0))
-    raise AssertionError(
-        f"server never became healthy: {attempt} probes over "
-        f"{boot_timeout}s (last: {last_error})"
-    )
 
 
 def check_trace(tmp: Path, edge_list: Path) -> None:

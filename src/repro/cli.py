@@ -21,11 +21,12 @@ and all of them are thin wrappers over one :class:`repro.engine.Pipeline`
   (LOD tile pyramid, peaks/hit/treemap/profile endpoints, SSE stream
   replay) on top of the same cached pipelines.
 
-Measures are resolved through :mod:`repro.engine.registry` (so
-``--measure`` is validated at parse time against the registry's known
-names), and expensive stage artifacts are reused through the engine's
-cache — pass ``--cache-dir`` (or set ``$REPRO_CACHE_DIR``) to persist
-them across runs.
+Each flag's value is checked once, by its argparse ``type`` (measures
+against :mod:`repro.engine.registry`), so a bad value is a usage error
+(exit 2) naming the flag; after parsing, only files, checks across
+flags and runtime failures exit, each with one line.  Expensive stage
+artifacts are reused through the engine's cache — pass ``--cache-dir``
+(or set ``$REPRO_CACHE_DIR``) to persist them across runs.
 
 Examples::
 
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -59,11 +61,16 @@ from .engine import (
     StreamingPipeline,
     registry,
 )
+from .graph import datasets as dataset_registry
 from .graph.io import EdgeListError
 from .stream import EditLogError, read_edit_log
 from .terrain import Camera
 
 __all__ = ["main", "version_string"]
+
+#: The largest base level ``repro serve`` builds, in cells a side
+#: (16 bytes a cell: 1 GiB).
+MAX_BASE_RESOLUTION = 8192
 
 
 def version_string() -> str:
@@ -126,21 +133,100 @@ def _number_arg(kind, low, strict=False, high=None):
     return parse
 
 
-# Image sizes in pixels, heightfield resolution (the minimum
-# ``rasterize`` accepts), the camera zoom factor, and simplification
-# bins (0 draws the exact tree).
+# Counts and image sizes, heightfield resolution (the minimum
+# ``rasterize`` accepts), sizes and budgets where 0 means none (or
+# unbounded), horizons and zoom, fractions, seconds, and any finite
+# float (angles, levels, timeline origins).
 _positive_int_arg = _number_arg(int, 1)
 _resolution_arg = _number_arg(int, 4)
-_zoom_arg = _number_arg(float, 0, strict=True)
-_bins_arg = _number_arg(int, 0)
+_nonneg_int_arg = _number_arg(int, 0)
+_positive_float_arg = _number_arg(float, 0, strict=True)
+_fraction_arg = _number_arg(float, 0, high=1)
+_seconds_arg = _number_arg(float, 0)
+_finite_arg = _number_arg(float, -math.inf)
+
+
+def _tile_size_arg(value: str) -> int:
+    """argparse type: an even tile edge of at least 8 cells."""
+    size = _number_arg(int, 8)(value)
+    if size % 2:
+        raise argparse.ArgumentTypeError(f"must be even, got {value!r}")
+    return size
+
+
+def _diff_resolution_arg(value: str) -> int:
+    """argparse type: 0 (no terrain diffs) or a heightfield resolution."""
+    number = _nonneg_int_arg(value)
+    if 0 < number < 4:
+        raise argparse.ArgumentTypeError(f"must be 0 or >= 4, got {value!r}")
+    return number
+
+
+def _dataset_arg(value: str) -> str:
+    """argparse type: a registered dataset name."""
+    known = dataset_registry.names()
+    if value not in known:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {value!r} (choose from {', '.join(known)})"
+        )
+    return value
+
+
+def _comma_list(value: str) -> List[str]:
+    return [part.strip() for part in value.split(",") if part.strip()]
+
+
+def _datasets_arg(value: str) -> List[str]:
+    """argparse type: comma-separated registered datasets, ``all`` for
+    every one, or none (``''``: serve edge lists only)."""
+    names = _comma_list(value)
+    if names == ["all"]:
+        return dataset_registry.names()
+    return [_dataset_arg(name) for name in names]
+
+
+def _measures_arg(value: str) -> List[str]:
+    """argparse type: one or more comma-separated registered measures."""
+    measures = [_measure_arg(name) for name in _comma_list(value)]
+    if not measures:
+        raise argparse.ArgumentTypeError("must name at least one measure")
+    return measures
+
+
+def _spec_arg(form: str, *fields):
+    """argparse type for a ``NAME=FIELD:...:FIELD`` spec such as
+    ``NAME=MEASURE:WINDOW:PATH``: each field after ``NAME=`` is read by
+    its type in ``fields``, and the last one keeps any further ``:``.
+    Returns ``(name, *values)``."""
+    labels = form.partition("=")[2].split(":")
+
+    def parse(value: str):
+        name, sep, rest = value.partition("=")
+        parts = rest.split(":", len(fields) - 1)
+        if not (sep and name and len(parts) == len(fields) and all(parts)):
+            raise argparse.ArgumentTypeError(f"expects {form}, got {value!r}")
+        values = [name]
+        for label, kind, part in zip(labels, fields, parts):
+            try:
+                values.append(kind(part))
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentTypeError(f"{label}: {exc}")
+        return tuple(values)
+
+    return parse
+
+
+def _edge_list_path(path: str) -> str:
+    """``path``, or a one-line exit when there is no such file."""
+    if not os.path.exists(path):
+        raise SystemExit(f"edge list not found: {path}")
+    return path
 
 
 def _source(args):
     if args.dataset:
         return DatasetSource(args.dataset)
-    if args.edge_list:
-        return EdgeListSource(args.edge_list)
-    raise SystemExit("provide --dataset or --edge-list")
+    return EdgeListSource(_edge_list_path(args.edge_list))
 
 
 def _cache(args) -> ArtifactCache:
@@ -158,10 +244,15 @@ def _pipeline(args) -> Pipeline:
 def _add_common(
     parser: argparse.ArgumentParser, measure_type=_measure_arg
 ) -> None:
-    parser.add_argument("--dataset", help="registered dataset name")
-    parser.add_argument("--edge-list", help="path to a SNAP-style edge list")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "--dataset", type=_dataset_arg,
+        help="registered dataset name; one of: "
+             + ", ".join(dataset_registry.names()),
+    )
+    source.add_argument("--edge-list", help="path to a SNAP-style edge list")
     parser.add_argument(
-        "--bins", type=_bins_arg, default=None,
+        "--bins", type=_nonneg_int_arg, default=None,
         help="simplify the tree to ~N scalar levels before drawing",
     )
     kind = "vertex" if measure_type is _vertex_measure_arg else None
@@ -301,26 +392,23 @@ def _cmd_correlate(args) -> int:
 
 
 @contextmanager
-def _edit_log_exit(path: str):
-    """Reading edit log ``path`` in this block: a missing file or a bad
-    line is a one-line exit naming it."""
+def _log_exit(kind: str, path: str):
+    """Reading ``kind`` (an edit or temporal log) ``path`` in this
+    block: a missing file or a bad line is a one-line exit naming it."""
     try:
         yield
     except FileNotFoundError:
-        raise SystemExit(f"edit log not found: {path}")
+        raise SystemExit(f"{kind} not found: {path}")
     except EditLogError as exc:
-        raise SystemExit(f"bad edit log {path}:{exc.line_no}: {exc.reason}")
+        raise SystemExit(f"bad {kind} {path}:{exc.line_no}: {exc.reason}")
+    except ValueError as exc:
+        raise SystemExit(f"bad {kind} {path}: {exc}")
 
 
 def _cmd_stream(args) -> int:
-    # Cheap flag/log validation first — measure + tree construction on
-    # a large dataset can take minutes.  (--measure itself is already
-    # validated at parse time against the registry's vertex measures.)
-    if args.window is not None and args.window <= 0:
-        raise SystemExit("--window must be a positive horizon")
-    if args.frame_every < 1:
-        raise SystemExit("--frame-every must be >= 1")
-    with _edit_log_exit(args.log):
+    # Read the log first: measure + tree construction on a large
+    # dataset can take minutes.
+    with _log_exit("edit log", args.log):
         batches = read_edit_log(args.log)
 
     pipeline = StreamingPipeline(
@@ -391,14 +479,6 @@ def _cmd_evolve(args) -> int:
     )
     from .graph.generators import dynamic_planted_partition
 
-    if bool(args.log) == bool(args.synthetic):
-        raise SystemExit("provide exactly one of --log or --synthetic")
-    if not 0 < args.window < math.inf:
-        raise SystemExit("--window must be a positive, finite horizon")
-    if args.stride is not None and not 0 < args.stride < math.inf:
-        raise SystemExit("--stride must be positive and finite")
-    if args.origin is not None and not math.isfinite(args.origin):
-        raise SystemExit("--origin must be finite")
     if args.resolution and args.resolution % args.tile_size != 0:
         raise SystemExit("--resolution must be a multiple of --tile-size")
 
@@ -431,16 +511,12 @@ def _cmd_evolve(args) -> int:
             stride=args.stride, origin=origin, bins=args.bins,
         )
     else:
-        if not Path(args.log).exists():
-            raise SystemExit(f"temporal edge log not found: {args.log}")
-        try:
+        with _log_exit("temporal log", args.log):
             frames = frames_from_log(
                 args.log,
                 measure=args.measure, horizon=args.window,
                 stride=args.stride, origin=origin, bins=args.bins,
             )
-        except ValueError as exc:
-            raise SystemExit(f"bad temporal log {args.log}: {exc}")
 
     tracker = PeakTracker(jaccard=args.jaccard, min_size=args.min_size)
     tiler = (
@@ -497,8 +573,6 @@ def _cmd_evolve(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .graph import datasets as dataset_registry
-    from .graph.io import iter_temporal_edge_chunks
     from .serve import (
         EvolveSession,
         HTTPServer,
@@ -507,34 +581,18 @@ def _cmd_serve(args) -> int:
         StreamSession,
     )
 
-    # Fail fast on flags the lazy pyramid/runner would otherwise only
-    # reject on the first request (as a 500) or with a raw traceback.
-    if args.tile_size < 8 or args.tile_size % 2 != 0:
-        raise SystemExit("--tile-size must be an even integer >= 8")
-    if args.levels < 1:
-        raise SystemExit("--levels must be >= 1")
-
-    measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-    if not measures:
-        raise SystemExit("--measures must name at least one measure")
-    for measure in measures:
-        _arg_exit("--measures", _measure_arg, measure)
-
+    # The first request builds the base level, tile_size * 2^(levels-1)
+    # cells a side at 16 bytes a cell; refuse one it could not allocate.
+    # (Any depth past 32 is over the bound, so 2** never grows huge.)
+    resolution = args.tile_size * 2 ** min(args.levels - 1, 32)
+    if resolution > MAX_BASE_RESOLUTION:
+        raise SystemExit(
+            f"--tile-size {args.tile_size} with --levels {args.levels} "
+            f"makes a base level over {MAX_BASE_RESOLUTION} cells a side"
+        )
     cache = _cache(args)
     if args.cache_memory_mb is not None:
-        if args.cache_memory_mb < 0:
-            raise SystemExit("--cache-memory-mb must be >= 0")
         cache.max_memory_bytes = args.cache_memory_mb * (1 << 20)
-    if args.cache_disk_mb is not None and args.cache_disk_mb < 0:
-        raise SystemExit("--cache-disk-mb must be >= 0")
-    if args.max_inflight < 0:
-        raise SystemExit("--max-inflight must be >= 0")
-    if args.max_sse_sessions < 0:
-        raise SystemExit("--max-sse-sessions must be >= 0")
-    if args.request_timeout < 0:
-        raise SystemExit("--request-timeout must be >= 0")
-    if args.drain_grace < 0:
-        raise SystemExit("--drain-grace must be >= 0")
     app = ServeApp(
         cache=cache,
         runner=StageRunner(max_inflight=args.max_inflight),
@@ -548,23 +606,10 @@ def _cmd_serve(args) -> int:
         request_timeout=args.request_timeout or None,
     )
 
-    names = [n.strip() for n in args.datasets.split(",") if n.strip()]
-    if names == ["all"]:
-        names = dataset_registry.names()
-    for name in names:
-        if name not in dataset_registry.names():
-            raise SystemExit(
-                f"unknown dataset {name!r}; available: "
-                f"{', '.join(dataset_registry.names())} (or 'all')"
-            )
-        app.add_dataset(name, measures)
-    for spec in args.edge_list or []:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise SystemExit(f"--edge-list expects NAME=PATH, got {spec!r}")
-        if not Path(path).exists():
-            raise SystemExit(f"edge list not found: {path}")
-        app.add_dataset(name, measures, edge_list=path)
+    for name in args.datasets:
+        app.add_dataset(name, args.measures)
+    for name, path in args.edge_list or []:
+        app.add_dataset(name, args.measures, edge_list=_edge_list_path(path))
         # The one read of the file: a malformed line fails the boot
         # (main() prints the EdgeListError), not every tile with a 500,
         # and every pipeline and replay shares the graph the source keeps.
@@ -572,24 +617,15 @@ def _cmd_serve(args) -> int:
     if not app.datasets:
         raise SystemExit("nothing to serve: no datasets or edge lists")
 
-    for spec in args.stream_log or []:
-        name, sep, rest = spec.partition("=")
-        parts = rest.split(":", 2)
-        if not sep or len(parts) != 3 or not all(parts):
-            raise SystemExit(
-                "--stream-log expects NAME=DATASET:MEASURE:LOGPATH, "
-                f"got {spec!r}"
-            )
-        ds, measure, log_path = parts
+    for name, ds, measure, log_path in args.stream_log or []:
         entry = app.datasets.get(ds)
         if entry is None:
             raise SystemExit(
                 f"--stream-log {name}: dataset {ds!r} is not served"
             )
-        _arg_exit("--stream-log", _vertex_measure_arg, measure)
         # The session reads the log once, now: a malformed line fails
         # the boot, and every replay steps through these batches.
-        with _edit_log_exit(log_path):
+        with _log_exit("edit log", log_path):
             session = StreamSession(
                 name, entry.source, measure, log_path,
                 bins=args.bins,
@@ -597,39 +633,14 @@ def _cmd_serve(args) -> int:
             )
         app.add_stream_session(session)
 
-    for spec in args.evolve_log or []:
-        name, sep, rest = spec.partition("=")
-        parts = rest.split(":", 2)
-        if not sep or len(parts) != 3 or not all(parts):
-            raise SystemExit(
-                "--evolve-log expects NAME=MEASURE:WINDOW:LOGPATH, "
-                f"got {spec!r}"
+    for name, measure, horizon, log_path in args.evolve_log or []:
+        # Likewise the run's rows, which every /evolve/* request reads.
+        with _log_exit("temporal log", log_path):
+            session = EvolveSession(
+                name, log_path, measure=measure, horizon=horizon,
+                bins=args.bins, tile_size=args.tile_size,
             )
-        measure, window, log_path = parts
-        _arg_exit("--evolve-log", _vertex_measure_arg, measure)
-        try:
-            horizon = float(window)
-        except ValueError:
-            horizon = -1.0
-        if not 0 < horizon < math.inf:
-            raise SystemExit(
-                f"--evolve-log {name}: WINDOW must be a positive, "
-                f"finite horizon, got {window!r}"
-            )
-        if not Path(log_path).exists():
-            raise SystemExit(f"temporal edge log not found: {log_path}")
-        # The run is built lazily, on the first /evolve/* request; read
-        # the log once now so a malformed line fails the boot, not
-        # every request with a 500.
-        try:
-            for _ in iter_temporal_edge_chunks(log_path):
-                pass
-        except ValueError as exc:
-            raise SystemExit(f"bad temporal log {log_path}: {exc}")
-        app.add_evolve_session(EvolveSession(
-            name, log_path, measure=measure, horizon=horizon,
-            bins=args.bins, tile_size=args.tile_size,
-        ))
+        app.add_evolve_session(session)
 
     async def _run() -> None:
         import signal
@@ -641,10 +652,10 @@ def _cmd_serve(args) -> int:
         # /debug/slow exemplars ride the post-response hook.
         server.request_observer = app.observe_request
         await server.start()
-        resolution = args.tile_size * 2 ** (args.levels - 1)
         print(
             f"repro serve: http://{args.host}:{server.port} — "
-            f"{len(app.datasets)} dataset(s) x {len(measures)} measure(s), "
+            f"{len(app.datasets)} dataset(s) x "
+            f"{len(args.measures)} measure(s), "
             f"{args.levels}-level pyramid at {resolution}px",
             flush=True,
         )
@@ -682,15 +693,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _arg_exit(flag: str, parse, value: str) -> str:
-    """Post-parse validation: ``parse(value)``, or a one-line exit
-    naming ``flag``."""
-    try:
-        return parse(value)
-    except argparse.ArgumentTypeError as exc:
-        raise SystemExit(f"{flag}: {exc}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The assembled argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -706,9 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
     terrain = sub.add_parser("terrain", help="render a terrain image")
     _add_common(terrain)
     terrain.add_argument("-o", "--output", default="terrain.png")
-    terrain.add_argument("--azimuth", type=float, default=35.0)
-    terrain.add_argument("--elevation", type=float, default=38.0)
-    terrain.add_argument("--zoom", type=_zoom_arg, default=1.0)
+    terrain.add_argument("--azimuth", type=_finite_arg, default=35.0)
+    terrain.add_argument("--elevation", type=_finite_arg, default=38.0)
+    terrain.add_argument("--zoom", type=_positive_float_arg, default=1.0)
     terrain.add_argument("--resolution", type=_resolution_arg, default=160)
     terrain.add_argument("--width", type=_positive_int_arg, default=640)
     terrain.add_argument("--height", type=_positive_int_arg, default=480)
@@ -716,20 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     peaks = sub.add_parser("peaks", help="list highest disconnected peaks")
     _add_common(peaks)
-    peaks.add_argument("--count", type=int, default=3)
+    peaks.add_argument("--count", type=_positive_int_arg, default=3)
     peaks.set_defaults(func=_cmd_peaks)
 
     treemap = sub.add_parser("treemap", help="write the 2D treemap SVG")
     _add_common(treemap)
     treemap.add_argument("-o", "--output", default="treemap.svg")
-    treemap.add_argument("--width", type=int, default=640)
+    treemap.add_argument("--width", type=_positive_int_arg, default=640)
     treemap.set_defaults(func=_cmd_treemap)
 
     profile = sub.add_parser("profile", help="write the 1D profile SVG")
     _add_common(profile)
     profile.add_argument("-o", "--output", default="profile.svg")
-    profile.add_argument("--width", type=int, default=720)
-    profile.add_argument("--height", type=int, default=240)
+    profile.add_argument("--width", type=_positive_int_arg, default=720)
+    profile.add_argument("--height", type=_positive_int_arg, default=240)
     profile.set_defaults(func=_cmd_profile)
 
     prof = sub.add_parser(
@@ -764,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(correlate)
     correlate.add_argument("field_i", type=_vertex_measure_arg)
     correlate.add_argument("field_j", type=_vertex_measure_arg)
-    correlate.add_argument("--count", type=int, default=5)
+    correlate.add_argument("--count", type=_positive_int_arg, default=5)
     correlate.set_defaults(func=_cmd_correlate)
 
     stream = sub.add_parser(
@@ -780,16 +782,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for terrain frames (omit to skip rendering)",
     )
     stream.add_argument(
-        "--frame-every", type=int, default=1,
+        "--frame-every", type=_positive_int_arg, default=1,
         help="render every Nth batch",
     )
     stream.add_argument(
-        "--window", type=float, default=None,
+        "--window", type=_positive_float_arg, default=None,
         help="sliding-window horizon W: edits expire after W time units",
     )
     stream.add_argument(
-        "--rebuild-threshold", type=_number_arg(float, 0, high=1),
-        default=0.5,
+        "--rebuild-threshold", type=_fraction_arg, default=0.5,
         help="dirty-vertex fraction beyond which a full rebuild is used",
     )
     stream.add_argument("--resolution", type=_resolution_arg, default=120)
@@ -812,11 +813,12 @@ def build_parser() -> argparse.ArgumentParser:
             "events against its ground truth (event F1)."
         ),
     )
-    evolve.add_argument(
+    source = evolve.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--log", default=None,
         help="timestamped edge list ('src dst ts [w]' per line)",
     )
-    evolve.add_argument(
+    source.add_argument(
         "--synthetic", action="store_true",
         help="use the planted dynamic-community generator instead of "
              "--log, and score events against its ground truth",
@@ -827,24 +829,24 @@ def build_parser() -> argparse.ArgumentParser:
              + ", ".join(registry.measure_names(kind="vertex")),
     )
     evolve.add_argument(
-        "--window", type=float, default=1.0,
+        "--window", type=_positive_float_arg, default=1.0,
         help="window horizon in time units (default: %(default)s)",
     )
     evolve.add_argument(
-        "--stride", type=float, default=None,
+        "--stride", type=_positive_float_arg, default=None,
         help="window stride; defaults to the horizon (tumbling)",
     )
     evolve.add_argument(
-        "--origin", type=float, default=None,
+        "--origin", type=_finite_arg, default=None,
         help="timeline origin; defaults to just below the first "
              "timestamp (0.0 for --synthetic)",
     )
     evolve.add_argument(
-        "--alpha", type=float, default=None,
+        "--alpha", type=_finite_arg, default=None,
         help="peak cut level (default: per-window midpoint)",
     )
     evolve.add_argument(
-        "--min-size", type=int, default=3,
+        "--min-size", type=_positive_int_arg, default=3,
         help="ignore peaks smaller than this (default: %(default)s)",
     )
     evolve.add_argument(
@@ -854,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
              "windows (default: %(default)s)",
     )
     evolve.add_argument(
-        "--resolution", type=int, default=128,
+        "--resolution", type=_diff_resolution_arg, default=128,
         help="diff heightfield resolution; 0 skips terrain diffs "
              "(default: %(default)s)",
     )
@@ -863,42 +865,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff tile edge length (default: %(default)s)",
     )
     evolve.add_argument(
-        "--bins", type=_bins_arg, default=None,
+        "--bins", type=_nonneg_int_arg, default=None,
         help="simplify display trees to ~N scalar levels",
     )
     evolve.add_argument(
-        "--vertices", type=int, default=96,
+        "--vertices", type=_positive_int_arg, default=96,
         help="--synthetic: vertex count (default: %(default)s)",
     )
     evolve.add_argument(
-        "--windows", type=int, default=8,
+        "--windows", type=_positive_int_arg, default=8,
         help="--synthetic: window count (default: %(default)s)",
     )
     evolve.add_argument(
-        "--communities", type=int, default=3,
+        "--communities", type=_positive_int_arg, default=3,
         help="--synthetic: planted community count (default: %(default)s)",
     )
     evolve.add_argument(
-        "--community-size", type=int, default=14,
+        "--community-size", type=_positive_int_arg, default=14,
         help="--synthetic: members per community (default: %(default)s)",
     )
     evolve.add_argument(
-        "--p-in", type=float, default=0.6,
+        "--p-in", type=_fraction_arg, default=0.6,
         help="--synthetic: intra-community edge probability "
              "(default: %(default)s)",
     )
     evolve.add_argument(
-        "--churn", type=float, default=0.2,
+        "--churn", type=_fraction_arg, default=0.2,
         help="--synthetic: per-window edge churn fraction "
              "(default: %(default)s)",
     )
     evolve.add_argument(
-        "--noise", type=int, default=6,
+        "--noise", type=_nonneg_int_arg, default=6,
         help="--synthetic: background noise edges per window "
              "(default: %(default)s)",
     )
     evolve.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=_nonneg_int_arg, default=0,
         help="--synthetic: RNG seed (default: %(default)s)",
     )
     evolve.add_argument(
@@ -931,32 +933,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks an ephemeral port "
                             "(default: %(default)s)")
     serve.add_argument(
-        "--datasets", default="grqc",
+        "--datasets", type=_datasets_arg, default="grqc",
         help="comma-separated registered dataset names, or 'all' "
              "(default: %(default)s)",
     )
     serve.add_argument(
-        "--measures", default="kcore",
+        "--measures", type=_measures_arg, default="kcore",
         help="comma-separated measures to serve each dataset under "
              "(default: %(default)s)",
     )
     serve.add_argument(
         "--edge-list", action="append", metavar="NAME=PATH",
+        type=_spec_arg("NAME=PATH", str),
         help="additionally serve a SNAP-style edge-list file under NAME "
              "(repeatable)",
     )
     serve.add_argument(
-        "--bins", type=_bins_arg, default=None,
+        "--bins", type=_nonneg_int_arg, default=None,
         help="simplify display trees to ~N scalar levels",
     )
     serve.add_argument(
-        "--tile-size", type=int, default=64,
-        help="tile edge length in cells (default: %(default)s)",
+        "--tile-size", type=_tile_size_arg, default=64,
+        help="tile edge length in cells, even and >= 8 "
+             "(default: %(default)s)",
     )
     serve.add_argument(
-        "--levels", type=int, default=3,
+        "--levels", type=_positive_int_arg, default=3,
         help="LOD pyramid depth; base resolution is "
-             "tile-size * 2^(levels-1) (default: %(default)s)",
+             f"tile-size * 2^(levels-1), at most {MAX_BASE_RESOLUTION} "
+             "(default: %(default)s)",
     )
     serve.add_argument(
         "--cache-dir", default=None,
@@ -964,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
              "if set, else in-memory only)",
     )
     serve.add_argument(
-        "--cache-memory-mb", type=int, default=None, metavar="MB",
+        "--cache-memory-mb", type=_nonneg_int_arg, default=None, metavar="MB",
         help="LRU-bound the server's cache memory (every stage artifact "
              "plus the encoded-tile memo share this budget, and an "
              "evicted artifact is rebuilt when next needed; each "
@@ -974,39 +979,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--stream-log", action="append", metavar="NAME=DATASET:MEASURE:PATH",
+        type=_spec_arg(
+            "NAME=DATASET:MEASURE:PATH", str, _vertex_measure_arg, str
+        ),
         help="register an SSE replay session at /stream/NAME over a "
              "JSONL edit log (repeatable)",
     )
     serve.add_argument(
         "--evolve-log", action="append", metavar="NAME=MEASURE:WINDOW:PATH",
+        type=_spec_arg(
+            "NAME=MEASURE:WINDOW:PATH",
+            _vertex_measure_arg, _positive_float_arg, str,
+        ),
         help="register a temporal evolution run at /evolve/* (windows, "
              "peak trajectories, diff tiles) and /stream/NAME over a "
              "timestamped 'src dst ts [w]' edge log (repeatable)",
     )
     serve.add_argument(
-        "--cache-disk-mb", type=int, default=None, metavar="MB",
+        "--cache-disk-mb", type=_nonneg_int_arg, default=None, metavar="MB",
         help="prune the on-disk artifact cache to this budget after "
              "each cold build (default: unbounded)",
     )
     serve.add_argument(
-        "--request-timeout", type=float, default=30.0, metavar="SECONDS",
+        "--request-timeout", type=_seconds_arg, default=30.0,
+        metavar="SECONDS",
         help="per-request build deadline; expired builds answer 504 "
              "(0 disables; default: %(default)s)",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=0, metavar="N",
+        "--max-inflight", type=_nonneg_int_arg, default=0, metavar="N",
         help="admission control: cap concurrent cold builds at N and "
              "answer 429 + Retry-After beyond it, with a slice "
              "reserved for interactive hit/peak queries "
              "(0 = unbounded; default: %(default)s)",
     )
     serve.add_argument(
-        "--max-sse-sessions", type=int, default=0, metavar="N",
+        "--max-sse-sessions", type=_nonneg_int_arg, default=0, metavar="N",
         help="cap concurrent SSE replay sessions at N; extra clients "
              "get 429 + Retry-After (0 = unbounded; default: %(default)s)",
     )
     serve.add_argument(
-        "--drain-grace", type=float, default=10.0, metavar="SECONDS",
+        "--drain-grace", type=_seconds_arg, default=10.0, metavar="SECONDS",
         help="SIGTERM drain window: stop accepting, finish in-flight "
              "requests, end SSE streams with a terminal 'shutdown' "
              "event, then exit (default: %(default)s)",

@@ -114,7 +114,10 @@ def artifact_nbytes(value) -> int:
 
     Arrays and array-backed objects (trees, layouts, heightfields)
     report their buffer sizes; anything else falls back to
-    ``sys.getsizeof``.  Used by the cache's LRU accounting — an
+    ``sys.getsizeof``.  A layout also counts the display tree it holds,
+    which stays in memory while the layout is cached even when the
+    tree's own entry is evicted (with both cached it counts twice, the
+    safe side of a bound).  Used by the cache's LRU accounting — an
     estimate is fine, the bound exists to stop unbounded growth, not to
     meter bytes exactly.
     """
@@ -132,6 +135,10 @@ def artifact_nbytes(value) -> int:
         total += sum(
             int(m.nbytes) for m in members if isinstance(m, np.ndarray)
         )
+        seen = True
+    tree = getattr(value, "tree", None)
+    if tree is not None:
+        total += artifact_nbytes(tree)
         seen = True
     if seen:
         return total

@@ -39,7 +39,7 @@ import sys
 import threading
 import time
 from collections import Counter, deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import trace as obs_trace
 
@@ -149,20 +149,13 @@ class SamplingProfiler:
 
     Use as a context manager or via explicit :meth:`start` /
     :meth:`stop`; the result is a :class:`Profile`.  All threads except
-    the sampler itself are captured; pass ``threads`` (thread idents)
-    to restrict to a subset.
+    the sampler itself are captured.
     """
 
-    def __init__(
-        self,
-        hz: int = DEFAULT_HZ,
-        *,
-        threads: Optional[Iterable[int]] = None,
-    ) -> None:
+    def __init__(self, hz: int = DEFAULT_HZ) -> None:
         if hz < 1:
             raise ValueError("hz must be >= 1")
         self.hz = int(hz)
-        self._only = frozenset(threads) if threads is not None else None
         self._counts: Counter = Counter()
         self._n_samples = 0
         self._stop = threading.Event()
@@ -175,8 +168,6 @@ class SamplingProfiler:
         me = threading.get_ident()
         for tid, frame in sys._current_frames().items():
             if tid == me:
-                continue
-            if self._only is not None and tid not in self._only:
                 continue
             self._counts[_collapse(frame)] += 1
             self._n_samples += 1

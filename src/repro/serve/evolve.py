@@ -2,7 +2,8 @@
 
 An :class:`EvolveSession` registers a temporal edge log (or a
 generated :class:`~repro.graph.generators.DynamicCommunityLog`) with
-the app; the first request materializes one :class:`EvolveRun` —
+the app, reading and sorting the log once, when created; the first
+request materializes one :class:`EvolveRun` from those rows —
 timeline frames, tracked trajectories, rasterized diff fields — on
 the runner's thread executor, coalesced so concurrent cold requests
 build it exactly once.  Everything after that reads the run: a diff
@@ -23,9 +24,12 @@ from __future__ import annotations
 import json
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..evolve.diff import DiffTiler
-from ..evolve.timeline import frames_from_log
+from ..evolve.timeline import frames_from_rows
 from ..evolve.tracker import PeakTracker, peaks_from_tree
+from ..graph.io import iter_temporal_edges_sorted
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
@@ -49,7 +53,11 @@ _M_RUN_LIVE = obs_metrics.REGISTRY.gauge(
 
 
 class EvolveSession:
-    """One registered temporal-evolution run specification."""
+    """One registered temporal-evolution run specification.  The log
+    is read here, once, into timestamp-sorted ``(k, 4)`` rows (32 bytes
+    a row, kept for the session's life): a missing file raises
+    ``FileNotFoundError`` and a malformed line
+    :class:`~repro.graph.io.TemporalEdgeError`."""
 
     def __init__(
         self,
@@ -68,7 +76,10 @@ class EvolveSession:
         bins: Optional[int] = None,
     ) -> None:
         self.name = name
-        self.log_path = str(log_path)
+        spill: Dict[str, int] = {}
+        chunks = list(iter_temporal_edges_sorted(log_path, stats=spill))
+        self.rows = np.concatenate(chunks) if chunks else np.empty((0, 4))
+        self.n_vertices = spill["n_vertices"]
         self.measure = measure
         self.horizon = float(horizon)
         self.stride = stride
@@ -110,8 +121,9 @@ class EvolveRun:
         self.windows: List[Dict[str, object]] = []
         self._window_events: Dict[int, List[Dict[str, object]]] = {}
         with obs_trace.span("evolve.run", run=session.name):
-            frames = frames_from_log(
-                session.log_path,
+            frames = frames_from_rows(
+                session.rows,
+                session.n_vertices,
                 measure=session.measure,
                 horizon=session.horizon,
                 stride=session.stride,

@@ -148,10 +148,12 @@ class TestCLI:
     def test_no_subcommand_accepts_accel(self, capsys):
         parser = build_parser()
         for command in (
-            ["terrain", "--dataset", "d"], ["peaks", "--dataset", "d"],
-            ["treemap", "--dataset", "d"], ["profile", "--dataset", "d"],
-            ["correlate", "degree", "kcore", "--dataset", "d"],
-            ["stream", "--log", "x", "--dataset", "d"],
+            ["terrain", "--dataset", "amazon"],
+            ["peaks", "--dataset", "amazon"],
+            ["treemap", "--dataset", "amazon"],
+            ["profile", "--dataset", "amazon"],
+            ["correlate", "degree", "kcore", "--dataset", "amazon"],
+            ["stream", "--log", "x", "--dataset", "amazon"],
             ["evolve", "--log", "x"], ["serve"],
         ):
             parser.parse_args(command)

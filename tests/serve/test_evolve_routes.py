@@ -1,5 +1,6 @@
 """Temporal evolution over HTTP: windows, trajectories, diff tiles, SSE."""
 
+import builtins
 import json
 
 import pytest
@@ -174,6 +175,50 @@ class TestStatsAndIndex:
             assert status == 200
             assert doc["evolve"]["runs"]["lazy"] == {"built": False}
             assert doc["evolve"]["windows"] == 0
+
+
+class TestLogReadOnce:
+    """The session reads its log when registered; runs build from the
+    rows it keeps, as a stream session replays the batches it read."""
+
+    @staticmethod
+    def _app(path, log):
+        app = ServeApp(tile_size=16, levels=2)
+        app.add_evolve_session(EvolveSession(
+            "once", str(path), origin=log.origin,
+            resolution=32, tile_size=16,
+        ))
+        return app
+
+    def test_log_is_read_once(self, tmp_path, log, monkeypatch):
+        path = tmp_path / "dyn.tsv"
+        log.write(path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        app = self._app(path, log)
+        assert len(opened) == 1  # at registration, as repro serve boots
+        with ServerThread(app) as server:
+            client = Client(server.port)
+            assert client.get_json("/evolve/windows")[0] == 200
+            assert client.get("/evolve/diff/1/0/0")[0] == 200
+        assert len(opened) == 1
+
+    def test_log_changed_after_registration_is_not_read(self, tmp_path, log):
+        path = tmp_path / "dyn.tsv"
+        log.write(path)
+        app = self._app(path, log)
+        path.write_text("0 nope 1.0\n")
+        with ServerThread(app) as server:
+            status, doc = Client(server.port).get_json("/evolve/windows")
+        assert status == 200
+        assert len(doc["windows"]) == log.n_windows
 
 
 class TestRegistrationGuards:
